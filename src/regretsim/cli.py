@@ -122,6 +122,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("config.game.random: missing 'actions'")
         if int(r.get("players", len(r["actions"]))) != len(r["actions"]):
             raise ConfigError("config.game.random: players does not match actions length")
+        if len(r["actions"]) < 2 or any(int(n) < 1 for n in r["actions"]):
+            raise ConfigError(
+                f"config.game.random: need >= 2 players with >= 1 action each, got {r['actions']}")
+    if cfg.diagnostics.fd_h_max is not None and cfg.diagnostics.fd_h_max < 0:
+        raise ConfigError(
+            f"config.diagnostics.fd_h_max: must be >= 0, got {cfg.diagnostics.fd_h_max}")
 
 
 def load_config_game(cfg: ExperimentConfig) -> Game:
@@ -142,16 +148,26 @@ def load_config_game(cfg: ExperimentConfig) -> Game:
 
 
 def build_learner_configs(cfg: ExperimentConfig, game: Game) -> list[dynamics.LearnerConfig]:
+    """One learner config per player; rejects diagnostics that cannot apply to them."""
     specs = list(cfg.learner_specs)
     if len(specs) == 1 and game.num_players > 1:
         specs = specs * game.num_players
     if len(specs) != game.num_players:
         raise ConfigError(
             f"config.learners: {len(specs)} specs for {game.num_players} players")
-    return [
+    configs = [
         dynamics.LearnerConfig(mode=s.mode, eta=s.resolve_eta(game.num_players, cfg.rounds))
         for s in specs
     ]
+    toggles = cfg.diagnostics
+    if (toggles.bound_terms or toggles.variance_inequality) and any(
+            c.mode != learners.OPT_HEDGE for c in configs):
+        raise ConfigError("--diagnostics: bound_terms and variance_inequality need "
+                          f"opt_hedge learners, got {[c.mode for c in configs]}")
+    if toggles.variance_inequality and len({c.eta for c in configs}) != 1:
+        raise ConfigError("--diagnostics: variance_inequality needs one step size for "
+                          f"all players, got {[c.eta for c in configs]}")
+    return configs
 
 
 # ---------------------------------------------------------------------------
@@ -300,27 +316,26 @@ def _json_dump(data, path) -> None:
         fh.write("\n")
 
 
-def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory) -> dict:
+def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory):
+    """Diagnostics report plus the per-player finite-difference profiles."""
     toggles = cfg.diagnostics
     m = trajectory.game.num_players
     report: dict = {}
-    try:
-        if toggles.bound_terms:
-            report["bound_terms"] = [
-                diagnostics.regret_bound_terms(trajectory, i).to_dict() for i in range(m)
-            ]
-        if toggles.variance_inequality:
-            report["variance_inequality"] = [
-                diagnostics.check_variance_inequality(trajectory, i).to_dict() for i in range(m)
-            ]
-    except ValueError as exc:
-        raise ConfigError(f"--diagnostics: {exc}") from exc
+    if toggles.bound_terms:
+        report["bound_terms"] = [
+            diagnostics.regret_bound_terms(trajectory, i).to_dict() for i in range(m)
+        ]
+    if toggles.variance_inequality:
+        report["variance_inequality"] = [
+            diagnostics.check_variance_inequality(trajectory, i).to_dict() for i in range(m)
+        ]
+    fd_profiles = []
     if toggles.fd_h_max is not None:
         h_max = min(toggles.fd_h_max, trajectory.rounds - 1)
-        report["fd_profile"] = [
-            dict(player=i + 1, **diagnostics.fd_decay_profile(trajectory.losses[i], h_max).to_dict())
-            for i in range(m)
-        ]
+        fd_profiles = [diagnostics.fd_decay_profile(trajectory.losses[i], h_max)
+                       for i in range(m)]
+        report["fd_profile"] = [dict(player=i + 1, **p.to_dict())
+                                for i, p in enumerate(fd_profiles)]
     if toggles.closeness:
         entries = []
         for i in range(m):
@@ -332,7 +347,7 @@ def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory) -> 
                          within_bound=closeness.zeta_observed <= bound)
             entries.append(entry)
         report["closeness"] = entries
-    return report
+    return report, fd_profiles
 
 
 def _diagnostic_verdicts(report: dict) -> dict:
@@ -364,7 +379,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     play = None
     if game.profile_count <= dynamics.DENSE_SUPPORT_LIMIT:
         play = dynamics.cce_gap(game, dynamics.empirical_joint_distribution(trajectory))
-    diag_report = _run_diagnostics(cfg, trajectory)
+    diag_report, fd_profiles = _run_diagnostics(cfg, trajectory)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -378,12 +393,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 print("warning: skipping trajectory.csv "
                       f"(rounds x actions = {cells} > {TRAJECTORY_ROW_LIMIT}); "
                       "use --force-trajectory to write it anyway", file=sys.stderr)
-        if "fd_profile" in diag_report:
-            for i in range(game.num_players):
-                profile = diagnostics.fd_decay_profile(
-                    trajectory.losses[i], min(cfg.diagnostics.fd_h_max, cfg.rounds - 1))
-                diagnostics.fd_profile_values_csv(profile, out / f"fd_values_player{i + 1}.csv")
-                diagnostics.fd_profile_norms_csv(profile, out / f"fd_norms_player{i + 1}.csv")
+        for i, profile in enumerate(fd_profiles):
+            diagnostics.fd_profile_values_csv(profile, out / f"fd_values_player{i + 1}.csv")
+            diagnostics.fd_profile_norms_csv(profile, out / f"fd_norms_player{i + 1}.csv")
 
     summary = {
         "config": cfg.to_dict(),
@@ -439,8 +451,9 @@ def compare_learners(cfg: ExperimentConfig) -> list[dict]:
 
 def gen_game(args: argparse.Namespace) -> None:
     actions = _parse_int_list(args.actions)
-    if len(actions) < 2:
-        raise ConfigError("--actions needs at least 2 entries (one per player)")
+    if len(actions) < 2 or any(n < 1 for n in actions):
+        raise ConfigError(
+            f"--actions needs >= 2 entries (one per player), each >= 1, got {actions}")
     game = random_game(len(actions), actions, args.game_seed)
     save_game_json(game, args.out)
     print(f"wrote {args.out}")

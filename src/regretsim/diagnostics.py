@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -228,49 +227,20 @@ def fd_profile_norms_csv(profile: FiniteDifferenceProfile, path) -> None:
 # Discrete Fourier transform
 # ---------------------------------------------------------------------------
 
-def _is_power_of_two(s: int) -> bool:
-    return s >= 1 and (s & (s - 1)) == 0
-
-
-@lru_cache(maxsize=8)
-def _dft_matrix(s: int) -> np.ndarray:
-    k = np.arange(s)
-    return np.exp(-2j * np.pi * np.outer(k, k) / s)
-
-
-def dft(seq: np.ndarray, fast: bool | None = None) -> np.ndarray:
-    """DFT of a sequence: component s is sum_t seq[t] exp(-2 pi i s t / S).
-
-    The default route evaluates the definition directly (O(S^2)); for
-    power-of-two lengths a fast path is taken. Pass ``fast`` to force either
-    route; both agree to high precision.
-    """
+def dft(seq: np.ndarray) -> np.ndarray:
+    """DFT of a sequence: component s is sum_t seq[t] exp(-2 pi i s t / S)."""
     w = np.asarray(seq)
-    s = w.shape[0]
-    if s < 1:
+    if w.shape[0] < 1:
         raise ValueError("sequence must be nonempty")
-    if fast is None:
-        fast = _is_power_of_two(s)
-    if fast:
-        if not _is_power_of_two(s):
-            raise ValueError(f"fast path requires power-of-two length, got {s}")
-        return np.fft.fft(w)
-    return _dft_matrix(s) @ w.astype(np.complex128)
+    return np.fft.fft(w)
 
 
-def idft(spectrum: np.ndarray, fast: bool | None = None) -> np.ndarray:
+def idft(spectrum: np.ndarray) -> np.ndarray:
     """Inverse DFT; ``idft(dft(w))`` recovers ``w`` up to rounding."""
     z = np.asarray(spectrum, dtype=np.complex128)
-    s = z.shape[0]
-    if s < 1:
+    if z.shape[0] < 1:
         raise ValueError("sequence must be nonempty")
-    if fast is None:
-        fast = _is_power_of_two(s)
-    if fast:
-        if not _is_power_of_two(s):
-            raise ValueError(f"fast path requires power-of-two length, got {s}")
-        return np.fft.ifft(z)
-    return (np.conjugate(_dft_matrix(s)) @ z) / s
+    return np.fft.ifft(z)
 
 
 def check_circular_fourier_identity(seq: np.ndarray, h: int) -> float:

@@ -8,26 +8,19 @@ upstream.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import learners
-from .game import Game, expected_loss_vector, validate_game
+from .game import Game, expected_loss, loss_matrix, validate_game
 
 __version__ = "0.1.0"
 
 # Dense storage cap for the empirical joint distribution.
 DENSE_SUPPORT_LIMIT = 10**6
-
-# Trajectories beyond this many rounds should use the streaming runner.
-STREAMING_THRESHOLD = 10**6
-
-WORKERS_ENV_VAR = "REGRETSIM_WORKERS"
 
 
 def format_float(x: float) -> str:
@@ -69,22 +62,41 @@ class Trajectory:
     metadata: RunMetadata
 
 
-def _make_states(game: Game, configs: Sequence[LearnerConfig], rounds: int) -> list[learners.LearnerState]:
-    states = []
-    for i, cfg in enumerate(configs):
-        states.append(learners.init_state(
-            game.action_counts[i], cfg.eta, cfg.mode,
-            horizon=rounds, c_prime=cfg.c_prime))
-    return states
+class _History:
+    """Recorder that keeps every round's strategies and loss vectors."""
+
+    def __init__(self, game: Game, rounds: int):
+        self.strategies = [np.empty((rounds, n)) for n in game.action_counts]
+        self.losses = [np.empty((rounds, n)) for n in game.action_counts]
+
+    def __call__(self, t: int, profile: list[np.ndarray], losses: list[np.ndarray]) -> None:
+        for i, (x, loss) in enumerate(zip(profile, losses)):
+            self.strategies[i][t] = x
+            self.losses[i][t] = loss
 
 
-def run(game: Game, configs: Sequence[LearnerConfig], rounds: int,
-        seed: int | None = None) -> Trajectory:
-    """Play ``rounds`` rounds of simultaneous self-play and record everything.
+class _RunningSums:
+    """Recorder that keeps only the running sums regret needs."""
 
-    Each round, every player's full expected-loss vector is computed from the
-    current strategy profile (full information), delivered to its learner,
-    and all learners advance together.
+    def __init__(self, game: Game, rounds: int):
+        self.cumulative = np.zeros(game.num_players)
+        self.action_cumulative = [np.zeros(n) for n in game.action_counts]
+
+    def __call__(self, t: int, profile: list[np.ndarray], losses: list[np.ndarray]) -> None:
+        for i, (x, loss) in enumerate(zip(profile, losses)):
+            self.cumulative[i] += float(x @ loss)
+            self.action_cumulative[i] += loss
+
+
+def _play(game: Game, configs: Sequence[LearnerConfig], rounds: int, seed: int | None,
+          recorder: type[_History] | type[_RunningSums]):
+    """The self-play loop behind every runner.
+
+    Checks the inputs, then plays ``rounds`` synchronous rounds: each round,
+    every player's full expected-loss vector is computed from the current
+    strategy profile (full information) and handed to ``recorder`` before
+    all learners advance together. Returns the recorder, the final learner
+    states and the run metadata.
     """
     violations = validate_game(game)
     if violations:
@@ -93,17 +105,17 @@ def run(game: Game, configs: Sequence[LearnerConfig], rounds: int,
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if len(configs) != game.num_players:
         raise ValueError(f"{len(configs)} learner configs for {game.num_players} players")
-    m = game.num_players
-    states = _make_states(game, configs, rounds)
-    strat_hist = [np.empty((rounds, n)) for n in game.action_counts]
-    loss_hist = [np.empty((rounds, n)) for n in game.action_counts]
+    players = range(game.num_players)
+    matrices = [loss_matrix(game, i) for i in players]
+    states = [learners.init_state(game.action_counts[i], cfg.eta, cfg.mode,
+                                  horizon=rounds, c_prime=cfg.c_prime)
+              for i, cfg in enumerate(configs)]
+    record = recorder(game, rounds)
     for t in range(rounds):
         profile = [s.strategy for s in states]
-        round_losses = [expected_loss_vector(game, i, profile) for i in range(m)]
-        for i in range(m):
-            strat_hist[i][t] = profile[i]
-            loss_hist[i][t] = round_losses[i]
-        states = [learners.step(states[i], round_losses[i]) for i in range(m)]
+        round_losses = [expected_loss(matrices[i], i, profile) for i in players]
+        record(t, profile, round_losses)
+        states = [learners.step(s, loss) for s, loss in zip(states, round_losses)]
     metadata = RunMetadata(
         modes=tuple(cfg.mode for cfg in configs),
         etas=tuple(cfg.eta for cfg in configs),
@@ -111,8 +123,15 @@ def run(game: Game, configs: Sequence[LearnerConfig], rounds: int,
         version=__version__,
         switch_rounds=tuple(s.switch_round for s in states),
     )
-    return Trajectory(game=game, rounds=rounds, strategies=strat_hist,
-                      losses=loss_hist, metadata=metadata)
+    return record, states, metadata
+
+
+def run(game: Game, configs: Sequence[LearnerConfig], rounds: int,
+        seed: int | None = None) -> Trajectory:
+    """Play ``rounds`` rounds of simultaneous self-play and record everything."""
+    history, _, metadata = _play(game, configs, rounds, seed, _History)
+    return Trajectory(game=game, rounds=rounds, strategies=history.strategies,
+                      losses=history.losses, metadata=metadata)
 
 
 @dataclass
@@ -131,35 +150,14 @@ class StreamingSummary:
 def run_streaming(game: Game, configs: Sequence[LearnerConfig], rounds: int,
                   seed: int | None = None) -> StreamingSummary:
     """Like ``run`` but stores only regret-relevant running sums (O(sum n_i))."""
-    violations = validate_game(game)
-    if violations:
-        raise ValueError("invalid game: " + "; ".join(violations))
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    m = game.num_players
-    states = _make_states(game, configs, rounds)
-    cumulative = np.zeros(m)
-    action_cumulative = [np.zeros(n) for n in game.action_counts]
-    for _ in range(rounds):
-        profile = [s.strategy for s in states]
-        round_losses = [expected_loss_vector(game, i, profile) for i in range(m)]
-        for i in range(m):
-            cumulative[i] += float(profile[i] @ round_losses[i])
-            action_cumulative[i] += round_losses[i]
-        states = [learners.step(states[i], round_losses[i]) for i in range(m)]
-    best_actions = np.array([int(np.argmin(a)) for a in action_cumulative])
+    sums, states, metadata = _play(game, configs, rounds, seed, _RunningSums)
+    best_actions = np.array([int(np.argmin(a)) for a in sums.action_cumulative])
     total_regret = np.array([
-        cumulative[i] - float(action_cumulative[i][best_actions[i]]) for i in range(m)
+        c - float(a[k]) for c, a, k in zip(sums.cumulative, sums.action_cumulative, best_actions)
     ])
-    metadata = RunMetadata(
-        modes=tuple(cfg.mode for cfg in configs),
-        etas=tuple(cfg.eta for cfg in configs),
-        seed=seed, version=__version__,
-        switch_rounds=tuple(s.switch_round for s in states),
-    )
     return StreamingSummary(
-        rounds=rounds, cumulative_loss=cumulative,
-        action_cumulative=action_cumulative, total_regret=total_regret,
+        rounds=rounds, cumulative_loss=sums.cumulative,
+        action_cumulative=sums.action_cumulative, total_regret=total_regret,
         best_actions=best_actions,
         final_strategies=[s.strategy for s in states], metadata=metadata)
 
@@ -186,7 +184,6 @@ class RegretEntry:
             "best_action": self.best_action + 1,
             "cumulative_loss": self.cumulative_loss,
             "best_fixed_loss": self.best_fixed_loss,
-            "curve": self.curve.tolist(),
         }
 
 
@@ -269,7 +266,7 @@ def cce_gap(game: Game, play: EmpiricalPlay) -> CceReport:
         tensor = game.loss_tensors[i]
         on_path[i] = float((play.probs * tensor).sum())
         marginal = play.probs.sum(axis=i)
-        deviations = np.moveaxis(tensor, i, 0).reshape(game.action_counts[i], -1) @ marginal.reshape(-1)
+        deviations = loss_matrix(game, i) @ marginal.reshape(-1)
         best[i] = int(np.argmin(deviations))
         raw[i] = on_path[i] - float(deviations[best[i]])
     return CceReport(
@@ -288,40 +285,24 @@ class BatchResult:
         return max(self.total_regrets)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw:
-        return max(1, int(raw))
-    return os.cpu_count() or 1
-
-
 def batch_run(game_source: Game | Callable[[int], Game], seeds: Sequence[int],
-              configs: Sequence[LearnerConfig], rounds: int,
-              workers: int | None = None) -> list[BatchResult]:
-    """Independent runs per seed; results ordered by seed position.
+              configs: Sequence[LearnerConfig], rounds: int) -> list[BatchResult]:
+    """Independent runs, one per seed, played in order; results follow ``seeds``.
 
     ``game_source`` is either a fixed game or a callable mapping a seed to a
-    game. Worker count comes from ``workers``, else the REGRETSIM_WORKERS
-    environment variable, else available parallelism; 1 forces sequential
-    execution. Ordering never depends on scheduling.
+    game.
     """
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
-
-    def one(seed: int) -> BatchResult:
+    results = []
+    for seed in seeds:
         game = game_source(seed) if callable(game_source) else game_source
-        traj = run(game, configs, rounds, seed=seed)
-        entries = regret_report(traj)
-        return BatchResult(
+        entries = regret_report(run(game, configs, rounds, seed=seed))
+        results.append(BatchResult(
             seed=seed,
             total_regrets=[e.total_regret for e in entries],
-            best_actions=[e.best_action for e in entries])
-
-    count = workers if workers is not None else _worker_count()
-    if count <= 1 or len(seeds) == 1:
-        return [one(s) for s in seeds]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(one, seeds))
+            best_actions=[e.best_action for e in entries]))
+    return results
 
 
 # ---------------------------------------------------------------------------

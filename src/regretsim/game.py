@@ -16,10 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-# Opponent-profile count up to which expected losses are computed by direct
-# enumeration; larger games fall back to axis-by-axis tensor contraction.
-ENUMERATION_LIMIT = 100_000
-
 NAMED_GAMES = (
     "matching_pennies",
     "rock_paper_scissors",
@@ -132,28 +128,20 @@ def joint_action_loss(game: Game, player: int, profile: Sequence[int]) -> float:
     return float(game.loss_tensors[player][tuple(int(a) for a in profile)])
 
 
-def _opponent_weights(game: Game, player: int, strategies: Sequence[np.ndarray]) -> np.ndarray:
-    """Joint probability of every opponent profile, flattened in profile order."""
-    opponents = [np.asarray(strategies[j], dtype=np.float64)
-                 for j in range(game.num_players) if j != player]
-    return reduce(np.multiply.outer, opponents).reshape(-1)
+def loss_matrix(game: Game, player: int) -> np.ndarray:
+    """Player's loss tensor as an (n_i, prod n_{-i}) matrix.
 
-
-def _expected_loss_enumerate(game: Game, player: int, strategies: Sequence[np.ndarray]) -> np.ndarray:
-    weights = _opponent_weights(game, player, strategies)
+    Row j holds the losses of action j against every opponent profile, with
+    opponent profiles flattened in row-major order.
+    """
     n = game.action_counts[player]
-    tensor = np.moveaxis(game.loss_tensors[player], player, 0).reshape(n, -1)
-    return tensor @ weights
+    return np.moveaxis(game.loss_tensors[player], player, 0).reshape(n, -1)
 
 
-def _expected_loss_contract(game: Game, player: int, strategies: Sequence[np.ndarray]) -> np.ndarray:
-    out = game.loss_tensors[player]
-    # Contract opponents from the last axis down; lower axes keep their index.
-    for j in range(game.num_players - 1, -1, -1):
-        if j == player:
-            continue
-        out = np.tensordot(out, np.asarray(strategies[j], dtype=np.float64), axes=([j], [0]))
-    return np.asarray(out, dtype=np.float64)
+def expected_loss(matrix: np.ndarray, player: int, strategies: Sequence[np.ndarray]) -> np.ndarray:
+    """``matrix`` (from ``loss_matrix``) times the opponents' joint distribution."""
+    opponents = [np.asarray(s, dtype=np.float64) for j, s in enumerate(strategies) if j != player]
+    return matrix @ reduce(np.multiply.outer, opponents).reshape(-1)
 
 
 def expected_loss_vector(game: Game, player: int, strategies: Sequence[np.ndarray]) -> np.ndarray:
@@ -169,19 +157,13 @@ def expected_loss_vector(game: Game, player: int, strategies: Sequence[np.ndarra
         raise ValueError(
             f"expected {game.num_players} strategies, got {len(strategies)}"
         )
-    opp_profiles = 1
     for j in range(game.num_players):
-        if j == player:
-            continue
-        if len(strategies[j]) != game.action_counts[j]:
+        if j != player and len(strategies[j]) != game.action_counts[j]:
             raise ValueError(
                 f"strategy for player {j} has length {len(strategies[j])}, "
                 f"expected {game.action_counts[j]}"
             )
-        opp_profiles *= game.action_counts[j]
-    if opp_profiles <= ENUMERATION_LIMIT:
-        return _expected_loss_enumerate(game, player, strategies)
-    return _expected_loss_contract(game, player, strategies)
+    return expected_loss(loss_matrix(game, player), player, strategies)
 
 
 def random_game(m: int, action_counts: Sequence[int], seed: int,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from regretsim import cli
+from regretsim import cli, dynamics
 from regretsim.cli import (
     ConfigError,
     DiagnosticsToggles,
@@ -259,3 +259,21 @@ class TestMainExitCodes:
         report = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
         assert set(report) == {"bound_terms", "variance_inequality",
                                "fd_profile", "closeness"}
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--game", "random", "--actions", "2,2", "--fd-h-max", "-1", "--rounds", "16"],
+        ["run", "--game", "random", "--actions", "3", "--rounds", "16"],
+        ["compare", "--game", "random", "--actions", "2,0", "--learner", "hedge,opt_hedge"],
+        ["diagnose", "--game", "random", "--actions", "2,2", "--learner", "hedge"],
+        ["gen-game", "--actions", "2,0"],
+    ], ids=["fd_h_max_negative", "one_player", "zero_actions", "diagnose_hedge",
+            "gen_game_zero_actions"])
+    def test_bad_input_exits_before_simulating(self, argv, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("dynamics.run called on a rejected config")
+
+        monkeypatch.setattr(dynamics, "run", no_run)
+        code = cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

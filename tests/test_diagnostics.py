@@ -34,6 +34,12 @@ from regretsim.diagnostics import BoundConstants, ceil_log2, row_variances
 from regretsim.game import Game
 
 
+def dft_matrix(s):
+    """Matrix of the DFT definition: entry (k, t) is exp(-2 pi i k t / S)."""
+    k = np.arange(s)
+    return np.exp(-2j * np.pi * np.outer(k, k) / s)
+
+
 def brute_variance(p, v):
     mean = sum(pi * vi for pi, vi in zip(p, v))
     return sum(pi * (vi - mean) ** 2 for pi, vi in zip(p, v))
@@ -268,17 +274,16 @@ class TestDft:
             np.testing.assert_allclose(back.imag, 0.0, atol=1e-10)
 
     def test_direct_and_fast_agree(self):
+        # the O(S^2) definition is the oracle; 17 is not a power of two
         rng = np.random.default_rng(12)
-        for length in (4, 64, 1024):
+        for length in (4, 17, 64, 1024):
             w = rng.normal(size=length)
-            direct = dft(w, fast=False)
-            fast = dft(w, fast=True)
+            matrix = dft_matrix(length)
+            direct = matrix @ w
             scale = np.abs(direct).max()
-            np.testing.assert_allclose(fast, direct, atol=1e-10 * scale)
-
-    def test_fast_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            dft(np.ones(6), fast=True)
+            np.testing.assert_allclose(dft(w), direct, atol=1e-10 * scale)
+            np.testing.assert_allclose(idft(direct), np.conjugate(matrix) @ direct / length,
+                                       atol=1e-10 * scale)
 
     def test_parseval(self):
         rng = np.random.default_rng(13)

@@ -83,13 +83,16 @@ class TestRun:
 
     def test_rejects_invalid_inputs(self):
         game = named_game("matching_pennies")
-        with pytest.raises(ValueError):
-            run(game, [LearnerConfig()] * 2, 0)
-        with pytest.raises(ValueError):
-            run(game, [LearnerConfig()], 4)
         bad = Game(2, (2, 2), (np.full((2, 2), 1.5), np.zeros((2, 2))))
-        with pytest.raises(ValueError, match="invalid game"):
-            run(bad, [LearnerConfig()] * 2, 4)
+        for runner in (run, run_streaming):
+            with pytest.raises(ValueError):
+                runner(game, [LearnerConfig()] * 2, 0)
+            with pytest.raises(ValueError):
+                runner(game, [LearnerConfig()], 4)
+            with pytest.raises(ValueError, match="4 learner configs for 3 players"):
+                runner(random_game(3, (2, 2, 2), seed=1), [LearnerConfig()] * 4, 4)
+            with pytest.raises(ValueError, match="invalid game"):
+                runner(bad, [LearnerConfig()] * 2, 4)
 
     def test_permuting_action_labels_permutes_trajectory(self):
         game = random_game(2, (3, 3), seed=12)
@@ -225,13 +228,6 @@ class TestBatchRun:
         b = batch_run(source, [1, 2, 3], cfg, 64)
         assert [r.total_regrets for r in a] == [r.total_regrets for r in b]
 
-    def test_sequential_and_parallel_agree(self):
-        source = lambda s: random_game(2, (2, 2), seed=s)
-        cfg = [LearnerConfig(eta=0.05)] * 2
-        seq = batch_run(source, [5, 6, 7, 8], cfg, 64, workers=1)
-        par = batch_run(source, [5, 6, 7, 8], cfg, 64, workers=4)
-        assert [r.total_regrets for r in seq] == [r.total_regrets for r in par]
-
     def test_fifty_random_games_bounded(self):
         results = batch_run(lambda s: random_game(2, (2, 2), seed=s),
                             list(range(1, 51)), [LearnerConfig(eta=0.05)] * 2, 2**12)
@@ -253,17 +249,22 @@ class TestBatchRun:
 
 class TestStreaming:
     def test_matches_full_run(self):
-        game = random_game(2, (2, 3), seed=16)
-        cfg = [LearnerConfig(eta=0.05)] * 2
-        full = run(game, cfg, 200)
-        stream = run_streaming(game, cfg, 200)
-        entries = regret_report(full)
-        for i in range(2):
-            assert stream.total_regret[i] == pytest.approx(
-                entries[i].total_regret, rel=1e-12, abs=1e-12)
-            assert stream.best_actions[i] == entries[i].best_action
-            assert stream.cumulative_loss[i] == pytest.approx(
-                entries[i].cumulative_loss, rel=1e-12)
+        # a large step and c_prime=0 make adaptive learners switch, so both
+        # runners must also agree on when
+        for game in (random_game(2, (2, 3), seed=16), random_game(3, (2, 3, 2), seed=18)):
+            for mode in ("hedge", "opt_hedge", "adaptive_opt_hedge"):
+                cfg = [LearnerConfig(mode=mode, eta=2.0, c_prime=0.0)] * game.num_players
+                full = run(game, cfg, 200)
+                stream = run_streaming(game, cfg, 200)
+                for i, entry in enumerate(regret_report(full)):
+                    assert stream.total_regret[i] == pytest.approx(
+                        entry.total_regret, rel=1e-12, abs=1e-12)
+                    assert stream.best_actions[i] == entry.best_action
+                    assert stream.cumulative_loss[i] == pytest.approx(
+                        entry.cumulative_loss, rel=1e-12, abs=1e-12)
+                assert stream.metadata.switch_rounds == full.metadata.switch_rounds
+                if mode == "adaptive_opt_hedge":
+                    assert any(r is not None for r in full.metadata.switch_rounds)
 
 
 class TestCsvExports:

@@ -17,17 +17,35 @@ from regretsim import (
     uniform_strategy,
     validate_game,
 )
-from regretsim.game import (
-    _expected_loss_contract,
-    _expected_loss_enumerate,
-    game_from_dict,
-    game_to_dict,
-)
+from regretsim.game import game_from_dict, game_to_dict
 
 
 def small_random_games():
     for m, counts in [(2, (2, 2)), (2, (3, 4)), (3, (2, 3, 2)), (4, (2, 2, 2, 2))]:
         yield random_game(m, counts, seed=m * 10 + counts[0])
+
+
+def _enumeration_oracle(game, player, strategies):
+    """Sum of loss times probability over every opponent profile."""
+    counts = game.action_counts
+    out = np.zeros(counts[player])
+    opponents = [j for j in range(game.num_players) if j != player]
+    for profile in itertools.product(*[range(counts[j]) for j in opponents]):
+        weight = math.prod(strategies[j][a] for j, a in zip(opponents, profile))
+        for k in range(counts[player]):
+            joint = list(profile)
+            joint.insert(player, k)
+            out[k] += weight * game.loss_tensors[player][tuple(joint)]
+    return out
+
+
+def _einsum_oracle(game, player, strategies):
+    m = game.num_players
+    operands = [game.loss_tensors[player], list(range(m))]
+    for j in range(m):
+        if j != player:
+            operands += [strategies[j], [j]]
+    return np.einsum(*operands, [player])
 
 
 class TestValidateGame:
@@ -129,25 +147,27 @@ class TestExpectedLossVector:
                             joint_action_loss(game, i, deviated), abs=1e-12)
 
     def test_enumeration_and_contraction_agree(self):
+        # the explicit sum over opponent profiles and the einsum contraction
+        # both agree with expected_loss_vector
         rng = np.random.default_rng(3)
         for game in small_random_games():
             strategies = [rng.dirichlet(np.ones(n)) for n in game.action_counts]
             for i in range(game.num_players):
-                a = _expected_loss_enumerate(game, i, strategies)
-                b = _expected_loss_contract(game, i, strategies)
-                np.testing.assert_allclose(a, b, atol=1e-12)
+                ell = expected_loss_vector(game, i, strategies)
+                np.testing.assert_allclose(
+                    ell, _enumeration_oracle(game, i, strategies), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    ell, _einsum_oracle(game, i, strategies), rtol=0, atol=1e-12)
 
     def test_contraction_route_above_enumeration_limit(self):
-        # player 0 faces 120001 opponent profiles, past the enumeration cap
+        # player 0 faces 120001 opponent profiles
         rng = np.random.default_rng(30)
         game = random_game(2, (2, 120_001), seed=19)
         strategies = [rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(120_001))]
-        routed = expected_loss_vector(game, 0, strategies)
-        np.testing.assert_allclose(
-            routed, _expected_loss_enumerate(game, 0, strategies), atol=1e-12)
-        np.testing.assert_allclose(
-            expected_loss_vector(game, 1, strategies),
-            _expected_loss_contract(game, 1, strategies), atol=1e-12)
+        for i in range(2):
+            np.testing.assert_allclose(
+                expected_loss_vector(game, i, strategies),
+                _einsum_oracle(game, i, strategies), rtol=0, atol=1e-12)
 
 
 class TestRandomGame:
