@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import diagnostics, dynamics, learners
-from .game import Game, load_game_json, named_game, random_game, save_game_json, NAMED_GAMES
+from .game import (Game, load_game_json, named_game, random_game, save_game_json, write_csv,
+                   write_json, NAMED_GAMES)
 
 ETA_POLICIES = ("practical", "theorem", "explicit")
 FORMATS = ("json", "csv")
@@ -56,11 +57,6 @@ class DiagnosticsToggles:
     variance_inequality: bool = False
     fd_h_max: int | None = None
     closeness: bool = False
-
-    @property
-    def any_enabled(self) -> bool:
-        return (self.bound_terms or self.variance_inequality
-                or self.fd_h_max is not None or self.closeness)
 
 
 @dataclass(frozen=True)
@@ -310,12 +306,6 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
 # Experiment execution
 # ---------------------------------------------------------------------------
 
-def _json_dump(data, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory):
     """Diagnostics report plus the per-player finite-difference profiles."""
     toggles = cfg.diagnostics
@@ -385,13 +375,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
         dynamics.regret_curves_to_csv(entries, out / "regret_curve.csv")
-        cells = cfg.rounds * sum(game.action_counts)
+        rows = 2 * cfg.rounds * sum(game.action_counts)  # strategy and loss per (round, action)
         if cfg.emit_trajectory:
-            if cells <= TRAJECTORY_ROW_LIMIT or cfg.force_trajectory:
+            if rows <= TRAJECTORY_ROW_LIMIT or cfg.force_trajectory:
                 dynamics.trajectory_to_csv(trajectory, out / "trajectory.csv")
             else:
                 print("warning: skipping trajectory.csv "
-                      f"(rounds x actions = {cells} > {TRAJECTORY_ROW_LIMIT}); "
+                      f"({rows} rows > {TRAJECTORY_ROW_LIMIT}); "
                       "use --force-trajectory to write it anyway", file=sys.stderr)
         for i, profile in enumerate(fd_profiles):
             diagnostics.fd_profile_values_csv(profile, out / f"fd_values_player{i + 1}.csv")
@@ -408,9 +398,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "duration_seconds": time.perf_counter() - started,
     }
     if "json" in cfg.formats:
-        _json_dump(summary, out / "summary.json")
+        write_json(summary, out / "summary.json")
         if diag_report:
-            _json_dump(diag_report, out / "diagnostics.json")
+            write_json(diag_report, out / "diagnostics.json")
     return summary
 
 
@@ -439,13 +429,12 @@ def compare_learners(cfg: ExperimentConfig) -> list[dict]:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
-        with open(out / "compare.csv", "w", newline="") as fh:
-            fh.write("learner,eta,round,player,regret\n")
-            for r in rows:
-                fh.write(f"{r['learner']},{dynamics.format_float(r['eta'])},{r['round']},"
-                         f"{r['player']},{dynamics.format_float(r['regret'])}\n")
+        # an explicit eta read from a config file may be an int; the column holds floats
+        write_csv(out / "compare.csv", ("learner", "eta", "round", "player", "regret"),
+                  ((r["learner"], float(r["eta"]), r["round"], r["player"], r["regret"])
+                   for r in rows))
     if "json" in cfg.formats:
-        _json_dump(rows, out / "compare.json")
+        write_json(rows, out / "compare.json")
     return rows
 
 

@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .game import write_csv
+
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import Trajectory
 
@@ -203,24 +205,15 @@ def fd_decay_profile(seq: np.ndarray, h_max: int) -> FiniteDifferenceProfile:
 
 def fd_profile_values_csv(profile: FiniteDifferenceProfile, path) -> None:
     """CSV rows (order, t, value); value is the sup norm of the entry at t."""
-    from .dynamics import format_float  # local import to keep this module numpy-only
-
-    with open(path, "w", newline="\n") as fh:
-        fh.write("order,t,value\n")
-        for h, d in enumerate(profile.orders):
-            mags = np.abs(d).reshape(d.shape[0], -1).max(axis=1) if d.ndim > 1 else np.abs(d)
-            for t, v in enumerate(mags):
-                fh.write(f"{h},{t + 1},{format_float(float(v))}\n")
+    rows = ((h, t, v)
+            for h, d in enumerate(profile.orders)
+            for t, v in enumerate(np.abs(d).reshape(d.shape[0], -1).max(axis=1), 1))
+    write_csv(path, ("order", "t", "value"), rows)
 
 
 def fd_profile_norms_csv(profile: FiniteDifferenceProfile, path) -> None:
     """CSV rows (order, sup_norm)."""
-    from .dynamics import format_float
-
-    with open(path, "w", newline="\n") as fh:
-        fh.write("order,sup_norm\n")
-        for h, v in enumerate(profile.sup_norms):
-            fh.write(f"{h},{format_float(float(v))}\n")
+    write_csv(path, ("order", "sup_norm"), enumerate(profile.sup_norms))
 
 
 # ---------------------------------------------------------------------------

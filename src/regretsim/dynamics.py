@@ -15,17 +15,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import learners
-from .game import Game, expected_loss, loss_matrix, validate_game
+from .game import Game, expected_loss, loss_matrix, validate_game, write_csv
 
 __version__ = "0.1.0"
 
 # Dense storage cap for the empirical joint distribution.
 DENSE_SUPPORT_LIMIT = 10**6
-
-
-def format_float(x: float) -> str:
-    """Locale-independent decimal rendering with 17 significant digits."""
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -311,27 +306,22 @@ def batch_run(game_source: Game | Callable[[int], Game], seeds: Sequence[int],
 
 def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     """Write rows (round, player, kind, action, value), 1-indexed, LF-terminated."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "player", "kind", "action", "value"])
-        for t in range(trajectory.rounds):
-            for i in range(trajectory.game.num_players):
-                for kind, hist in (("strategy", trajectory.strategies),
-                                   ("loss", trajectory.losses)):
-                    row_vals = hist[i][t]
-                    for j, v in enumerate(row_vals):
-                        writer.writerow([t + 1, i + 1, kind, j + 1, format_float(v)])
+    kinds = (("strategy", trajectory.strategies), ("loss", trajectory.losses))
+    rows = ((t + 1, i + 1, kind, j, v)
+            for t in range(trajectory.rounds)
+            for i in range(trajectory.game.num_players)
+            for kind, hist in kinds
+            for j, v in enumerate(hist[i][t].tolist(), 1))
+    write_csv(path, ("round", "player", "kind", "action", "value"), rows)
 
 
 def regret_curves_to_csv(entries: Sequence[RegretEntry], path) -> None:
     """Write rows (round, player, regret), 1-indexed, LF-terminated."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "player", "regret"])
-        rounds = len(entries[0].curve)
-        for t in range(rounds):
-            for entry in entries:
-                writer.writerow([t + 1, entry.player + 1, format_float(entry.curve[t])])
+    players = [entry.player + 1 for entry in entries]
+    rows = ((t, p, v)
+            for t, values in enumerate(zip(*(entry.curve for entry in entries)), 1)
+            for p, v in zip(players, values))
+    write_csv(path, ("round", "player", "regret"), rows)
 
 
 def trajectory_from_csv(path) -> tuple[list[np.ndarray], list[np.ndarray]]:

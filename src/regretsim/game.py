@@ -3,7 +3,8 @@
 A game stores one dense loss tensor per player, indexed by joint action
 profiles in row-major order over (a_1, ..., a_m). Players and actions are
 0-indexed throughout the Python API; file formats and report text use the
-1-indexed convention.
+1-indexed convention. ``write_csv`` and ``write_json`` fix the format of
+every file the package writes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -246,9 +247,7 @@ def game_from_dict(data: dict, name: str | None = None) -> Game:
 
 
 def save_game_json(game: Game, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(game_to_dict(game), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(game_to_dict(game), path)
 
 
 def load_game_json(path) -> Game:
@@ -256,3 +255,29 @@ def load_game_json(path) -> Game:
         data = json.load(fh)
     stem = os.path.splitext(os.path.basename(str(path)))[0]
     return game_from_dict(data, name=stem)
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[tuple]) -> None:
+    """Stream the tuples ``rows`` under ``header`` to an LF-terminated CSV file.
+
+    Float cells get 17 significant digits, enough to read back the same
+    double in any locale; every other cell is written with ``str``. The first
+    row's cell types fix the layout, so each column holds one type. Rows are
+    formatted one at a time as they are consumed.
+    """
+    rows = iter(rows)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        first = next(rows, None)
+        if first is None:
+            return
+        fmt = ",".join("%.17g" if isinstance(c, float) else "%s" for c in first) + "\n"
+        fh.write(fmt % first)
+        fh.writelines(fmt % r for r in rows)
+
+
+def write_json(data, path) -> None:
+    """Write ``data`` as indented, key-sorted, LF-terminated JSON."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")

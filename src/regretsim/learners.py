@@ -62,8 +62,10 @@ def init_state(n: int, eta: float, mode: str, horizon: int | None = None,
 
     ``horizon`` (the total number of rounds T) is required for the adaptive
     mode, which needs it for both the switch threshold c_prime * ceil(log2 T)^5
-    and the post-switch step size sqrt(ln n / T). ``c_prime`` of 0 forces the
-    switch test to fire immediately; inf disables it.
+    and the post-switch step size sqrt(ln n / T). ``c_prime`` of 0 only
+    removes the additive threshold: the switch still needs the summed
+    loss-difference variance to exceed half the summed previous-loss variance,
+    which may never happen. ``c_prime`` of inf disables the switch.
     """
     if n < 1:
         raise ValueError(f"action count must be >= 1, got {n}")

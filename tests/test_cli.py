@@ -80,7 +80,7 @@ class TestParseConfig:
             bound_terms=True, variance_inequality=True, fd_h_max=3, closeness=True)
         cfg = parse_flags(["run", "--game", "matching_pennies", "--rounds", "8",
                            "--diagnostics", "none"])
-        assert not cfg.diagnostics.any_enabled
+        assert cfg.diagnostics == DiagnosticsToggles()
 
     def test_exactly_one_game_source(self):
         with pytest.raises(ConfigError):
@@ -168,6 +168,19 @@ class TestRunExperiment:
                            "--force-trajectory", "--out", str(tmp_path / "out2")])
         run_experiment(cfg)
         assert (tmp_path / "out2" / "trajectory.csv").exists()
+        # the limit counts CSV rows: one strategy and one loss row per round and action
+        monkeypatch.setattr(cli, "TRAJECTORY_ROW_LIMIT", 20)
+        cfg = parse_flags(["run", "--game", "matching_pennies", "--rounds", "3",
+                           "--out", str(tmp_path / "out3")])
+        run_experiment(cfg)
+        assert not (tmp_path / "out3" / "trajectory.csv").exists()
+        assert "24 rows" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "TRAJECTORY_ROW_LIMIT", 24)
+        cfg = parse_flags(["run", "--game", "matching_pennies", "--rounds", "3",
+                           "--out", str(tmp_path / "out4")])
+        run_experiment(cfg)
+        lines = (tmp_path / "out4" / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 1 + 24
 
 
 class TestCompare:
@@ -190,6 +203,14 @@ class TestCompare:
             assert rounds == sorted(rounds)
         assert {int(r["round"]) for r in parsed} == {16, 32, 64}
         assert len(rows) == len(parsed)
+        raw = (tmp_path / "out" / "compare.csv").read_bytes()
+        assert b"\r" not in raw
+        lines = raw.decode().splitlines()
+        assert lines[0] == "learner,eta,round,player,regret"
+        assert len(lines) == 1 + 2 * 3 * 2  # learners * checkpoints * players
+        assert lines[1:] == [
+            f"{r['learner']},{format(r['eta'], '.17g')},{r['round']},{r['player']},"
+            f"{format(r['regret'], '.17g')}" for r in rows]
 
     def test_matching_pennies_symmetric_fixed_point(self, tmp_path):
         # uniform self-play never moves on the symmetric fixture, so both

@@ -30,7 +30,13 @@ from regretsim import (
     run,
     variance,
 )
-from regretsim.diagnostics import BoundConstants, ceil_log2, row_variances
+from regretsim.diagnostics import (
+    BoundConstants,
+    ceil_log2,
+    fd_profile_norms_csv,
+    fd_profile_values_csv,
+    row_variances,
+)
 from regretsim.game import Game
 
 
@@ -508,3 +514,25 @@ class TestFdDecayProfile:
     def test_h_max_validation(self):
         with pytest.raises(ValueError):
             fd_decay_profile(np.zeros((4, 2)), 4)
+
+    def test_values_and_norms_csv(self, tmp_path):
+        traj = run(random_game(2, (2, 3), seed=5), [LearnerConfig(eta=0.05)] * 2, 40)
+        profile = fd_decay_profile(traj.losses[1], 4)
+        values_path = tmp_path / "fd_values_player2.csv"
+        norms_path = tmp_path / "fd_norms_player2.csv"
+        fd_profile_values_csv(profile, values_path)
+        fd_profile_norms_csv(profile, norms_path)
+        raw = values_path.read_bytes()
+        assert b"\r" not in raw
+        lines = raw.decode().splitlines()
+        assert lines[0] == "order,t,value"
+        assert len(lines) == 1 + sum(40 - h for h in range(5))
+        assert lines[1:] == [f"{h},{t + 1},{format(float(np.abs(d[t]).max()), '.17g')}"
+                             for h, d in enumerate(profile.orders) for t in range(40 - h)]
+        raw = norms_path.read_bytes()
+        assert b"\r" not in raw
+        lines = raw.decode().splitlines()
+        assert lines[0] == "order,sup_norm"
+        assert len(lines) == 1 + 5
+        assert lines[1:] == [f"{h},{format(float(v), '.17g')}"
+                             for h, v in enumerate(profile.sup_norms)]

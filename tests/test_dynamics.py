@@ -290,9 +290,14 @@ class TestCsvExports:
         assert lines[1].startswith("1,1,strategy,1,")
 
     def test_regret_curve_rows(self, tmp_path):
-        traj = run(named_game("matching_pennies"), [LearnerConfig(eta=0.05)] * 2, 7)
-        path = tmp_path / "regret_curve.csv"
-        regret_curves_to_csv(regret_report(traj), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "round,player,regret"
-        assert len(lines) == 1 + 7 * 2
+        for game in (named_game("matching_pennies"), random_game(2, (2, 3), seed=17)):
+            entries = regret_report(run(game, [LearnerConfig(eta=0.05)] * 2, 7))
+            path = tmp_path / "regret_curve.csv"
+            regret_curves_to_csv(entries, path)
+            raw = path.read_bytes()
+            assert b"\r" not in raw
+            lines = raw.decode().splitlines()
+            assert lines[0] == "round,player,regret"
+            assert len(lines) == 1 + 7 * 2
+            assert lines[1:] == [f"{t + 1},{e.player + 1},{format(float(e.curve[t]), '.17g')}"
+                                 for t in range(7) for e in entries]
