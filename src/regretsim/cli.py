@@ -84,6 +84,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config: expected a JSON object, got {type(data).__name__}")
         data = dict(data)
         try:
             specs = tuple(LearnerSpec(**s) for s in data.pop("learner_specs", [{}]))
@@ -100,30 +102,39 @@ def validate_config(cfg: ExperimentConfig) -> None:
     sources = [s for s in (cfg.game_name, cfg.game_path, cfg.game_random) if s is not None]
     if len(sources) != 1:
         raise ConfigError(f"config.game: exactly one game source required, got {len(sources)}")
-    if cfg.rounds < 1:
-        raise ConfigError(f"config.rounds: must be >= 1, got {cfg.rounds}")
+    if cfg.game_path is not None and not isinstance(cfg.game_path, str):
+        raise ConfigError(f"config.game_path: must be a path string, got {cfg.game_path!r}")
+    if not isinstance(cfg.rounds, int) or cfg.rounds < 1:
+        raise ConfigError(f"config.rounds: must be an integer >= 1, got {cfg.rounds!r}")
     for k, spec in enumerate(cfg.learner_specs):
         if spec.mode not in learners.MODES:
             raise ConfigError(f"config.learners[{k}].mode: unknown mode {spec.mode!r}")
         if spec.eta_policy not in ETA_POLICIES:
             raise ConfigError(f"config.learners[{k}].eta_policy: unknown policy {spec.eta_policy!r}")
-        if spec.eta is not None and not spec.eta > 0:
-            raise ConfigError(f"config.learners[{k}].eta: must be > 0, got {spec.eta}")
+        if spec.eta is not None and not (isinstance(spec.eta, (int, float))
+                                         and 0 < spec.eta < math.inf):
+            raise ConfigError(
+                f"config.learners[{k}].eta: must be a finite number > 0, got {spec.eta!r}")
     for f in cfg.formats:
         if f not in FORMATS:
             raise ConfigError(f"config.formats: unknown format {f!r}")
     if cfg.game_random is not None:
         r = cfg.game_random
-        if "actions" not in r:
-            raise ConfigError("config.game.random: missing 'actions'")
-        if int(r.get("players", len(r["actions"]))) != len(r["actions"]):
+        try:
+            actions = [int(n) for n in r["actions"]]
+            players = int(r.get("players", len(actions)))
+            int(r.get("seed", 0))  # load_config_game converts it again
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError("config.game.random: needs integer 'actions', 'players' and "
+                              f"'seed', got {r!r}") from exc
+        if players != len(actions):
             raise ConfigError("config.game.random: players does not match actions length")
-        if len(r["actions"]) < 2 or any(int(n) < 1 for n in r["actions"]):
+        if len(actions) < 2 or any(n < 1 for n in actions):
             raise ConfigError(
-                f"config.game.random: need >= 2 players with >= 1 action each, got {r['actions']}")
-    if cfg.diagnostics.fd_h_max is not None and cfg.diagnostics.fd_h_max < 0:
-        raise ConfigError(
-            f"config.diagnostics.fd_h_max: must be >= 0, got {cfg.diagnostics.fd_h_max}")
+                f"config.game.random: need >= 2 players with >= 1 action each, got {actions}")
+    fd_h_max = cfg.diagnostics.fd_h_max
+    if fd_h_max is not None and (not isinstance(fd_h_max, int) or fd_h_max < 0):
+        raise ConfigError(f"config.diagnostics.fd_h_max: must be an integer >= 0, got {fd_h_max!r}")
 
 
 def load_config_game(cfg: ExperimentConfig) -> Game:
@@ -237,11 +248,11 @@ def _diag_from_flags(text: str | None, fd_h_max: int | None) -> DiagnosticsToggl
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config file, and flags (flags win) into a validated config."""
-    file_cfg: dict = {}
+    file_cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-    cfg = ExperimentConfig.from_dict(file_cfg) if file_cfg else ExperimentConfig()
+    cfg = ExperimentConfig() if file_cfg == {} else ExperimentConfig.from_dict(file_cfg)
 
     updates: dict = {}
     if getattr(args, "game", None):

@@ -8,13 +8,13 @@ upstream.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import learners
+from .diagnostics import variance
 from .game import Game, expected_loss, loss_matrix, validate_game, write_csv
 
 __version__ = "0.1.0"
@@ -57,41 +57,20 @@ class Trajectory:
     metadata: RunMetadata
 
 
-class _History:
-    """Recorder that keeps every round's strategies and loss vectors."""
-
-    def __init__(self, game: Game, rounds: int):
-        self.strategies = [np.empty((rounds, n)) for n in game.action_counts]
-        self.losses = [np.empty((rounds, n)) for n in game.action_counts]
-
-    def __call__(self, t: int, profile: list[np.ndarray], losses: list[np.ndarray]) -> None:
-        for i, (x, loss) in enumerate(zip(profile, losses)):
-            self.strategies[i][t] = x
-            self.losses[i][t] = loss
-
-
-class _RunningSums:
-    """Recorder that keeps only the running sums regret needs."""
-
-    def __init__(self, game: Game, rounds: int):
-        self.cumulative = np.zeros(game.num_players)
-        self.action_cumulative = [np.zeros(n) for n in game.action_counts]
-
-    def __call__(self, t: int, profile: list[np.ndarray], losses: list[np.ndarray]) -> None:
-        for i, (x, loss) in enumerate(zip(profile, losses)):
-            self.cumulative[i] += float(x @ loss)
-            self.action_cumulative[i] += loss
-
-
 def _play(game: Game, configs: Sequence[LearnerConfig], rounds: int, seed: int | None,
-          recorder: type[_History] | type[_RunningSums]):
+          full_history: bool):
     """The self-play loop behind every runner.
 
     Checks the inputs, then plays ``rounds`` synchronous rounds: each round,
     every player's full expected-loss vector is computed from the current
-    strategy profile (full information) and handed to ``recorder`` before
-    all learners advance together. Returns the recorder, the final learner
-    states and the run metadata.
+    strategy profile (full information) and recorded before all learners
+    advance together. A player's state is a strategy array, the previous
+    loss vector and a step size, plus two variance sums and a switch round
+    for the adaptive mode; each update repeats the arithmetic of
+    ``learners.step``. The record is the (T, n_i) strategy and loss arrays
+    with ``full_history``, else each player's cumulative loss and per-action
+    cumulative losses. Returns the record, the final strategies and the run
+    metadata.
     """
     violations = validate_game(game)
     if violations:
@@ -101,32 +80,57 @@ def _play(game: Game, configs: Sequence[LearnerConfig], rounds: int, seed: int |
     if len(configs) != game.num_players:
         raise ValueError(f"{len(configs)} learner configs for {game.num_players} players")
     players = range(game.num_players)
+    counts = game.action_counts
     matrices = [loss_matrix(game, i) for i in players]
-    states = [learners.init_state(game.action_counts[i], cfg.eta, cfg.mode,
-                                  horizon=rounds, c_prime=cfg.c_prime)
-              for i, cfg in enumerate(configs)]
-    record = recorder(game, rounds)
+    states = [learners.init_state(counts[i], cfg.eta, cfg.mode, horizon=rounds,
+                                  c_prime=cfg.c_prime) for i, cfg in enumerate(configs)]
+    strategies = [s.strategy for s in states]
+    prev_losses = [s.prev_loss for s in states]
+    etas = [s.eta for s in states]
+    pending = [s.mode == learners.ADAPTIVE_OPT_HEDGE for s in states]  # switch may still fire
+    var_sums = [[0.0, 0.0] for _ in players]  # loss-difference and previous-loss variances
+    switch_rounds = [None for _ in players]
+    if full_history:
+        record = ([np.empty((rounds, n)) for n in counts], [np.empty((rounds, n)) for n in counts])
+    else:
+        record = (np.zeros(game.num_players), [np.zeros(n) for n in counts])
     for t in range(rounds):
-        profile = [s.strategy for s in states]
-        round_losses = [expected_loss(matrices[i], i, profile) for i in players]
-        record(t, profile, round_losses)
-        states = [learners.step(s, loss) for s, loss in zip(states, round_losses)]
+        round_losses = [expected_loss(matrices[i], i, strategies) for i in players]
+        for i in players:
+            x, loss, prev = strategies[i], round_losses[i], prev_losses[i]
+            if full_history:
+                record[0][i][t], record[1][i][t] = x, loss
+            else:
+                record[0][i] += float(x @ loss)
+                record[1][i] += loss
+            if pending[i]:
+                sums = var_sums[i]
+                sums[0] += variance(x, loss - prev)
+                sums[1] += variance(x, prev)
+                if (t + 1 >= learners.MIN_SWITCH_ROUND
+                        and sums[0] > 0.5 * sums[1] + states[i].switch_threshold):
+                    pending[i] = False
+                    switch_rounds[i] = t + 1
+                    etas[i] = states[i].eta_post
+            exponent = loss if states[i].mode == learners.HEDGE else 2.0 * loss - prev
+            strategies[i] = learners._exp_weights(x, -etas[i] * exponent)
+            prev_losses[i] = loss
     metadata = RunMetadata(
         modes=tuple(cfg.mode for cfg in configs),
         etas=tuple(cfg.eta for cfg in configs),
         seed=seed,
         version=__version__,
-        switch_rounds=tuple(s.switch_round for s in states),
+        switch_rounds=tuple(switch_rounds),
     )
-    return record, states, metadata
+    return record, strategies, metadata
 
 
 def run(game: Game, configs: Sequence[LearnerConfig], rounds: int,
         seed: int | None = None) -> Trajectory:
     """Play ``rounds`` rounds of simultaneous self-play and record everything."""
-    history, _, metadata = _play(game, configs, rounds, seed, _History)
-    return Trajectory(game=game, rounds=rounds, strategies=history.strategies,
-                      losses=history.losses, metadata=metadata)
+    (strategies, losses), _, metadata = _play(game, configs, rounds, seed, full_history=True)
+    return Trajectory(game=game, rounds=rounds, strategies=strategies,
+                      losses=losses, metadata=metadata)
 
 
 @dataclass
@@ -145,16 +149,16 @@ class StreamingSummary:
 def run_streaming(game: Game, configs: Sequence[LearnerConfig], rounds: int,
                   seed: int | None = None) -> StreamingSummary:
     """Like ``run`` but stores only regret-relevant running sums (O(sum n_i))."""
-    sums, states, metadata = _play(game, configs, rounds, seed, _RunningSums)
-    best_actions = np.array([int(np.argmin(a)) for a in sums.action_cumulative])
+    (cumulative, action_cumulative), final, metadata = _play(
+        game, configs, rounds, seed, full_history=False)
+    best_actions = np.array([int(np.argmin(a)) for a in action_cumulative])
     total_regret = np.array([
-        c - float(a[k]) for c, a, k in zip(sums.cumulative, sums.action_cumulative, best_actions)
+        c - float(a[k]) for c, a, k in zip(cumulative, action_cumulative, best_actions)
     ])
     return StreamingSummary(
-        rounds=rounds, cumulative_loss=sums.cumulative,
-        action_cumulative=sums.action_cumulative, total_regret=total_regret,
-        best_actions=best_actions,
-        final_strategies=[s.strategy for s in states], metadata=metadata)
+        rounds=rounds, cumulative_loss=cumulative,
+        action_cumulative=action_cumulative, total_regret=total_regret,
+        best_actions=best_actions, final_strategies=final, metadata=metadata)
 
 
 @dataclass
@@ -275,10 +279,6 @@ class BatchResult:
     total_regrets: list[float]
     best_actions: list[int]
 
-    @property
-    def max_regret(self) -> float:
-        return max(self.total_regrets)
-
 
 def batch_run(game_source: Game | Callable[[int], Game], seeds: Sequence[int],
               configs: Sequence[LearnerConfig], rounds: int) -> list[BatchResult]:
@@ -322,24 +322,3 @@ def regret_curves_to_csv(entries: Sequence[RegretEntry], path) -> None:
             for t, values in enumerate(zip(*(entry.curve for entry in entries)), 1)
             for p, v in zip(players, values))
     write_csv(path, ("round", "player", "regret"), rows)
-
-
-def trajectory_from_csv(path) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Parse a trajectory CSV back into per-player (T, n_i) arrays."""
-    cells: dict[tuple[str, int], dict[tuple[int, int], float]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["kind"], int(row["player"]) - 1)
-            cells.setdefault(key, {})[(int(row["round"]) - 1, int(row["action"]) - 1)] = float(row["value"])
-    players = sorted({p for _, p in cells})
-    out: dict[str, list[np.ndarray]] = {"strategy": [], "loss": []}
-    for kind in ("strategy", "loss"):
-        for p in players:
-            data = cells[(kind, p)]
-            rounds = 1 + max(t for t, _ in data)
-            n = 1 + max(j for _, j in data)
-            arr = np.empty((rounds, n))
-            for (t, j), v in data.items():
-                arr[t, j] = v
-            out[kind].append(arr)
-    return out["strategy"], out["loss"]

@@ -221,15 +221,18 @@ def game_to_dict(game: Game) -> dict:
 
 def game_from_dict(data: dict, name: str | None = None) -> Game:
     for key in ("players", "actions", "losses"):
-        if key not in data:
+        if not isinstance(data, dict) or key not in data:
             raise ValueError(f"game JSON missing required key {key!r}")
-    m = int(data["players"])
-    actions = tuple(int(n) for n in data["actions"])
+    try:
+        m = int(data["players"])
+        actions = tuple(int(n) for n in data["actions"])
+        losses = list(data["losses"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"game JSON: bad players, actions or losses: {exc}") from exc
     if m < 2:
         raise ValueError(f"game JSON: players must be >= 2, got {m}")
     if len(actions) != m or any(n < 1 for n in actions):
         raise ValueError(f"game JSON: bad action counts {actions} for {m} players")
-    losses = data["losses"]
     if len(losses) != m:
         raise ValueError(f"game JSON: {len(losses)} loss tensors for {m} players")
     expected = int(np.prod(actions))

@@ -7,7 +7,8 @@ sqrt-horizon step size the first time a variance-sum inequality, which holds
 under benign self-play, is violated by the observed loss stream.
 
 All updates are functional: a step returns a new state and never mutates its
-input, so distinct players can be advanced concurrently within a round.
+input. The step functions are the reference that the self-play engine,
+``dynamics._play``, is tested against.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ class LearnerState:
     var_prev_sum: float = 0.0
     eta_post: float | None = None
     switch_threshold: float = math.inf
-
-    @property
-    def n_actions(self) -> int:
-        return self.strategy.shape[0]
 
 
 def init_state(n: int, eta: float, mode: str, horizon: int | None = None,

@@ -15,8 +15,9 @@ from regretsim.cli import (
     compare_learners,
     run_experiment,
 )
-from regretsim.dynamics import EmpiricalPlay, cce_gap, trajectory_from_csv
+from regretsim.dynamics import EmpiricalPlay, cce_gap
 from regretsim.game import load_game_json, random_game
+from trajectory_csv import trajectory_from_csv
 
 
 def parse_flags(argv):
@@ -295,6 +296,32 @@ class TestMainExitCodes:
 
         monkeypatch.setattr(dynamics, "run", no_run)
         code = cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, body", [
+        ("--config", {"game_name": "matching_pennies", "rounds": "10"}),
+        ("--config", {"game_name": "matching_pennies",
+                      "learner_specs": [{"eta_policy": "explicit", "eta": "0.1"}]}),
+        ("--config", {"game_name": "matching_pennies", "diagnostics": {"fd_h_max": "3"}}),
+        ("--config", {"game_random": {"actions": ["x", 2]}}),
+        ("--config", {"game_random": {"players": "two", "actions": [2, 2]}}),
+        ("--config", [{"game_name": "matching_pennies"}]),
+        ("--config", {"game_path": ["game.json"]}),
+        ("--game", {"players": 2, "actions": 3, "losses": [[0.5] * 4] * 2}),
+        ("--game", {"players": 2, "actions": [2, 2], "losses": 5}),
+    ], ids=["rounds_string", "eta_string", "fd_h_max_string", "actions_not_integers",
+            "players_not_integer", "config_array", "game_path_not_string",
+            "game_actions_scalar", "game_losses_scalar"])
+    def test_bad_file_exits_before_simulating(self, flag, body, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("dynamics.run called on a rejected config")
+
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(body))
+        monkeypatch.setattr(dynamics, "run", no_run)
+        code = cli.main(["run", flag, str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

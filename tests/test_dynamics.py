@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from regretsim import learners
 from regretsim import (
     CceReport,
     EmpiricalPlay,
@@ -26,10 +29,10 @@ from regretsim.dynamics import (
     RunMetadata,
     __version__,
     regret_curves_to_csv,
-    trajectory_from_csv,
     trajectory_to_csv,
 )
 from regretsim.game import Game
+from trajectory_csv import trajectory_from_csv
 
 
 def make_trajectory(strategies, losses, game=None, mode="opt_hedge", eta=0.05):
@@ -265,6 +268,54 @@ class TestStreaming:
                 assert stream.metadata.switch_rounds == full.metadata.switch_rounds
                 if mode == "adaptive_opt_hedge":
                     assert any(r is not None for r in full.metadata.switch_rounds)
+
+
+def reference_run(game, configs, rounds):
+    """The self-play loop spelled out with ``learners.step``: the engine's oracle."""
+    states = [learners.init_state(n, cfg.eta, cfg.mode, horizon=rounds, c_prime=cfg.c_prime)
+              for n, cfg in zip(game.action_counts, configs)]
+    strategies = [np.empty((rounds, n)) for n in game.action_counts]
+    losses = [np.empty((rounds, n)) for n in game.action_counts]
+    for t in range(rounds):
+        profile = [s.strategy for s in states]
+        round_losses = [expected_loss_vector(game, i, profile) for i in range(game.num_players)]
+        for i, loss in enumerate(round_losses):
+            strategies[i][t], losses[i][t] = profile[i], loss
+        states = [learners.step(s, loss) for s, loss in zip(states, round_losses)]
+    return strategies, losses, states
+
+
+class TestEngineMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(counts=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+           game_seed=st.integers(0, 2**16),
+           modes=st.lists(st.sampled_from(learners.MODES), min_size=4, max_size=4),
+           etas=st.lists(st.floats(0.01, 3.0), min_size=4, max_size=4),
+           c_prime=st.sampled_from([0.0, learners.DEFAULT_C_PRIME]),
+           rounds=st.integers(1, 48))
+    # the adaptive player of this game switches at round 8
+    @example(counts=[2, 2, 2], game_seed=20,
+             modes=["adaptive_opt_hedge", "opt_hedge", "hedge", "hedge"],
+             etas=[0.5] * 4, c_prime=0.0, rounds=48)
+    def test_run_and_streaming_match_step_loop(self, counts, game_seed, modes, etas,
+                                               c_prime, rounds):
+        game = random_game(len(counts), counts, seed=game_seed)
+        configs = [LearnerConfig(mode=mode, eta=eta, c_prime=c_prime)
+                   for mode, eta in zip(modes, etas[:len(counts)])]
+        strategies, losses, states = reference_run(game, configs, rounds)
+        full = run(game, configs, rounds)
+        for i in range(game.num_players):
+            assert np.array_equal(full.strategies[i], strategies[i])
+            assert np.array_equal(full.losses[i], losses[i])
+        assert full.metadata.switch_rounds == tuple(s.switch_round for s in states)
+        stream = run_streaming(game, configs, rounds)
+        assert stream.metadata.switch_rounds == full.metadata.switch_rounds
+        for i, entry in enumerate(regret_report(full)):
+            assert np.array_equal(stream.final_strategies[i], states[i].strategy)
+            assert abs(stream.cumulative_loss[i] - entry.cumulative_loss) <= 1e-12
+            assert abs(stream.total_regret[i] - entry.total_regret) <= 1e-12
+            np.testing.assert_allclose(stream.action_cumulative[i], full.losses[i].sum(axis=0),
+                                       rtol=0, atol=1e-12)
 
 
 class TestCsvExports:
