@@ -250,8 +250,11 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config file, and flags (flags win) into a validated config."""
     file_cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"--config: {exc}") from exc
     cfg = ExperimentConfig() if file_cfg == {} else ExperimentConfig.from_dict(file_cfg)
 
     updates: dict = {}

@@ -14,57 +14,21 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .game import write_csv
+# The constants and variance helpers live in learners; they stay importable from here.
+from .learners import (DEFAULT_C_PRIME, DEFAULT_C_THM, BoundConstants, ceil_log2, row_variances,
+                       variance)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dynamics import Trajectory
-
-# Default constants for the variance-sum inequality and step-size policy.
-# These are the values pinned down by the underlying regret analysis; at desk
-# scale they make the additive slack term enormous, so ratio outputs are the
-# informative signal.
-DEFAULT_C_THM = 14_794_752
-DEFAULT_C_PRIME = 165_262
 
 # When the C-coefficient of the linear bound audit is below this, the
 # inequality is effectively C-free and no boundary constant is reported.
 _C_COEFF_EPS = 1e-15
 
 
-def ceil_log2(t: int) -> int:
-    """ceil(log2 t) as an exact integer, clamped to >= 1."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    return max(1, int(t - 1).bit_length())
-
-
 # ---------------------------------------------------------------------------
-# Local norms, variances, divergences
+# Local norms, divergences
 # ---------------------------------------------------------------------------
-
-def variance(probs: np.ndarray, values: np.ndarray) -> float:
-    """Variance of ``values`` under the distribution ``probs``.
-
-    Residuals are anchored at the first coordinate, so a constant vector has
-    exactly zero variance.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if p.shape != v.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {v.shape}")
-    r = v - v[0]
-    mean = float(p @ r)
-    return float(p @ (r - mean) ** 2)
-
-
-def row_variances(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row-wise ``variance``: probs and values are (T, n) arrays."""
-    p = np.asarray(probs, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    r = v - v[:, :1]
-    means = np.einsum("tj,tj->t", p, r)
-    dev = r - means[:, None]
-    return np.einsum("tj,tj->t", p, dev * dev)
-
 
 def local_norms(probs: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     """The weighted norm sqrt(sum p v^2) and its dual sqrt(sum v^2 / p).
@@ -371,31 +335,6 @@ def consecutive_closeness(strategies: Sequence[np.ndarray] | np.ndarray) -> Clos
 # ---------------------------------------------------------------------------
 # Trajectory-level bound audits
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Constants of the step-size policy and the variance-sum inequality.
-
-    ``h`` is the horizon exponent ceil(log2 T) of the run being audited.
-    """
-
-    c_thm: float = DEFAULT_C_THM
-    c_prime: float = DEFAULT_C_PRIME
-    h: int = 1
-
-    def __post_init__(self):
-        if self.c_thm < 1:
-            raise ValueError(f"c_thm must be >= 1, got {self.c_thm}")
-        if self.c_prime < 1:
-            raise ValueError(f"c_prime must be >= 1, got {self.c_prime}")
-        if self.h < 1:
-            raise ValueError(f"h must be >= 1, got {self.h}")
-
-    @classmethod
-    def for_horizon(cls, t: int, c_thm: float = DEFAULT_C_THM,
-                    c_prime: float = DEFAULT_C_PRIME) -> "BoundConstants":
-        return cls(c_thm=c_thm, c_prime=c_prime, h=ceil_log2(t))
-
 
 def _player_sequences(trajectory: "Trajectory", player: int):
     """(strategies, losses, previous losses) for one player, as (T, n) arrays.

@@ -14,8 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import learners
-from .diagnostics import variance
-from .game import Game, expected_loss, loss_matrix, validate_game, write_csv
+from .game import Game, loss_matrix, validate_game, write_csv
 
 __version__ = "0.1.0"
 
@@ -57,21 +56,7 @@ class Trajectory:
     metadata: RunMetadata
 
 
-def _play(game: Game, configs: Sequence[LearnerConfig], rounds: int, seed: int | None,
-          full_history: bool):
-    """The self-play loop behind every runner.
-
-    Checks the inputs, then plays ``rounds`` synchronous rounds: each round,
-    every player's full expected-loss vector is computed from the current
-    strategy profile (full information) and recorded before all learners
-    advance together. A player's state is a strategy array, the previous
-    loss vector and a step size, plus two variance sums and a switch round
-    for the adaptive mode; each update repeats the arithmetic of
-    ``learners.step``. The record is the (T, n_i) strategy and loss arrays
-    with ``full_history``, else each player's cumulative loss and per-action
-    cumulative losses. Returns the record, the final strategies and the run
-    metadata.
-    """
+def _check(game: Game, configs: Sequence[LearnerConfig], rounds: int) -> None:
     violations = validate_game(game)
     if violations:
         raise ValueError("invalid game: " + "; ".join(violations))
@@ -79,58 +64,128 @@ def _play(game: Game, configs: Sequence[LearnerConfig], rounds: int, seed: int |
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if len(configs) != game.num_players:
         raise ValueError(f"{len(configs)} learner configs for {game.num_players} players")
-    players = range(game.num_players)
-    counts = game.action_counts
-    matrices = [loss_matrix(game, i) for i in players]
-    states = [learners.init_state(counts[i], cfg.eta, cfg.mode, horizon=rounds,
-                                  c_prime=cfg.c_prime) for i, cfg in enumerate(configs)]
-    strategies = [s.strategy for s in states]
-    prev_losses = [s.prev_loss for s in states]
-    etas = [s.eta for s in states]
-    pending = [s.mode == learners.ADAPTIVE_OPT_HEDGE for s in states]  # switch may still fire
-    var_sums = [[0.0, 0.0] for _ in players]  # loss-difference and previous-loss variances
-    switch_rounds = [None for _ in players]
-    if full_history:
-        record = ([np.empty((rounds, n)) for n in counts], [np.empty((rounds, n)) for n in counts])
-    else:
-        record = (np.zeros(game.num_players), [np.zeros(n) for n in counts])
+
+
+def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
+          full_history: bool):
+    """The self-play loop behind every runner, over B checked games of one shape.
+
+    Each round, all players' expected losses are computed from the current
+    strategies and recorded before every learner advances. A player's state is
+    its (B, n_i) strategies and previous losses and -eta, a (B, 1) column for
+    an adaptive player whose threshold is below 2T (see ``init_state``), which
+    also keeps two (B,) variance sums. Updates repeat ``learners.step`` row by
+    row, bit for bit, so no game depends on the rest of its batch. The record
+    is each player's (T, B, n_i) strategies and losses with ``full_history``,
+    else the (B,) cumulative losses and (B, n_i) per-action sums. Returns it,
+    the final strategies and each player's (B,) switch rounds (0: none).
+    """
+    batch, counts = len(games), games[0].action_counts
+    players = range(len(counts))
+    # (B, n_i, prod n_-i) loss matrices: ``loss_matrix`` on stacked tensors, so
+    # each game keeps the memory layout, and rounding, of a lone run's views.
+    matrices = [np.moveaxis(np.stack([g.loss_tensors[i] for g in games]) if batch > 1
+                            else games[0].loss_tensors[i][None], i + 1, 1).reshape(batch, n, -1)
+                for i, n in enumerate(counts)]
+    states = [learners.init_state(n, cfg.eta, cfg.mode, horizon=rounds, c_prime=cfg.c_prime)
+              for n, cfg in zip(counts, configs)]
+    hedge = [s.mode == learners.HEDGE for s in states]
+    var_sums = {i: (np.zeros(batch), np.zeros(batch)) for i, s in enumerate(states)
+                if s.mode == learners.ADAPTIVE_OPT_HEDGE and s.switch_threshold < 2 * rounds}
+    neg_etas = [np.full((batch, 1), -s.eta) if i in var_sums else -s.eta
+                for i, s in enumerate(states)]
+    switch_rounds = [np.zeros(batch, dtype=int) for _ in players]
+    # Strategies are updated in place, so views of them stay valid: grids[i]
+    # broadcasts player i's opponents' strategies onto their joint
+    # (B, n_j1, n_j2, ..., 1) grid. A lone opponent's view is already the
+    # column ``matmul`` takes; several are multiplied left to right each
+    # round, as ``np.multiply.outer`` would.
+    strategies = [np.full((batch, n), 1.0 / n) for n in counts]
+    prev_losses = [np.zeros((batch, n)) for n in counts]
+    grids = []
+    for i in players:
+        opponents = [j for j in players if j != i]
+        views = [strategies[j].reshape([batch] + [counts[k] if k == j else 1 for k in opponents]
+                                       + [1]) for j in opponents]
+        grids.append((views[0], views[1:]))
+    shape = (rounds, batch) if full_history else (batch,)
+    played, seen = ([np.zeros(shape + (n,)) for n in counts] for _ in range(2))
+    # Local names for the ufuncs the loop calls T times per player.
+    maximum, add, exp, divide = np.maximum.reduce, np.add.reduce, np.exp, np.divide
     for t in range(rounds):
-        round_losses = [expected_loss(matrices[i], i, strategies) for i in players]
-        for i in players:
-            x, loss, prev = strategies[i], round_losses[i], prev_losses[i]
+        losses = []
+        for mat, (joint, factors) in zip(matrices, grids):
+            if factors:
+                for factor in factors:
+                    joint = joint * factor
+                joint = joint.reshape(batch, -1, 1)
+            losses.append((mat @ joint)[..., 0])
+        for i, x, loss, prev, neg_eta in zip(players, strategies, losses, prev_losses, neg_etas):
             if full_history:
-                record[0][i][t], record[1][i][t] = x, loss
+                played[i][t] = x
+                seen[i][t] = loss
             else:
-                record[0][i] += float(x @ loss)
-                record[1][i] += loss
-            if pending[i]:
-                sums = var_sums[i]
-                sums[0] += variance(x, loss - prev)
-                sums[1] += variance(x, prev)
-                if (t + 1 >= learners.MIN_SWITCH_ROUND
-                        and sums[0] > 0.5 * sums[1] + states[i].switch_threshold):
-                    pending[i] = False
-                    switch_rounds[i] = t + 1
-                    etas[i] = states[i].eta_post
-            exponent = loss if states[i].mode == learners.HEDGE else 2.0 * loss - prev
-            strategies[i] = learners._exp_weights(x, -etas[i] * exponent)
-            prev_losses[i] = loss
-    metadata = RunMetadata(
-        modes=tuple(cfg.mode for cfg in configs),
-        etas=tuple(cfg.eta for cfg in configs),
-        seed=seed,
-        version=__version__,
-        switch_rounds=tuple(switch_rounds),
-    )
-    return record, strategies, metadata
+                played[i] += x * loss
+                seen[i] += loss
+            if i in var_sums:
+                _switch_test(states[i], t + 1, x, loss, prev, var_sums[i], switch_rounds[i],
+                             neg_eta)
+                if switch_rounds[i].all():
+                    del var_sums[i]
+            if hedge[i]:
+                e = loss * neg_eta
+            else:
+                e = 2.0 * loss
+                e -= prev
+                e *= neg_eta
+            e -= maximum(e, 1, keepdims=True)
+            exp(e, out=e)
+            e *= x
+            divide(e, add(e, 1, keepdims=True), out=x)
+        prev_losses = losses
+    if not full_history:
+        played = [play.sum(1) for play in played]
+    return (played, seen), strategies, switch_rounds
+
+
+def _switch_test(state: learners.LearnerState, round_: int, x, loss, prev, var_sums,
+                 switch_rounds, neg_eta) -> None:
+    """``adaptive_opt_hedge_step``'s variance sums and switch test, row by row.
+
+    The (1, n) @ (n, 1) products round like ``learners.variance``'s 1-D ones.
+    """
+    rows = x[:, None, :]
+    for sums, values in zip(var_sums, (loss - prev, prev)):
+        r = values - values[:, :1]
+        dev = r - (rows @ r[:, :, None])[:, 0]
+        sums += (rows @ (dev * dev)[:, :, None])[:, 0, 0]
+    if round_ >= learners.MIN_SWITCH_ROUND:
+        fire = (switch_rounds == 0) & (var_sums[0] > 0.5 * var_sums[1] + state.switch_threshold)
+        switch_rounds[fire] = round_
+        neg_eta[fire] = -state.eta_post
+
+
+def _metadata(configs: Sequence[LearnerConfig], seed: int | None, switch_rounds) -> RunMetadata:
+    return RunMetadata(modes=tuple(cfg.mode for cfg in configs),
+                       etas=tuple(cfg.eta for cfg in configs), seed=seed, version=__version__,
+                       switch_rounds=tuple(int(r[0]) or None for r in switch_rounds))
+
+
+def _regrets(cumulative, action_cumulative):
+    """(B, m) total regrets and best actions from each player's running sums."""
+    best = np.stack([a.argmin(1) for a in action_cumulative], axis=1)
+    fixed = [a[np.arange(len(a)), k] for a, k in zip(action_cumulative, best.T)]
+    return np.stack(cumulative, axis=1) - np.stack(fixed, axis=1), best
 
 
 def run(game: Game, configs: Sequence[LearnerConfig], rounds: int,
         seed: int | None = None) -> Trajectory:
     """Play ``rounds`` rounds of simultaneous self-play and record everything."""
-    (strategies, losses), _, metadata = _play(game, configs, rounds, seed, full_history=True)
-    return Trajectory(game=game, rounds=rounds, strategies=strategies,
-                      losses=losses, metadata=metadata)
+    _check(game, configs, rounds)
+    (strategies, losses), _, switch_rounds = _play([game], configs, rounds, full_history=True)
+    return Trajectory(game=game, rounds=rounds, strategies=[s[:, 0] for s in strategies],
+                      losses=[l[:, 0] for l in losses],
+                      metadata=_metadata(configs, seed, switch_rounds))
 
 
 @dataclass
@@ -149,16 +204,15 @@ class StreamingSummary:
 def run_streaming(game: Game, configs: Sequence[LearnerConfig], rounds: int,
                   seed: int | None = None) -> StreamingSummary:
     """Like ``run`` but stores only regret-relevant running sums (O(sum n_i))."""
-    (cumulative, action_cumulative), final, metadata = _play(
-        game, configs, rounds, seed, full_history=False)
-    best_actions = np.array([int(np.argmin(a)) for a in action_cumulative])
-    total_regret = np.array([
-        c - float(a[k]) for c, a, k in zip(cumulative, action_cumulative, best_actions)
-    ])
+    _check(game, configs, rounds)
+    (cumulative, action_cumulative), final, switch_rounds = _play(
+        [game], configs, rounds, full_history=False)
+    total_regret, best_actions = _regrets(cumulative, action_cumulative)
     return StreamingSummary(
-        rounds=rounds, cumulative_loss=cumulative,
-        action_cumulative=action_cumulative, total_regret=total_regret,
-        best_actions=best_actions, final_strategies=final, metadata=metadata)
+        rounds=rounds, cumulative_loss=np.array([c[0] for c in cumulative]),
+        action_cumulative=[a[0] for a in action_cumulative], total_regret=total_regret[0],
+        best_actions=best_actions[0], final_strategies=[x[0] for x in final],
+        metadata=_metadata(configs, seed, switch_rounds))
 
 
 @dataclass
@@ -282,21 +336,29 @@ class BatchResult:
 
 def batch_run(game_source: Game | Callable[[int], Game], seeds: Sequence[int],
               configs: Sequence[LearnerConfig], rounds: int) -> list[BatchResult]:
-    """Independent runs, one per seed, played in order; results follow ``seeds``.
+    """One streaming run per seed; results follow ``seeds``.
 
     ``game_source`` is either a fixed game or a callable mapping a seed to a
-    game.
+    game. Every game is checked first; games with equal ``action_counts`` are
+    then played in one ``_play`` batch, so a game's result does not depend on
+    the other games. It equals ``regret_report(run(...))`` up to the order in
+    which the cumulative losses are summed.
     """
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
-    results = []
-    for seed in seeds:
-        game = game_source(seed) if callable(game_source) else game_source
-        entries = regret_report(run(game, configs, rounds, seed=seed))
-        results.append(BatchResult(
-            seed=seed,
-            total_regrets=[e.total_regret for e in entries],
-            best_actions=[e.best_action for e in entries]))
+    games = [game_source(seed) if callable(game_source) else game_source for seed in seeds]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, game in enumerate(games):
+        _check(game, configs, rounds)
+        groups.setdefault(game.action_counts, []).append(k)
+    results = [None] * len(seeds)
+    for members in groups.values():
+        (cumulative, action_cumulative), _, _ = _play([games[k] for k in members], configs,
+                                                      rounds, full_history=False)
+        regrets, best = _regrets(cumulative, action_cumulative)
+        for k, regret_row, best_row in zip(members, regrets, best):
+            results[k] = BatchResult(seed=seeds[k], total_regrets=regret_row.tolist(),
+                                     best_actions=best_row.tolist())
     return results
 
 

@@ -139,12 +139,6 @@ def loss_matrix(game: Game, player: int) -> np.ndarray:
     return np.moveaxis(game.loss_tensors[player], player, 0).reshape(n, -1)
 
 
-def expected_loss(matrix: np.ndarray, player: int, strategies: Sequence[np.ndarray]) -> np.ndarray:
-    """``matrix`` (from ``loss_matrix``) times the opponents' joint distribution."""
-    opponents = [np.asarray(s, dtype=np.float64) for j, s in enumerate(strategies) if j != player]
-    return matrix @ reduce(np.multiply.outer, opponents).reshape(-1)
-
-
 def expected_loss_vector(game: Game, player: int, strategies: Sequence[np.ndarray]) -> np.ndarray:
     """Expected loss per action of ``player`` against the opponents' mixed strategies.
 
@@ -164,7 +158,8 @@ def expected_loss_vector(game: Game, player: int, strategies: Sequence[np.ndarra
                 f"strategy for player {j} has length {len(strategies[j])}, "
                 f"expected {game.action_counts[j]}"
             )
-    return expected_loss(loss_matrix(game, player), player, strategies)
+    opponents = [np.asarray(s, dtype=np.float64) for j, s in enumerate(strategies) if j != player]
+    return loss_matrix(game, player) @ reduce(np.multiply.outer, opponents).reshape(-1)
 
 
 def random_game(m: int, action_counts: Sequence[int], seed: int,

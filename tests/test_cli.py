@@ -250,6 +250,16 @@ class TestMainExitCodes:
         code = cli.main(["run", "--config", str(tmp_path / "absent.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("body", [None, b"\xff\xfe{}"], ids=["directory", "not_utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, body):
+        path = tmp_path
+        if body is not None:
+            path = tmp_path / "config.json"
+            path.write_bytes(body)
+        code = cli.main(["run", "--config", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: --config:")
+
     def test_bad_game_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"players": 2, "actions": [2, 2],

@@ -249,6 +249,40 @@ class TestBatchRun:
         with pytest.raises(ValueError):
             batch_run(named_game("matching_pennies"), [], [LearnerConfig()] * 2, 4)
 
+    def test_invalid_game_rejected(self):
+        bad = Game(2, (2, 2), (np.full((2, 2), 1.5), np.zeros((2, 2))))
+        source = lambda s: bad if s == 3 else random_game(2, (2, 2), seed=s)
+        with pytest.raises(ValueError, match="invalid game"):
+            batch_run(source, [1, 2, 3], [LearnerConfig()] * 2, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(counts=st.integers(2, 3).flatmap(lambda m: st.lists(
+               st.tuples(*[st.integers(1, 4)] * m), min_size=2, max_size=3, unique=True)),
+           seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=8, unique=True),
+           modes=st.lists(st.sampled_from(learners.MODES), min_size=3, max_size=3),
+           etas=st.lists(st.floats(0.01, 3.0), min_size=3, max_size=3),
+           c_prime=st.sampled_from([0.0, learners.DEFAULT_C_PRIME]),
+           rounds=st.integers(1, 40))
+    # in the 2x2x2 batch (seeds 20, 4, 10) the adaptive player of seed 20
+    # switches at round 8, that of seed 10 at round 4 and that of seed 4 never
+    @example(counts=[(2, 2, 2), (3, 2, 2)], seeds=[20, 3, 7, 4, 10],
+             modes=["adaptive_opt_hedge", "opt_hedge", "hedge"], etas=[0.5] * 3,
+             c_prime=0.0, rounds=48)
+    def test_matches_per_game_run(self, counts, seeds, modes, etas, c_prime, rounds):
+        m = len(counts[0])
+        source = lambda s: random_game(m, counts[s % len(counts)], seed=s)
+        configs = [LearnerConfig(mode=mode, eta=eta, c_prime=c_prime)
+                   for mode, eta in zip(modes, etas[:m])]
+        results = batch_run(source, seeds, configs, rounds)
+        assert [r.seed for r in results] == seeds
+        for r in results:
+            entries = regret_report(run(source(r.seed), configs, rounds))
+            assert r.best_actions == [e.best_action for e in entries]
+            for value, entry in zip(r.total_regrets, entries):
+                assert abs(value - entry.total_regret) <= 1e-12
+            alone = batch_run(source, [r.seed], configs, rounds)[0]
+            assert (alone.total_regrets, alone.best_actions) == (r.total_regrets, r.best_actions)
+
 
 class TestStreaming:
     def test_matches_full_run(self):
@@ -268,6 +302,33 @@ class TestStreaming:
                 assert stream.metadata.switch_rounds == full.metadata.switch_rounds
                 if mode == "adaptive_opt_hedge":
                     assert any(r is not None for r in full.metadata.switch_rounds)
+
+
+class TestUnreachableSwitch:
+    def test_default_threshold_plays_like_opt_hedge(self):
+        # a large step maximises the loss variances; the default threshold
+        # c' * ceil(log2 T)^5 still exceeds the 2T the variance sums can reach
+        source = lambda s: random_game(3, (2, 3, 2), seed=s)
+        adaptive = [LearnerConfig(mode="adaptive_opt_hedge", eta=3.0)] * 3
+        optimistic = [LearnerConfig(mode="opt_hedge", eta=3.0)] * 3
+        full, reference = run(source(1), adaptive, 256), run(source(1), optimistic, 256)
+        stream = run_streaming(source(1), adaptive, 256)
+        stream_reference = run_streaming(source(1), optimistic, 256)
+        for i in range(3):
+            assert np.array_equal(full.strategies[i], reference.strategies[i])
+            assert np.array_equal(stream.final_strategies[i], stream_reference.final_strategies[i])
+        assert full.metadata.switch_rounds == stream.metadata.switch_rounds == (None,) * 3
+        seeds = [1, 2, 3, 4]
+        assert ([(r.total_regrets, r.best_actions) for r in batch_run(source, seeds, adaptive, 256)]
+                == [(r.total_regrets, r.best_actions)
+                    for r in batch_run(source, seeds, optimistic, 256)])
+
+    def test_zero_threshold_switches_at_round_8(self):
+        game = random_game(3, (2, 2, 2), seed=20)
+        configs = [LearnerConfig(mode=mode, eta=0.5, c_prime=0.0)
+                   for mode in ("adaptive_opt_hedge", "opt_hedge", "hedge")]
+        assert run(game, configs, 48).metadata.switch_rounds == (8, None, None)
+        assert run_streaming(game, configs, 48).metadata.switch_rounds == (8, None, None)
 
 
 def reference_run(game, configs, rounds):
