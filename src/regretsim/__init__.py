@@ -55,7 +55,6 @@ from .game import (
     save_game_json,
     uniform_strategy,
     validate_game,
-    validate_strategy,
 )
 from .learners import (
     ADAPTIVE_OPT_HEDGE,

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import diagnostics, dynamics, learners
@@ -43,8 +43,6 @@ class LearnerSpec:
 
     def resolve_eta(self, m: int, rounds: int) -> float:
         if self.eta_policy == "explicit":
-            if self.eta is None or not self.eta > 0:
-                raise ConfigError(f"learner.eta must be > 0 with the explicit policy, got {self.eta}")
             return self.eta
         if self.eta_policy == "theorem":
             return learners.recommended_eta(m, max(rounds, 2))
@@ -76,16 +74,10 @@ class ExperimentConfig:
     emit_trajectory: bool = True
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["learner_specs"] = [asdict(s) for s in self.learner_specs]
-        d["diagnostics"] = asdict(self.diagnostics)
-        d["formats"] = list(self.formats)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config: expected a JSON object, got {type(data).__name__}")
         data = dict(data)
         try:
             specs = tuple(LearnerSpec(**s) for s in data.pop("learner_specs", [{}]))
@@ -99,59 +91,46 @@ class ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    # type(), not isinstance(): a JSON true or false is a bool, and bool subclasses int.
     sources = [s for s in (cfg.game_name, cfg.game_path, cfg.game_random) if s is not None]
     if len(sources) != 1:
         raise ConfigError(f"config.game: exactly one game source required, got {len(sources)}")
     if cfg.game_path is not None and not isinstance(cfg.game_path, str):
         raise ConfigError(f"config.game_path: must be a path string, got {cfg.game_path!r}")
-    if not isinstance(cfg.rounds, int) or cfg.rounds < 1:
+    if type(cfg.rounds) is not int or cfg.rounds < 1:
         raise ConfigError(f"config.rounds: must be an integer >= 1, got {cfg.rounds!r}")
+    if cfg.seed is not None and type(cfg.seed) is not int:
+        raise ConfigError(f"config.seed: must be an integer or null, got {cfg.seed!r}")
     for k, spec in enumerate(cfg.learner_specs):
         if spec.mode not in learners.MODES:
             raise ConfigError(f"config.learners[{k}].mode: unknown mode {spec.mode!r}")
         if spec.eta_policy not in ETA_POLICIES:
             raise ConfigError(f"config.learners[{k}].eta_policy: unknown policy {spec.eta_policy!r}")
-        if spec.eta is not None and not (isinstance(spec.eta, (int, float))
+        if spec.eta_policy == "explicit" and spec.eta is None:
+            raise ConfigError(f"config.learners[{k}].eta: the explicit policy needs an eta")
+        if spec.eta is not None and not (type(spec.eta) in (int, float)
                                          and 0 < spec.eta < math.inf):
             raise ConfigError(
                 f"config.learners[{k}].eta: must be a finite number > 0, got {spec.eta!r}")
     for f in cfg.formats:
         if f not in FORMATS:
             raise ConfigError(f"config.formats: unknown format {f!r}")
-    if cfg.game_random is not None:
-        r = cfg.game_random
-        try:
-            actions = [int(n) for n in r["actions"]]
-            players = int(r.get("players", len(actions)))
-            int(r.get("seed", 0))  # load_config_game converts it again
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("config.game.random: needs integer 'actions', 'players' and "
-                              f"'seed', got {r!r}") from exc
-        if players != len(actions):
-            raise ConfigError("config.game.random: players does not match actions length")
-        if len(actions) < 2 or any(n < 1 for n in actions):
-            raise ConfigError(
-                f"config.game.random: need >= 2 players with >= 1 action each, got {actions}")
     fd_h_max = cfg.diagnostics.fd_h_max
-    if fd_h_max is not None and (not isinstance(fd_h_max, int) or fd_h_max < 0):
+    if fd_h_max is not None and (type(fd_h_max) is not int or fd_h_max < 0):
         raise ConfigError(f"config.diagnostics.fd_h_max: must be an integer >= 0, got {fd_h_max!r}")
 
 
 def load_config_game(cfg: ExperimentConfig) -> Game:
-    if cfg.game_name is not None:
-        try:
+    try:
+        if cfg.game_name is not None:
             return named_game(cfg.game_name)
-        except ValueError as exc:
-            raise ConfigError(f"config.game: {exc}") from exc
-    if cfg.game_path is not None:
-        try:
+        if cfg.game_path is not None:
             return load_game_json(cfg.game_path)
-        except ValueError as exc:
-            raise ConfigError(f"config.game.path: {exc}") from exc
-    r = cfg.game_random
-    actions = [int(n) for n in r["actions"]]
-    return random_game(int(r.get("players", len(actions))), actions,
-                       int(r.get("seed", 0)))
+        r = cfg.game_random
+        actions = [int(n) for n in r["actions"]]
+        return random_game(int(r.get("players", len(actions))), actions, int(r.get("seed", 0)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config.game: {exc}") from exc
 
 
 def build_learner_configs(cfg: ExperimentConfig, game: Game) -> list[dynamics.LearnerConfig]:
@@ -227,18 +206,18 @@ def _parse_int_list(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _diag_from_flags(text: str | None, fd_h_max: int | None) -> DiagnosticsToggles | None:
+def _diag_from_flags(text: str | None, fd_h_max: int | None) -> dict | None:
     if text is None:
         return None
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
     if names == ["none"]:
-        return DiagnosticsToggles()
+        return {}
     if names == ["all"]:
         names = list(DIAGNOSTIC_NAMES)
     for name in names:
         if name not in DIAGNOSTIC_NAMES:
             raise ConfigError(f"--diagnostics: unknown diagnostic {name!r}")
-    return DiagnosticsToggles(
+    return dict(
         bound_terms="bound_terms" in names,
         variance_inequality="variance_inequality" in names,
         fd_h_max=(fd_h_max if fd_h_max is not None else 5) if "fd_profile" in names else None,
@@ -248,72 +227,64 @@ def _diag_from_flags(text: str | None, fd_h_max: int | None) -> DiagnosticsToggl
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config file, and flags (flags win) into a validated config."""
-    file_cfg = {}
+    data = {}
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
-                file_cfg = json.load(fh)
+                data = json.load(fh)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"--config: {exc}") from exc
-    cfg = ExperimentConfig() if file_cfg == {} else ExperimentConfig.from_dict(file_cfg)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config: expected a JSON object, got {type(data).__name__}")
 
-    updates: dict = {}
     if getattr(args, "game", None):
-        updates.update(game_name=None, game_path=None, game_random=None)
+        data.update(game_name=None, game_path=None, game_random=None)
         if args.game == "random":
             if not getattr(args, "actions", None):
                 raise ConfigError("--game random requires --actions")
             actions = _parse_int_list(args.actions)
-            updates["game_random"] = {
+            data["game_random"] = {
                 "players": len(actions), "actions": actions,
                 "seed": getattr(args, "game_seed", None) or 0}
         elif args.game in NAMED_GAMES:
-            updates["game_name"] = args.game
+            data["game_name"] = args.game
         elif args.game.endswith(".json") or Path(args.game).exists():
-            updates["game_path"] = args.game
+            data["game_path"] = args.game
         else:
             raise ConfigError(
                 f"--game: {args.game!r} is not a named game, an existing JSON path, or 'random'")
     if getattr(args, "rounds", None) is not None:
-        updates["rounds"] = args.rounds
+        data["rounds"] = args.rounds
     if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
+        data["seed"] = args.seed
     if getattr(args, "out", None):
-        updates["out_dir"] = args.out
+        data["out_dir"] = args.out
     if getattr(args, "format", None):
-        updates["formats"] = tuple(tok.strip() for tok in args.format.split(",") if tok.strip())
+        data["formats"] = [tok.strip() for tok in args.format.split(",") if tok.strip()]
     if getattr(args, "force_trajectory", False):
-        updates["force_trajectory"] = True
+        data["force_trajectory"] = True
     if getattr(args, "no_trajectory", False):
-        updates["emit_trajectory"] = False
+        data["emit_trajectory"] = False
 
     modes = None
     if getattr(args, "learner", None):
         modes = [tok.strip() for tok in args.learner.split(",") if tok.strip()]
     eta = getattr(args, "eta", None)
-    policy = getattr(args, "eta_policy", None)
-    if eta is not None:
-        policy = "explicit"
-    if modes or eta is not None or policy:
-        base = cfg.learner_specs
-        if modes:
-            base = tuple(LearnerSpec(mode=m) for m in modes)
-        specs = tuple(
-            replace(s,
-                    eta_policy=policy or s.eta_policy,
-                    eta=eta if eta is not None else s.eta)
-            for s in base)
-        updates["learner_specs"] = specs
+    policy = "explicit" if eta is not None else getattr(args, "eta_policy", None)
+    overrides = {k: v for k, v in (("eta_policy", policy), ("eta", eta)) if v is not None}
+    if modes or overrides:
+        specs = [{"mode": m} for m in modes] if modes else data.get("learner_specs", [{}])
+        try:
+            data["learner_specs"] = [{**s, **overrides} for s in specs]
+        except TypeError as exc:
+            raise ConfigError(f"config.learner_specs: {exc}") from exc
 
     diag = _diag_from_flags(getattr(args, "diagnostics", None), getattr(args, "fd_h_max", None))
     if args.command == "diagnose" and diag is None:
         diag = _diag_from_flags("all", getattr(args, "fd_h_max", None))
     if diag is not None:
-        updates["diagnostics"] = diag
-
-    cfg = replace(cfg, **updates)
-    validate_config(cfg)
-    return cfg
+        data["diagnostics"] = diag
+    return ExperimentConfig.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +424,8 @@ def compare_learners(cfg: ExperimentConfig) -> list[dict]:
 
 
 def gen_game(args: argparse.Namespace) -> None:
-    actions = _parse_int_list(args.actions)
-    if len(actions) < 2 or any(n < 1 for n in actions):
-        raise ConfigError(
-            f"--actions needs >= 2 entries (one per player), each >= 1, got {actions}")
-    game = random_game(len(actions), actions, args.game_seed)
+    spec = {"actions": _parse_int_list(args.actions), "seed": args.game_seed}
+    game = load_config_game(ExperimentConfig(game_random=spec))
     save_game_json(game, args.out)
     print(f"wrote {args.out}")
 

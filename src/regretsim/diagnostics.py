@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .dynamics import Trajectory, regret
 from .game import write_csv
 # The constants and variance helpers live in learners; they stay importable from here.
 from .learners import (DEFAULT_C_PRIME, DEFAULT_C_THM, BoundConstants, ceil_log2, row_variances,
                        variance)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dynamics import Trajectory
 
 # When the C-coefficient of the linear bound audit is below this, the
 # inequality is effectively C-free and no boundary constant is reported.
@@ -336,22 +334,15 @@ def consecutive_closeness(strategies: Sequence[np.ndarray] | np.ndarray) -> Clos
 # Trajectory-level bound audits
 # ---------------------------------------------------------------------------
 
-def _player_sequences(trajectory: "Trajectory", player: int):
-    """(strategies, losses, previous losses) for one player, as (T, n) arrays.
+def _variance_sums(trajectory: Trajectory, player: int) -> tuple[float, float]:
+    """Sums over rounds of Var[loss - prev loss] and Var[prev loss] under the player's strategy.
 
-    The round-0 loss is the all-zeros vector by convention.
+    The round-0 previous loss is the all-zeros vector by convention.
     """
     x = trajectory.strategies[player]
     losses = trajectory.losses[player]
     prev = np.vstack([np.zeros((1, losses.shape[1])), losses[:-1]])
-    return x, losses, prev
-
-
-def _direct_regret(x: np.ndarray, losses: np.ndarray) -> float:
-    """Regret recomputed straight from the definition on stored sequences."""
-    play = float(np.einsum("tj,tj->", x, losses))
-    best = float(losses.sum(axis=0).min())
-    return play - best
+    return float(row_variances(x, losses - prev).sum()), float(row_variances(x, prev).sum())
 
 
 @dataclass
@@ -387,7 +378,7 @@ class BoundTermBreakdown:
         }
 
 
-def regret_bound_terms(trajectory: "Trajectory", player: int) -> BoundTermBreakdown:
+def regret_bound_terms(trajectory: Trajectory, player: int) -> BoundTermBreakdown:
     """Audit the variance-form adversarial regret bound for one player.
 
     Evaluates regret, the entropy term, and both variance sums, then solves
@@ -403,11 +394,9 @@ def regret_bound_terms(trajectory: "Trajectory", player: int) -> BoundTermBreakd
     if mode != "opt_hedge":
         raise ValueError(f"player {player} followed {mode!r}, expected 'opt_hedge'")
     eta = trajectory.metadata.etas[player]
-    x, losses, prev = _player_sequences(trajectory, player)
-    n = losses.shape[1]
-    sum_var_delta = float(row_variances(x, losses - prev).sum())
-    sum_var_prev = float(row_variances(x, prev).sum())
-    lhs = _direct_regret(x, losses)
+    n = trajectory.game.action_counts[player]
+    sum_var_delta, sum_var_prev = _variance_sums(trajectory, player)
+    lhs = regret(trajectory, player).total_regret
     term_log = math.log(n) / eta
     base = term_log + (eta / 2.0) * (sum_var_delta - sum_var_prev)
     coeff = eta * eta * (sum_var_delta + sum_var_prev / 2.0)
@@ -453,7 +442,7 @@ class VarianceInequalityReport:
         }
 
 
-def check_variance_inequality(trajectory: "Trajectory", player: int,
+def check_variance_inequality(trajectory: Trajectory, player: int,
                               constants: BoundConstants | None = None) -> VarianceInequalityReport:
     """Check sum Var[loss diff] <= 1/2 sum Var[prev loss] + C' * ceil(log2 T)^5.
 
@@ -469,9 +458,7 @@ def check_variance_inequality(trajectory: "Trajectory", player: int,
         raise ValueError(f"all players must share a step size, got {etas}")
     if constants is None:
         constants = BoundConstants.for_horizon(trajectory.rounds)
-    x, losses, prev = _player_sequences(trajectory, player)
-    lhs = float(row_variances(x, losses - prev).sum())
-    denom = float(row_variances(x, prev).sum())
+    lhs, denom = _variance_sums(trajectory, player)
     rhs = 0.5 * denom + constants.c_prime * float(constants.h) ** 5
     degenerate = lhs == 0.0 and denom == 0.0
     ratio = None if denom == 0.0 else lhs / denom

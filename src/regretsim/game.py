@@ -45,7 +45,7 @@ class Game:
         expected = _profile_count(self.action_counts)
         for raw in self.loss_tensors:
             arr = np.asarray(raw, dtype=np.float64)
-            if arr.size == expected and expected > 0:
+            if arr.size == expected and min(self.action_counts, default=0) > 0:
                 arr = arr.reshape(self.action_counts)
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
@@ -66,12 +66,6 @@ def uniform_strategy(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"action count must be >= 1, got {n}")
     return np.full(n, 1.0 / n)
-
-
-def validate_strategy(probs: np.ndarray, atol: float = 1e-12) -> bool:
-    """True iff ``probs`` is a probability vector (entries >= 0, sum within atol of 1)."""
-    p = np.asarray(probs, dtype=np.float64)
-    return p.ndim == 1 and bool(np.all(p >= 0.0)) and abs(float(p.sum()) - 1.0) <= atol
 
 
 def validate_game(game: Game) -> list[str]:
@@ -110,7 +104,7 @@ def validate_game(game: Game) -> list[str]:
             profile = np.unravel_index(k, game.action_counts)
             label = tuple(int(a) + 1 for a in profile)
             violations.append(
-                f"loss out of [0,1] at player {i + 1}, profile {label}: {flat[k]!r}"
+                f"loss outside [0, 1] at player {i + 1}, profile {label}: {float(flat[k])!r}"
             )
     return violations
 
@@ -215,33 +209,23 @@ def game_to_dict(game: Game) -> dict:
 
 
 def game_from_dict(data: dict, name: str | None = None) -> Game:
+    """Game from ``game_to_dict``'s layout; a ValueError names each ``validate_game`` violation."""
     for key in ("players", "actions", "losses"):
         if not isinstance(data, dict) or key not in data:
             raise ValueError(f"game JSON missing required key {key!r}")
     try:
         m = int(data["players"])
         actions = tuple(int(n) for n in data["actions"])
-        losses = list(data["losses"])
+        tensors = tuple(np.asarray(flat, dtype=np.float64) for flat in data["losses"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"game JSON: bad players, actions or losses: {exc}") from exc
-    if m < 2:
-        raise ValueError(f"game JSON: players must be >= 2, got {m}")
-    if len(actions) != m or any(n < 1 for n in actions):
-        raise ValueError(f"game JSON: bad action counts {actions} for {m} players")
-    if len(losses) != m:
-        raise ValueError(f"game JSON: {len(losses)} loss tensors for {m} players")
-    expected = int(np.prod(actions))
-    tensors = []
-    for i, flat in enumerate(losses):
-        arr = np.asarray(flat, dtype=np.float64)
-        if arr.ndim != 1 or arr.size != expected:
-            raise ValueError(
-                f"game JSON: tensor {i + 1} has {arr.size} entries, expected {expected}"
-            )
-        if not np.all(np.isfinite(arr) & (arr >= 0.0) & (arr <= 1.0)):
-            raise ValueError(f"game JSON: tensor {i + 1} has values outside [0, 1]")
-        tensors.append(arr.reshape(actions))
-    return Game(m, actions, tuple(tensors), name=name)
+    if any(t.ndim != 1 for t in tensors):
+        raise ValueError("game JSON: each loss tensor must be a flat list")
+    game = Game(m, actions, tensors, name=name)
+    violations = validate_game(game)
+    if violations:
+        raise ValueError("game JSON: " + "; ".join(violations))
+    return game
 
 
 def save_game_json(game: Game, path) -> None:

@@ -65,6 +65,17 @@ class TestParseConfig:
         assert cfg.rounds == 32          # flag wins
         assert cfg.out_dir == "from_file"  # file beats default
 
+    def test_file_may_leave_the_game_to_flags(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"rounds": 64}))
+        code = cli.main(["run", "--config", str(path), "--game", "matching_pennies",
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["config"]["rounds"] == 64
+        assert summary["config"]["game_name"] == "matching_pennies"
+        assert "T=64 " in capsys.readouterr().out
+
     def test_round_trip_idempotent(self, tmp_path):
         cfg = parse_flags(["run", "--game", "random", "--actions", "2,2",
                            "--game-seed", "3", "--rounds", "128",
@@ -213,6 +224,20 @@ class TestCompare:
             f"{r['learner']},{format(r['eta'], '.17g')},{r['round']},{r['player']},"
             f"{format(r['regret'], '.17g')}" for r in rows]
 
+    def test_spec_without_eta_rejected_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("dynamics.run called on a rejected config")
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"game_name": "matching_pennies", "learner_specs": [
+            {"mode": "hedge", "eta_policy": "explicit", "eta": 0.1},
+            {"mode": "opt_hedge", "eta_policy": "explicit"}]}))
+        monkeypatch.setattr(dynamics, "run", no_run)
+        code = cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "explicit policy needs an eta" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_matching_pennies_symmetric_fixed_point(self, tmp_path):
         # uniform self-play never moves on the symmetric fixture, so both
         # learners score exactly zero regret at every checkpoint
@@ -291,6 +316,10 @@ class TestMainExitCodes:
         report = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
         assert set(report) == {"bound_terms", "variance_inequality",
                                "fd_profile", "closeness"}
+        # the audit's regret is the run's regret, to the last bit
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert ([e["regret"] for e in report["bound_terms"]]
+                == [e["regret"] for e in summary["regret"]])
 
     @pytest.mark.parametrize("argv", [
         ["diagnose", "--game", "random", "--actions", "2,2", "--fd-h-max", "-1", "--rounds", "16"],
@@ -321,9 +350,16 @@ class TestMainExitCodes:
         ("--config", {"game_path": ["game.json"]}),
         ("--game", {"players": 2, "actions": 3, "losses": [[0.5] * 4] * 2}),
         ("--game", {"players": 2, "actions": [2, 2], "losses": 5}),
+        ("--config", {"game_name": "matching_pennies", "rounds": True}),
+        ("--config", {"game_name": "matching_pennies",
+                      "learner_specs": [{"eta_policy": "explicit", "eta": True}]}),
+        ("--config", {"game_name": "matching_pennies", "diagnostics": {"fd_h_max": True}}),
+        ("--config", {"game_name": "matching_pennies", "seed": "abc"}),
+        ("--config", {"game_random": {"actions": [3]}}),
     ], ids=["rounds_string", "eta_string", "fd_h_max_string", "actions_not_integers",
             "players_not_integer", "config_array", "game_path_not_string",
-            "game_actions_scalar", "game_losses_scalar"])
+            "game_actions_scalar", "game_losses_scalar", "rounds_true", "eta_true",
+            "fd_h_max_true", "seed_string", "random_one_player"])
     def test_bad_file_exits_before_simulating(self, flag, body, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("dynamics.run called on a rejected config")

@@ -250,6 +250,12 @@ class TestGameJson:
         with pytest.raises(ValueError, match="outside"):
             game_from_dict(data)
 
+    def test_out_of_range_error_names_player_and_profile(self):
+        data = game_to_dict(named_game("matching_pennies"))
+        data["losses"][1][2] = -0.25  # player 2, profile (a_1, a_2) = (2, 1)
+        with pytest.raises(ValueError, match=r"player 2, profile \(2, 1\): -0\.25"):
+            game_from_dict(data)
+
     def test_rejects_non_finite(self):
         data = game_to_dict(named_game("matching_pennies"))
         data["losses"][0][1] = math.nan
@@ -265,6 +271,10 @@ class TestGameJson:
     def test_rejects_single_player(self):
         with pytest.raises(ValueError):
             game_from_dict({"players": 1, "actions": [2], "losses": [[0.0, 1.0]]})
+
+    def test_rejects_negative_action_counts(self):
+        with pytest.raises(ValueError, match="player 1 action count must be >= 1"):
+            game_from_dict({"players": 2, "actions": [-1, -2], "losses": [[0.0, 1.0]] * 2})
 
     def test_rejects_missing_key(self):
         with pytest.raises(ValueError, match="missing"):
