@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import diagnostics, dynamics, learners
-from .game import (Game, load_game_json, named_game, random_game, save_game_json, write_csv,
-                   write_json, NAMED_GAMES)
+from .game import (Game, json_int, load_game_json, named_game, random_game, save_game_json,
+                   write_csv, write_json, NAMED_GAMES)
 
 ETA_POLICIES = ("practical", "theorem", "explicit")
 FORMATS = ("json", "csv")
@@ -101,6 +101,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"config.rounds: must be an integer >= 1, got {cfg.rounds!r}")
     if cfg.seed is not None and type(cfg.seed) is not int:
         raise ConfigError(f"config.seed: must be an integer or null, got {cfg.seed!r}")
+    if not isinstance(cfg.out_dir, str):
+        raise ConfigError(f"config.out_dir: must be a path string, got {cfg.out_dir!r}")
+    flags = {f"diagnostics.{k}": v for k, v in asdict(cfg.diagnostics).items() if k != "fd_h_max"}
+    flags.update(emit_trajectory=cfg.emit_trajectory, force_trajectory=cfg.force_trajectory)
+    for name, value in flags.items():
+        if type(value) is not bool:
+            raise ConfigError(f"config.{name}: must be true or false, got {value!r}")
     for k, spec in enumerate(cfg.learner_specs):
         if spec.mode not in learners.MODES:
             raise ConfigError(f"config.learners[{k}].mode: unknown mode {spec.mode!r}")
@@ -127,8 +134,9 @@ def load_config_game(cfg: ExperimentConfig) -> Game:
         if cfg.game_path is not None:
             return load_game_json(cfg.game_path)
         r = cfg.game_random
-        actions = [int(n) for n in r["actions"]]
-        return random_game(int(r.get("players", len(actions))), actions, int(r.get("seed", 0)))
+        actions = [json_int(n, "game_random.actions") for n in r["actions"]]
+        return random_game(json_int(r.get("players", len(actions)), "game_random.players"),
+                           actions, json_int(r.get("seed", 0), "game_random.seed"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config.game: {exc}") from exc
 
@@ -414,10 +422,11 @@ def compare_learners(cfg: ExperimentConfig) -> list[dict]:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
+        header = ("learner", "eta", "round", "player", "regret")
+        columns = [[r[k] for r in rows] for k in header]
         # an explicit eta read from a config file may be an int; the column holds floats
-        write_csv(out / "compare.csv", ("learner", "eta", "round", "player", "regret"),
-                  ((r["learner"], float(r["eta"]), r["round"], r["player"], r["regret"])
-                   for r in rows))
+        columns[1] = [float(eta) for eta in columns[1]]
+        write_csv(out / "compare.csv", header, [columns])
     if "json" in cfg.formats:
         write_json(rows, out / "compare.json")
     return rows

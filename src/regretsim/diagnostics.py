@@ -167,15 +167,15 @@ def fd_decay_profile(seq: np.ndarray, h_max: int) -> FiniteDifferenceProfile:
 
 def fd_profile_values_csv(profile: FiniteDifferenceProfile, path) -> None:
     """CSV rows (order, t, value); value is the sup norm of the entry at t."""
-    rows = ((h, t, v)
-            for h, d in enumerate(profile.orders)
-            for t, v in enumerate(np.abs(d).reshape(d.shape[0], -1).max(axis=1), 1))
-    write_csv(path, ("order", "t", "value"), rows)
+    write_csv(path, ("order", "t", "value"),
+              ((np.broadcast_to(h, len(d)), range(1, len(d) + 1),
+                np.abs(d).reshape(len(d), -1).max(1)) for h, d in enumerate(profile.orders)))
 
 
 def fd_profile_norms_csv(profile: FiniteDifferenceProfile, path) -> None:
     """CSV rows (order, sup_norm)."""
-    write_csv(path, ("order", "sup_norm"), enumerate(profile.sup_norms))
+    write_csv(path, ("order", "sup_norm"),
+              [(range(len(profile.sup_norms)), profile.sup_norms)])
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +231,6 @@ class FreqCauchyReport:
     premise_slack: float
     conclusion_slack: float
     degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "mu": self.mu,
-            "sum_d2_sq": self.sum_d2_sq, "sum_d1_sq": self.sum_d1_sq,
-            "sum_w_sq": self.sum_w_sq,
-            "premise_holds": self.premise_holds,
-            "conclusion_holds": self.conclusion_holds,
-            "premise_slack": self.premise_slack,
-            "conclusion_slack": self.conclusion_slack,
-            "degenerate": self.degenerate,
-        }
 
 
 def check_freq_cauchy(seq: np.ndarray, alpha: float | None = None,

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import learners
-from .game import Game, loss_matrix, validate_game, write_csv
+from .game import CSV_BLOCK_ROWS, Game, loss_matrix, validate_game, write_csv
 
 __version__ = "0.1.0"
 
@@ -70,15 +70,19 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
           full_history: bool):
     """The self-play loop behind every runner, over B checked games of one shape.
 
-    Each round, all players' expected losses are computed from the current
-    strategies and recorded before every learner advances. A player's state is
-    its (B, n_i) strategies and previous losses and -eta, a (B, 1) column for
-    an adaptive player whose threshold is below 2T (see ``init_state``), which
-    also keeps two (B,) variance sums. Updates repeat ``learners.step`` row by
-    row, bit for bit, so no game depends on the rest of its batch. The record
-    is each player's (T, B, n_i) strategies and losses with ``full_history``,
-    else the (B,) cumulative losses and (B, n_i) per-action sums. Returns it,
-    the final strategies and each player's (B,) switch rounds (0: none).
+    Players that share an action count n and an update kind (Hedge, or the
+    optimistic rule of the other modes) form a group, held as (m_g, B, n)
+    stacks of strategies and of the two latest losses, which swap each round.
+    -eta is (m_g, 1, 1), or (m_g, B, 1) if a member is an adaptive player whose
+    threshold is below 2T (see ``init_state``), which also keeps two (B,)
+    variance sums. Each round, every player's expected losses are computed into
+    its row of its group's loss stack; then each group records and updates at
+    once, repeating ``learners.step`` row by row, bit for bit, so no game
+    depends on its batch nor a player on its group. The record is each player's
+    (T, B, n_i) strategies and losses, views of its group's (m_g, T, B, n)
+    history, with ``full_history``, else its (B,) cumulative losses and (B, n_i)
+    per-action sums. Returns it, the final (B, n_i) strategies and each
+    player's (B,) switch rounds (0: none).
     """
     batch, counts = len(games), games[0].action_counts
     players = range(len(counts))
@@ -89,63 +93,71 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
                 for i, n in enumerate(counts)]
     states = [learners.init_state(n, cfg.eta, cfg.mode, horizon=rounds, c_prime=cfg.c_prime)
               for n, cfg in zip(counts, configs)]
-    hedge = [s.mode == learners.HEDGE for s in states]
     var_sums = {i: (np.zeros(batch), np.zeros(batch)) for i, s in enumerate(states)
                 if s.mode == learners.ADAPTIVE_OPT_HEDGE and s.switch_threshold < 2 * rounds}
-    neg_etas = [np.full((batch, 1), -s.eta) if i in var_sums else -s.eta
-                for i, s in enumerate(states)]
+    kinds = [(n, s.mode == learners.HEDGE) for n, s in zip(counts, states)]
+    groups = [[i for i in players if kinds[i] == kind] for kind in dict.fromkeys(kinds)]
+    place = [(g, members.index(i)) for i in players
+             for g, members in enumerate(groups) if i in members]
+    shapes = [(len(members), batch, counts[members[0]]) for members in groups]
+    strategies = [np.full(shape, 1.0 / shape[2]) for shape in shapes]
+    loss_stacks = [[np.zeros(shape) for shape in shapes] for _ in range(2)]
+    neg_etas = [np.array([[[-states[i].eta]] for i in members]).repeat(
+                    batch if var_sums.keys() & set(members) else 1, axis=1) for members in groups]
+    hedge = [kinds[members[0]][1] for members in groups]
+    rows = [strategies[g][k] for g, k in place]
     switch_rounds = [np.zeros(batch, dtype=int) for _ in players]
-    # Strategies are updated in place, so views of them stay valid: grids[i]
-    # broadcasts player i's opponents' strategies onto their joint
-    # (B, n_j1, n_j2, ..., 1) grid. A lone opponent's view is already the
-    # column ``matmul`` takes; several are multiplied left to right each
-    # round, as ``np.multiply.outer`` would.
-    strategies = [np.full((batch, n), 1.0 / n) for n in counts]
-    prev_losses = [np.zeros((batch, n)) for n in counts]
-    grids = []
-    for i in players:
+    # Strategies are updated in place, so views of them stay valid: player i's
+    # opponents' strategies are viewed on their joint (B, n_j1, n_j2, ..., 1)
+    # grid, a column for ``matmul`` (several multiplied left to right each
+    # round, as ``np.multiply.outer`` would), into i's row of a loss stack.
+    contractions = []
+    for i, (g, k) in zip(players, place):
         opponents = [j for j in players if j != i]
-        views = [strategies[j].reshape([batch] + [counts[k] if k == j else 1 for k in opponents]
-                                       + [1]) for j in opponents]
-        grids.append((views[0], views[1:]))
-    shape = (rounds, batch) if full_history else (batch,)
-    played, seen = ([np.zeros(shape + (n,)) for n in counts] for _ in range(2))
-    # Local names for the ufuncs the loop calls T times per player.
+        views = [rows[j].reshape([batch] + [counts[o] if o == j else 1 for o in opponents] + [1])
+                 for j in opponents]
+        contractions.append((matrices[i], views[0], views[1:],
+                             [stacks[g][k][..., None] for stacks in loss_stacks]))
+    played, seen = ([np.zeros(shape[:1] + ((rounds,) if full_history else ()) + shape[1:])
+                     for shape in shapes] for _ in range(2))
+    # Local names for the ufuncs the loop calls T times per group.
     maximum, add, exp, divide = np.maximum.reduce, np.add.reduce, np.exp, np.divide
     for t in range(rounds):
-        losses = []
-        for mat, (joint, factors) in zip(matrices, grids):
+        parity = t & 1
+        losses, prev_losses = loss_stacks[parity], loss_stacks[1 - parity]
+        for mat, joint, factors, outs in contractions:
             if factors:
                 for factor in factors:
                     joint = joint * factor
                 joint = joint.reshape(batch, -1, 1)
-            losses.append((mat @ joint)[..., 0])
-        for i, x, loss, prev, neg_eta in zip(players, strategies, losses, prev_losses, neg_etas):
+            np.matmul(mat, joint, out=outs[parity])
+        for i in list(var_sums):
+            g, k = place[i]
+            _switch_test(states[i], t + 1, rows[i], losses[g][k], prev_losses[g][k],
+                         var_sums[i], switch_rounds[i], neg_etas[g][k])
+            if switch_rounds[i].all():
+                del var_sums[i]
+        for x, loss, prev, neg_eta, is_hedge, play, see in zip(
+                strategies, losses, prev_losses, neg_etas, hedge, played, seen):
             if full_history:
-                played[i][t] = x
-                seen[i][t] = loss
+                play[:, t] = x
+                see[:, t] = loss
             else:
-                played[i] += x * loss
-                seen[i] += loss
-            if i in var_sums:
-                _switch_test(states[i], t + 1, x, loss, prev, var_sums[i], switch_rounds[i],
-                             neg_eta)
-                if switch_rounds[i].all():
-                    del var_sums[i]
-            if hedge[i]:
+                play += x * loss
+                see += loss
+            if is_hedge:
                 e = loss * neg_eta
             else:
                 e = 2.0 * loss
                 e -= prev
                 e *= neg_eta
-            e -= maximum(e, 1, keepdims=True)
+            e -= maximum(e, -1, keepdims=True)
             exp(e, out=e)
             e *= x
-            divide(e, add(e, 1, keepdims=True), out=x)
-        prev_losses = losses
+            divide(e, add(e, -1, keepdims=True), out=x)
     if not full_history:
-        played = [play.sum(1) for play in played]
-    return (played, seen), strategies, switch_rounds
+        played = [play.sum(-1) for play in played]
+    return [[arrays[g][k] for g, k in place] for arrays in (played, seen)] + [rows, switch_rounds]
 
 
 def _switch_test(state: learners.LearnerState, round_: int, x, loss, prev, var_sums,
@@ -182,7 +194,7 @@ def run(game: Game, configs: Sequence[LearnerConfig], rounds: int,
         seed: int | None = None) -> Trajectory:
     """Play ``rounds`` rounds of simultaneous self-play and record everything."""
     _check(game, configs, rounds)
-    (strategies, losses), _, switch_rounds = _play([game], configs, rounds, full_history=True)
+    strategies, losses, _, switch_rounds = _play([game], configs, rounds, full_history=True)
     return Trajectory(game=game, rounds=rounds, strategies=[s[:, 0] for s in strategies],
                       losses=[l[:, 0] for l in losses],
                       metadata=_metadata(configs, seed, switch_rounds))
@@ -205,7 +217,7 @@ def run_streaming(game: Game, configs: Sequence[LearnerConfig], rounds: int,
                   seed: int | None = None) -> StreamingSummary:
     """Like ``run`` but stores only regret-relevant running sums (O(sum n_i))."""
     _check(game, configs, rounds)
-    (cumulative, action_cumulative), final, switch_rounds = _play(
+    cumulative, action_cumulative, final, switch_rounds = _play(
         [game], configs, rounds, full_history=False)
     total_regret, best_actions = _regrets(cumulative, action_cumulative)
     return StreamingSummary(
@@ -272,18 +284,33 @@ class EmpiricalPlay:
 
 def empirical_joint_distribution(trajectory: Trajectory,
                                  limit: int = DENSE_SUPPORT_LIMIT) -> EmpiricalPlay:
-    """Average over rounds of the joint product distribution of play."""
+    """Average over rounds of the joint product distribution of play.
+
+    Chunks of at most 2^13 profile-rounds, or one round, are built with the
+    players' axes reversed, so each multiply runs over its longest axis, in
+    ``np.multiply.outer``'s order; the running total is added into the first
+    and the rows are summed in sequence: bit for bit a loop over rounds.
+    """
     game = trajectory.game
     if game.profile_count > limit:
         raise ValueError(
             f"joint support {game.profile_count} exceeds dense limit {limit}")
-    total = np.zeros(game.action_counts)
-    for t in range(trajectory.rounds):
-        joint = trajectory.strategies[0][t]
-        for i in range(1, game.num_players):
-            joint = np.multiply.outer(joint, trajectory.strategies[i][t])
-        total += joint
-    return EmpiricalPlay(probs=total / trajectory.rounds, rounds=trajectory.rounds)
+    m, rounds, counts = game.num_players, trajectory.rounds, game.action_counts
+    step = max(1, 2**13 // game.profile_count)
+    total = np.zeros(counts[::-1])
+    block = np.empty((min(step, rounds),) + counts[::-1])
+    for start in range(0, rounds, step):
+        size = min(step, rounds - start)
+        joint = trajectory.strategies[0][start:start + size]
+        for i in range(1, m):
+            out = block[:size].reshape(size, counts[i], -1) if i == m - 1 else None
+            joint = np.multiply(trajectory.strategies[i][start:start + size, :, None],
+                                joint.reshape(size, 1, -1), out=out)
+        block[0] += total
+        np.add.reduce(block[:size], axis=0, out=total)
+    probs = np.ascontiguousarray(total.transpose())
+    probs /= rounds
+    return EmpiricalPlay(probs=probs, rounds=rounds)
 
 
 @dataclass
@@ -353,8 +380,8 @@ def batch_run(game_source: Game | Callable[[int], Game], seeds: Sequence[int],
         groups.setdefault(game.action_counts, []).append(k)
     results = [None] * len(seeds)
     for members in groups.values():
-        (cumulative, action_cumulative), _, _ = _play([games[k] for k in members], configs,
-                                                      rounds, full_history=False)
+        cumulative, action_cumulative, _, _ = _play([games[k] for k in members], configs,
+                                                    rounds, full_history=False)
         regrets, best = _regrets(cumulative, action_cumulative)
         for k, regret_row, best_row in zip(members, regrets, best):
             results[k] = BatchResult(seed=seeds[k], total_regrets=regret_row.tolist(),
@@ -368,19 +395,24 @@ def batch_run(game_source: Game | Callable[[int], Game], seeds: Sequence[int],
 
 def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     """Write rows (round, player, kind, action, value), 1-indexed, LF-terminated."""
-    kinds = (("strategy", trajectory.strategies), ("loss", trajectory.losses))
-    rows = ((t + 1, i + 1, kind, j, v)
-            for t in range(trajectory.rounds)
-            for i in range(trajectory.game.num_players)
-            for kind, hist in kinds
-            for j, v in enumerate(hist[i][t].tolist(), 1))
-    write_csv(path, ("round", "player", "kind", "action", "value"), rows)
+    histories = [h for pair in zip(trajectory.strategies, trajectory.losses) for h in pair]
+    labels = [(k // 2 + 1, ("strategy", "loss")[k % 2], j + 1)
+              for k, h in enumerate(histories) for j in range(h.shape[1])]
+    write_csv(path, ("round", "player", "kind", "action", "value"),
+              _round_blocks(histories, labels))
 
 
 def regret_curves_to_csv(entries: Sequence[RegretEntry], path) -> None:
     """Write rows (round, player, regret), 1-indexed, LF-terminated."""
-    players = [entry.player + 1 for entry in entries]
-    rows = ((t, p, v)
-            for t, values in enumerate(zip(*(entry.curve for entry in entries)), 1)
-            for p, v in zip(players, values))
-    write_csv(path, ("round", "player", "regret"), rows)
+    curves = [entry.curve[:, None] for entry in entries]
+    write_csv(path, ("round", "player", "regret"),
+              _round_blocks(curves, [(entry.player + 1,) for entry in entries]))
+
+
+def _round_blocks(histories, labels):
+    """``write_csv`` blocks of whole rounds: row j holds the round, ``labels[j]`` and value j."""
+    step = max(1, CSV_BLOCK_ROWS // len(labels))
+    for start in range(0, len(histories[0]), step):
+        values = np.concatenate([h[start:start + step] for h in histories], axis=1)
+        yield ([t for t in range(start + 1, start + len(values) + 1) for _ in labels],
+               *(list(column) * len(values) for column in zip(*labels)), values.reshape(-1))

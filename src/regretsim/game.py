@@ -17,6 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# Most rows that ``write_csv`` formats at once.
+CSV_BLOCK_ROWS = 1024
+
 NAMED_GAMES = (
     "matching_pennies",
     "rock_paper_scissors",
@@ -214,8 +217,8 @@ def game_from_dict(data: dict, name: str | None = None) -> Game:
         if not isinstance(data, dict) or key not in data:
             raise ValueError(f"game JSON missing required key {key!r}")
     try:
-        m = int(data["players"])
-        actions = tuple(int(n) for n in data["actions"])
+        m = json_int(data["players"], "players")
+        actions = tuple(json_int(n, "actions") for n in data["actions"])
         tensors = tuple(np.asarray(flat, dtype=np.float64) for flat in data["losses"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"game JSON: bad players, actions or losses: {exc}") from exc
@@ -226,6 +229,13 @@ def game_from_dict(data: dict, name: str | None = None) -> Game:
     if violations:
         raise ValueError("game JSON: " + "; ".join(violations))
     return game
+
+
+def json_int(value, field: str) -> int:
+    """``value`` if its type is int, so not bool or float; else a ValueError naming ``field``."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def save_game_json(game: Game, path) -> None:
@@ -239,23 +249,28 @@ def load_game_json(path) -> Game:
     return game_from_dict(data, name=stem)
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[tuple]) -> None:
-    """Stream the tuples ``rows`` under ``header`` to an LF-terminated CSV file.
+def write_csv(path, header: Sequence[str], blocks: Iterable[tuple]) -> None:
+    """Stream ``blocks`` of rows under ``header`` to an LF-terminated CSV file.
 
-    Float cells get 17 significant digits, enough to read back the same
-    double in any locale; every other cell is written with ``str``. The first
-    row's cell types fix the layout, so each column holds one type. Rows are
-    formatted one at a time as they are consumed.
+    A block is a tuple of equal-length columns, each a NumPy array (read with
+    ``tolist``) or a sequence. It is formatted ``CSV_BLOCK_ROWS`` rows at a
+    time with one ``%`` call. Float cells get 17 significant digits, enough to
+    read back the same double in any locale; every other cell is written with
+    ``str``. The first row's cell types fix the layout, so each column holds one type.
     """
-    rows = iter(rows)
+    fmt = None
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        first = next(rows, None)
-        if first is None:
-            return
-        fmt = ",".join("%.17g" if isinstance(c, float) else "%s" for c in first) + "\n"
-        fh.write(fmt % first)
-        fh.writelines(fmt % r for r in rows)
+        for block in blocks:
+            for start in range(0, len(block[0]), CSV_BLOCK_ROWS):
+                columns = [c[start:start + CSV_BLOCK_ROWS] for c in block]
+                columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+                fmt = fmt or ",".join("%.17g" if isinstance(c[0], float) else "%s"
+                                      for c in columns) + "\n"
+                cells = [None] * (len(columns) * len(columns[0]))
+                for j, column in enumerate(columns):
+                    cells[j::len(columns)] = column
+                fh.write(fmt * len(columns[0]) % tuple(cells))
 
 
 def write_json(data, path) -> None:

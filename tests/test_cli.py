@@ -356,10 +356,17 @@ class TestMainExitCodes:
         ("--config", {"game_name": "matching_pennies", "diagnostics": {"fd_h_max": True}}),
         ("--config", {"game_name": "matching_pennies", "seed": "abc"}),
         ("--config", {"game_random": {"actions": [3]}}),
+        ("--config", {"game_name": "matching_pennies", "out_dir": 5}),
+        ("--config", {"game_random": {"actions": [True, 2.9]}}),
+        ("--game", {"players": 2, "actions": [2, 2.5], "losses": [[0.5] * 4] * 2}),
+        ("--config", {"game_name": "matching_pennies", "emit_trajectory": "no"}),
+        ("--config", {"game_name": "matching_pennies", "diagnostics": {"closeness": "no"}}),
     ], ids=["rounds_string", "eta_string", "fd_h_max_string", "actions_not_integers",
             "players_not_integer", "config_array", "game_path_not_string",
             "game_actions_scalar", "game_losses_scalar", "rounds_true", "eta_true",
-            "fd_h_max_true", "seed_string", "random_one_player"])
+            "fd_h_max_true", "seed_string", "random_one_player", "out_dir_not_string",
+            "random_actions_bool_and_fraction", "game_actions_fraction",
+            "emit_trajectory_string", "closeness_string"])
     def test_bad_file_exits_before_simulating(self, flag, body, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("dynamics.run called on a rejected config")
@@ -367,7 +374,9 @@ class TestMainExitCodes:
         path = tmp_path / "input.json"
         path.write_text(json.dumps(body))
         monkeypatch.setattr(dynamics, "run", no_run)
-        code = cli.main(["run", flag, str(path), "--out", str(tmp_path / "out")])
+        # no --out flag, so a file's out_dir is read; the default is ./out
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["run", flag, str(path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -158,7 +158,26 @@ class TestRegret:
             assert -30.0 <= entry.total_regret <= 30.0
 
 
+def empirical_round_loop(trajectory):
+    """The joint distribution's sum, one round at a time: the chunked version's oracle."""
+    total = np.zeros(trajectory.game.action_counts)
+    for t in range(trajectory.rounds):
+        joint = trajectory.strategies[0][t]
+        for i in range(1, trajectory.game.num_players):
+            joint = np.multiply.outer(joint, trajectory.strategies[i][t])
+        total += joint
+    return total / trajectory.rounds
+
+
 class TestEmpiricalPlay:
+    @pytest.mark.parametrize("counts, rounds", [((3, 3), 2000), ((2, 3, 2), 1500),
+                                                ((8,) * 5, 6)])
+    def test_matches_round_loop(self, counts, rounds):
+        # 2^13 profile-rounds per chunk: 910 rounds of 3x3, 682 of 2x3x2, one of 8^5
+        game = random_game(len(counts), counts, seed=21)
+        traj = run(game, [LearnerConfig(eta=0.3)] * len(counts), rounds)
+        assert np.array_equal(empirical_joint_distribution(traj).probs, empirical_round_loop(traj))
+
     def test_single_uniform_round(self):
         traj = run(named_game("matching_pennies"), [LearnerConfig(eta=0.05)] * 2, 1)
         play = empirical_joint_distribution(traj)
@@ -268,6 +287,15 @@ class TestBatchRun:
     @example(counts=[(2, 2, 2), (3, 2, 2)], seeds=[20, 3, 7, 4, 10],
              modes=["adaptive_opt_hedge", "opt_hedge", "hedge"], etas=[0.5] * 3,
              c_prime=0.0, rounds=48)
+    # a Hedge and an optimistic group of three actions in the 3x3x3 games, and
+    # a 1-action player in the 1x3x2 games; the adaptive player switches at
+    # round 4 in the games of seeds 6, 13 and 14, and not in those of 0 and 5
+    @example(counts=[(3, 3, 3), (1, 3, 2)], seeds=[6, 5, 0, 13, 14],
+             modes=["hedge", "opt_hedge", "adaptive_opt_hedge"], etas=[0.3, 0.8, 2.0],
+             c_prime=0.0, rounds=48)
+    @example(counts=[(2, 3, 3), (3, 3, 2)], seeds=[1, 2, 3, 4],
+             modes=["opt_hedge"] * 3, etas=[0.2, 0.5, 1.0],
+             c_prime=learners.DEFAULT_C_PRIME, rounds=48)
     def test_matches_per_game_run(self, counts, seeds, modes, etas, c_prime, rounds):
         m = len(counts[0])
         source = lambda s: random_game(m, counts[s % len(counts)], seed=s)
@@ -358,6 +386,17 @@ class TestEngineMatchesReference:
     @example(counts=[2, 2, 2], game_seed=20,
              modes=["adaptive_opt_hedge", "opt_hedge", "hedge", "hedge"],
              etas=[0.5] * 4, c_prime=0.0, rounds=48)
+    # a Hedge group and an optimistic group whose adaptive member switches at round 4
+    @example(counts=[3, 3, 3], game_seed=5,
+             modes=["hedge", "opt_hedge", "adaptive_opt_hedge", "hedge"],
+             etas=[0.3, 0.8, 2.0, 0.1], c_prime=0.0, rounds=48)
+    # two optimistic groups, of two and three actions
+    @example(counts=[2, 3, 3], game_seed=1, modes=["opt_hedge"] * 4,
+             etas=[0.2, 0.5, 1.0, 0.1], c_prime=learners.DEFAULT_C_PRIME, rounds=48)
+    # a 1-action player, and an adaptive player that switches at round 4
+    @example(counts=[3, 1, 2], game_seed=2,
+             modes=["adaptive_opt_hedge", "hedge", "opt_hedge", "hedge"],
+             etas=[2.0, 0.4, 0.9, 0.1], c_prime=0.0, rounds=48)
     def test_run_and_streaming_match_step_loop(self, counts, game_seed, modes, etas,
                                                c_prime, rounds):
         game = random_game(len(counts), counts, seed=game_seed)
@@ -400,6 +439,23 @@ class TestCsvExports:
         assert lines[0] == "round,player,kind,action,value"
         assert len(lines) == 1 + 3 * 2 * 2 * 2  # T * players * kinds * actions
         assert lines[1].startswith("1,1,strategy,1,")
+
+    def test_rows_across_blocks(self, tmp_path):
+        # a 2x3x2 round has 14 trajectory rows and 3 regret rows, neither
+        # dividing the 1,024-row blocks, so rounds are cut at block edges
+        game = random_game(3, (2, 3, 2), seed=19)
+        traj = run(game, [LearnerConfig(eta=0.2)] * 3, 700)
+        trajectory_to_csv(traj, tmp_path / "trajectory.csv")
+        expected = [f"{t + 1},{i + 1},{kind},{j + 1},{format(float(hist[i][t, j]), '.17g')}"
+                    for t in range(700) for i in range(3)
+                    for kind, hist in (("strategy", traj.strategies), ("loss", traj.losses))
+                    for j in range(game.action_counts[i])]
+        assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == expected
+        entries = regret_report(traj)
+        regret_curves_to_csv(entries, tmp_path / "regret_curve.csv")
+        expected = [f"{t + 1},{e.player + 1},{format(float(e.curve[t]), '.17g')}"
+                    for t in range(700) for e in entries]
+        assert (tmp_path / "regret_curve.csv").read_text().splitlines()[1:] == expected
 
     def test_regret_curve_rows(self, tmp_path):
         for game in (named_game("matching_pennies"), random_game(2, (2, 3), seed=17)):

@@ -17,7 +17,7 @@ from regretsim import (
     uniform_strategy,
     validate_game,
 )
-from regretsim.game import game_from_dict, game_to_dict
+from regretsim.game import game_from_dict, game_to_dict, write_csv
 
 
 def small_random_games():
@@ -279,3 +279,26 @@ class TestGameJson:
     def test_rejects_missing_key(self):
         with pytest.raises(ValueError, match="missing"):
             game_from_dict({"players": 2, "actions": [2, 2]})
+
+
+class TestWriteCsv:
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1.0, 1e300]
+
+    @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
+    def test_matches_per_row_formatting(self, rows, tmp_path):
+        rng = np.random.default_rng(rows)
+        floats = np.where(np.arange(rows) % 3 == 0, rng.random(rows),
+                          np.resize(np.array(self.SPECIAL), rows))
+        ints = list(range(-3, rows - 3))
+        labels = [("strategy", "loss")[k % 2] for k in range(rows)]
+        reference = "order,kind,value\n" + "".join(
+            "%s,%s,%.17g\n" % row for row in zip(ints, labels, floats.tolist()))
+        # one block of NumPy arrays, then uneven blocks of lists
+        write_csv(tmp_path / "a.csv", ("order", "kind", "value"),
+                  [(np.array(ints, dtype=int), np.array(labels), floats)])
+        cuts = [0, min(rows, 700), rows]
+        write_csv(tmp_path / "b.csv", ("order", "kind", "value"),
+                  [(ints[a:b], labels[a:b], floats[a:b].tolist())
+                   for a, b in zip(cuts, cuts[1:]) if b > a])
+        for name in ("a.csv", "b.csv"):
+            assert (tmp_path / name).read_bytes() == reference.encode()
