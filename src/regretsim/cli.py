@@ -153,14 +153,11 @@ def build_learner_configs(cfg: ExperimentConfig, game: Game) -> list[dynamics.Le
         dynamics.LearnerConfig(mode=s.mode, eta=s.resolve_eta(game.num_players, cfg.rounds))
         for s in specs
     ]
-    toggles = cfg.diagnostics
-    if (toggles.bound_terms or toggles.variance_inequality) and any(
-            c.mode != learners.OPT_HEDGE for c in configs):
-        raise ConfigError("--diagnostics: bound_terms and variance_inequality need "
-                          f"opt_hedge learners, got {[c.mode for c in configs]}")
-    if toggles.variance_inequality and len({c.eta for c in configs}) != 1:
-        raise ConfigError("--diagnostics: variance_inequality needs one step size for "
-                          f"all players, got {[c.eta for c in configs]}")
+    audits = [name for name, on in asdict(cfg.diagnostics).items() if on]
+    try:
+        diagnostics.check_audit_learners(audits, [c.mode for c in configs], [c.eta for c in configs])
+    except ValueError as exc:
+        raise ConfigError(f"--diagnostics: {exc}") from exc
     return configs
 
 

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dynamics import Trajectory, regret
 from .game import write_csv
 # The constants and variance helpers live in learners; they stay importable from here.
-from .learners import (DEFAULT_C_PRIME, DEFAULT_C_THM, BoundConstants, ceil_log2, row_variances,
-                       variance)
+from .learners import (DEFAULT_C_PRIME, DEFAULT_C_THM, OPT_HEDGE, BoundConstants, ceil_log2,
+                       row_variances, variance)
 
 # When the C-coefficient of the linear bound audit is below this, the
 # inequality is effectively C-free and no boundary constant is reported.
@@ -322,6 +322,20 @@ def consecutive_closeness(strategies: Sequence[np.ndarray] | np.ndarray) -> Clos
 # Trajectory-level bound audits
 # ---------------------------------------------------------------------------
 
+def check_audit_learners(audits: Iterable[str], modes: Sequence[str], etas: Sequence[float]):
+    """Raise ``ValueError`` naming the first rule of ``audits`` that the learners break.
+
+    ``bound_terms`` and ``variance_inequality`` audit the optimistic update, so
+    every player they audit must follow it; ``variance_inequality`` also needs
+    one step size for all players. Other audit names carry no rule.
+    """
+    for audit in audits:
+        if audit in ("bound_terms", "variance_inequality") and any(m != OPT_HEDGE for m in modes):
+            raise ValueError(f"{audit} needs {OPT_HEDGE} learners, got {list(modes)}")
+        if audit == "variance_inequality" and len(set(etas)) != 1:
+            raise ValueError(f"{audit} needs one step size for all players, got {list(etas)}")
+
+
 def _variance_sums(trajectory: Trajectory, player: int) -> tuple[float, float]:
     """Sums over rounds of Var[loss - prev loss] and Var[prev loss] under the player's strategy.
 
@@ -378,10 +392,8 @@ def regret_bound_terms(trajectory: Trajectory, player: int) -> BoundTermBreakdow
     which is linear in C. The player must have followed the optimistic
     update rule.
     """
-    mode = trajectory.metadata.modes[player]
-    if mode != "opt_hedge":
-        raise ValueError(f"player {player} followed {mode!r}, expected 'opt_hedge'")
     eta = trajectory.metadata.etas[player]
+    check_audit_learners(["bound_terms"], trajectory.metadata.modes[player:player + 1], [eta])
     n = trajectory.game.action_counts[player]
     sum_var_delta, sum_var_prev = _variance_sums(trajectory, player)
     lhs = regret(trajectory, player).total_regret
@@ -438,12 +450,8 @@ def check_variance_inequality(trajectory: Trajectory, player: int,
     step size. The additive constant dominates at desk scale, so the
     constant-free ratio is the informative output.
     """
-    modes = trajectory.metadata.modes
-    etas = trajectory.metadata.etas
-    if any(m != "opt_hedge" for m in modes):
-        raise ValueError(f"all players must follow 'opt_hedge', got {modes}")
-    if len(set(etas)) != 1:
-        raise ValueError(f"all players must share a step size, got {etas}")
+    check_audit_learners(["variance_inequality"], trajectory.metadata.modes,
+                         trajectory.metadata.etas)
     if constants is None:
         constants = BoundConstants.for_horizon(trajectory.rounds)
     lhs, denom = _variance_sums(trajectory, player)

@@ -72,28 +72,25 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
 
     Players that share an action count n and an update kind (Hedge, or the
     optimistic rule of the other modes) form a group, held as (m_g, B, n)
-    stacks of strategies and of the two latest losses, which swap each round.
-    -eta is (m_g, 1, 1), or (m_g, B, 1) if a member is an adaptive player whose
-    threshold is below 2T (see ``init_state``), which also keeps two (B,)
-    variance sums. Each round, every player's expected losses are computed into
-    its row of its group's loss stack; then each group records and updates at
-    once, repeating ``learners.step`` row by row, bit for bit, so no game
-    depends on its batch nor a player on its group. The record is each player's
-    (T, B, n_i) strategies and losses, views of its group's (m_g, T, B, n)
-    history, with ``full_history``, else its (B,) cumulative losses and (B, n_i)
-    per-action sums. Returns it, the final (B, n_i) strategies and each
-    player's (B,) switch rounds (0: none).
+    stacks of strategies and of the two latest losses, which swap each round,
+    and of -eta, (m_g, B, 1). An adaptive player whose threshold is below 2T
+    (see ``init_state``) keeps its two (B,) variance sums, extended each round
+    by ``learners.row_variances``, and takes the switch test on them. Each
+    round, every player's expected losses are computed into its row of its
+    group's loss stack; then each group records and updates at once, repeating
+    ``learners.step`` row by row, bit for bit, so no game depends on its batch
+    nor a player on its group. The record is each player's (T, B, n_i)
+    strategies and losses, views of its group's (m_g, T, B, n) history, with
+    ``full_history``, else its (B,) cumulative losses and (B, n_i) per-action
+    sums. Returns it, the final (B, n_i) strategies and each player's (B,)
+    switch rounds (0: none).
     """
     batch, counts = len(games), games[0].action_counts
     players = range(len(counts))
-    # (B, n_i, prod n_-i) loss matrices: ``loss_matrix`` on stacked tensors, so
-    # each game keeps the memory layout, and rounding, of a lone run's views.
-    matrices = [np.moveaxis(np.stack([g.loss_tensors[i] for g in games]) if batch > 1
-                            else games[0].loss_tensors[i][None], i + 1, 1).reshape(batch, n, -1)
-                for i, n in enumerate(counts)]
+    matrices = [np.stack([loss_matrix(g, i) for g in games]) for i in players]
     states = [learners.init_state(n, cfg.eta, cfg.mode, horizon=rounds, c_prime=cfg.c_prime)
               for n, cfg in zip(counts, configs)]
-    var_sums = {i: (np.zeros(batch), np.zeros(batch)) for i, s in enumerate(states)
+    var_sums = {i: np.zeros((2, batch)) for i, s in enumerate(states)
                 if s.mode == learners.ADAPTIVE_OPT_HEDGE and s.switch_threshold < 2 * rounds}
     kinds = [(n, s.mode == learners.HEDGE) for n, s in zip(counts, states)]
     groups = [[i for i in players if kinds[i] == kind] for kind in dict.fromkeys(kinds)]
@@ -102,8 +99,7 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     shapes = [(len(members), batch, counts[members[0]]) for members in groups]
     strategies = [np.full(shape, 1.0 / shape[2]) for shape in shapes]
     loss_stacks = [[np.zeros(shape) for shape in shapes] for _ in range(2)]
-    neg_etas = [np.array([[[-states[i].eta]] for i in members]).repeat(
-                    batch if var_sums.keys() & set(members) else 1, axis=1) for members in groups]
+    neg_etas = [np.array([[[-states[i].eta]] * batch for i in members]) for members in groups]
     hedge = [kinds[members[0]][1] for members in groups]
     rows = [strategies[g][k] for g, k in place]
     switch_rounds = [np.zeros(batch, dtype=int) for _ in players]
@@ -131,12 +127,14 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
                     joint = joint * factor
                 joint = joint.reshape(batch, -1, 1)
             np.matmul(mat, joint, out=outs[parity])
-        for i in list(var_sums):
-            g, k = place[i]
-            _switch_test(states[i], t + 1, rows[i], losses[g][k], prev_losses[g][k],
-                         var_sums[i], switch_rounds[i], neg_etas[g][k])
-            if switch_rounds[i].all():
-                del var_sums[i]
+        for i, sums in var_sums.items():
+            (g, k), x, fired = place[i], rows[i], switch_rounds[i]
+            sums[0] += learners.row_variances(x, losses[g][k] - prev_losses[g][k])
+            sums[1] += learners.row_variances(x, prev_losses[g][k])
+            if t + 1 >= learners.MIN_SWITCH_ROUND:
+                fire = (fired == 0) & (sums[0] > 0.5 * sums[1] + states[i].switch_threshold)
+                fired[fire] = t + 1
+                neg_etas[g][k][fire] = -states[i].eta_post
         for x, loss, prev, neg_eta, is_hedge, play, see in zip(
                 strategies, losses, prev_losses, neg_etas, hedge, played, seen):
             if full_history:
@@ -158,23 +156,6 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     if not full_history:
         played = [play.sum(-1) for play in played]
     return [[arrays[g][k] for g, k in place] for arrays in (played, seen)] + [rows, switch_rounds]
-
-
-def _switch_test(state: learners.LearnerState, round_: int, x, loss, prev, var_sums,
-                 switch_rounds, neg_eta) -> None:
-    """``adaptive_opt_hedge_step``'s variance sums and switch test, row by row.
-
-    The (1, n) @ (n, 1) products round like ``learners.variance``'s 1-D ones.
-    """
-    rows = x[:, None, :]
-    for sums, values in zip(var_sums, (loss - prev, prev)):
-        r = values - values[:, :1]
-        dev = r - (rows @ r[:, :, None])[:, 0]
-        sums += (rows @ (dev * dev)[:, :, None])[:, 0, 0]
-    if round_ >= learners.MIN_SWITCH_ROUND:
-        fire = (switch_rounds == 0) & (var_sums[0] > 0.5 * var_sums[1] + state.switch_threshold)
-        switch_rounds[fire] = round_
-        neg_eta[fire] = -state.eta_post
 
 
 def _metadata(configs: Sequence[LearnerConfig], seed: int | None, switch_rounds) -> RunMetadata:

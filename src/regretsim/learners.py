@@ -59,13 +59,12 @@ def variance(probs: np.ndarray, values: np.ndarray) -> float:
 
 
 def row_variances(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row-wise ``variance``: probs and values are (T, n) arrays."""
-    p = np.asarray(probs, dtype=np.float64)
+    """Row-wise ``variance`` of (T, n) arrays, bit for bit per row: (1, n) @ (n, 1) products."""
+    p = np.asarray(probs, dtype=np.float64)[:, None, :]
     v = np.asarray(values, dtype=np.float64)
     r = v - v[:, :1]
-    means = np.einsum("tj,tj->t", p, r)
-    dev = r - means[:, None]
-    return np.einsum("tj,tj->t", p, dev * dev)
+    dev = r - (p @ r[:, :, None])[:, 0]
+    return (p @ (dev * dev)[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)

@@ -361,12 +361,15 @@ class TestMainExitCodes:
         ("--game", {"players": 2, "actions": [2, 2.5], "losses": [[0.5] * 4] * 2}),
         ("--config", {"game_name": "matching_pennies", "emit_trajectory": "no"}),
         ("--config", {"game_name": "matching_pennies", "diagnostics": {"closeness": "no"}}),
+        ("--config", {"game_name": "matching_pennies", "diagnostics": {"variance_inequality": True},
+                      "learner_specs": [{"mode": "opt_hedge", "eta_policy": "explicit", "eta": eta}
+                                        for eta in (0.1, 0.2)]}),
     ], ids=["rounds_string", "eta_string", "fd_h_max_string", "actions_not_integers",
             "players_not_integer", "config_array", "game_path_not_string",
             "game_actions_scalar", "game_losses_scalar", "rounds_true", "eta_true",
             "fd_h_max_true", "seed_string", "random_one_player", "out_dir_not_string",
             "random_actions_bool_and_fraction", "game_actions_fraction",
-            "emit_trajectory_string", "closeness_string"])
+            "emit_trajectory_string", "closeness_string", "variance_inequality_mixed_eta"])
     def test_bad_file_exits_before_simulating(self, flag, body, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("dynamics.run called on a rejected config")

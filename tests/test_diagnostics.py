@@ -33,6 +33,7 @@ from regretsim import (
 from regretsim.diagnostics import (
     BoundConstants,
     ceil_log2,
+    check_audit_learners,
     fd_profile_norms_csv,
     fd_profile_values_csv,
     row_variances,
@@ -93,12 +94,15 @@ class TestVariance:
             assert variance(p, v) == pytest.approx(brute_variance(p, v), rel=1e-12, abs=1e-15)
 
     def test_row_variances_match_scalar_path(self):
+        # bit for bit: the audits and the adaptive switch test share these rows
         rng = np.random.default_rng(2)
         probs = rng.dirichlet(np.ones(3), size=20)
         values = rng.random((20, 3))
-        rows = row_variances(probs, values)
-        for t in range(20):
-            assert rows[t] == pytest.approx(variance(probs[t], values[t]), rel=1e-12, abs=1e-15)
+        cases = [(probs, values)] + [(rng.dirichlet(np.ones(n), size=9), rng.random((9, n)))
+                                     for n in (1, 5)]
+        for probs, values in cases:
+            rows = row_variances(probs, values)
+            assert rows.tolist() == [variance(p, v) for p, v in zip(probs, values)]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -451,6 +455,35 @@ class TestBoundTerms:
                    [LearnerConfig(mode="hedge", eta=0.05)] * 2, 16)
         with pytest.raises(ValueError):
             regret_bound_terms(traj, 0)
+
+
+class TestAuditLearners:
+    def test_audits_raise_the_shared_rule(self):
+        game = named_game("matching_pennies")
+        with pytest.raises(ValueError) as rule:
+            check_audit_learners(["bound_terms"], ["hedge"], [0.05])
+        assert str(rule.value) == "bound_terms needs opt_hedge learners, got ['hedge']"
+        hedge = run(game, [LearnerConfig(mode="hedge", eta=0.05)] * 2, 16)
+        with pytest.raises(ValueError) as raised:
+            regret_bound_terms(hedge, 0)
+        assert str(raised.value) == str(rule.value)
+
+        with pytest.raises(ValueError) as rule:
+            check_audit_learners(["variance_inequality"], ["opt_hedge"] * 2, [0.1, 0.2])
+        assert str(rule.value) == ("variance_inequality needs one step size for all players, "
+                                   "got [0.1, 0.2]")
+        uneven = run(game, [LearnerConfig(eta=0.1), LearnerConfig(eta=0.2)], 16)
+        with pytest.raises(ValueError) as raised:
+            check_variance_inequality(uneven, 0)
+        assert str(raised.value) == str(rule.value)
+
+    def test_rules_bind_only_their_audits(self):
+        check_audit_learners(["fd_h_max", "closeness"], ["hedge", "opt_hedge"], [0.1, 0.2])
+        check_audit_learners(["bound_terms"], ["opt_hedge"] * 2, [0.1, 0.2])
+        # bound_terms audits one player, so only that player's rule applies
+        mixed = run(named_game("matching_pennies"),
+                    [LearnerConfig(mode="hedge", eta=0.05), LearnerConfig(eta=0.05)], 16)
+        assert regret_bound_terms(mixed, 1).eta == 0.05
 
 
 class TestVarianceInequality:

@@ -1,0 +1,125 @@
+"""Golden check: do the CLI's artifacts at a git revision and in the working tree agree?
+
+Usage: python tools/golden.py <rev>
+
+Exports ``src`` at <rev> with ``git archive``, then runs the four golden
+commands below twice, once against that export and once against the working
+tree's ``src``, each side in its own fresh directory with the same ``--out``
+names. Every file written is compared byte for byte, except that
+``duration_seconds`` is dropped from each ``summary.json`` first. For a JSON
+file that differs, the differing fields are listed. Exit status: 0 if every
+file agrees, 1 if any differs, 2 if the export or a command fails. Needs
+only the stdlib and the numpy that ``regretsim`` itself imports.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COMMANDS = (
+    ["gen-game", "--actions", "2,3,2", "--game-seed", "4"],
+    ["diagnose", "--game", "random", "--actions", "3,3", "--game-seed", "1",
+     "--rounds", "16384", "--fd-h-max", "5", "--seed", "7", "--out", "diagnose"],
+    ["compare", "--game", "random", "--actions", "3,3", "--game-seed", "1",
+     "--learner", "hedge,opt_hedge", "--rounds", "4096", "--out", "compare"],
+    ["run", "--game", "game.json", "--learner", "adaptive_opt_hedge", "--eta", "0.5",
+     "--rounds", "2048", "--out", "run"],
+)
+
+
+def fail(message: str):
+    print(f"golden: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def export_src(rev: str, dest: Path) -> Path:
+    """Unpack ``src`` at ``rev`` under ``dest`` and return its path."""
+    done = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                          capture_output=True)
+    if done.returncode != 0:
+        fail(f"`git archive {rev}` exited {done.returncode}:\n{done.stderr.decode()}")
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def run_commands(src: Path, cwd: Path) -> None:
+    cwd.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv in COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "regretsim.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            fail(f"`regretsim {' '.join(argv)}` against {src} exited "
+                 f"{done.returncode}:\n{done.stderr}")
+
+
+def parsed(path: Path):
+    """A JSON file's value, with ``duration_seconds`` dropped from ``summary.json``."""
+    data = json.loads(path.read_text())
+    if path.name == "summary.json":
+        data.pop("duration_seconds", None)
+    return data
+
+
+def content(path: Path) -> bytes:
+    """What is compared: the file's bytes, or for ``summary.json`` its JSON without timing."""
+    return json.dumps(parsed(path)).encode() if path.name == "summary.json" else path.read_bytes()
+
+
+def json_diffs(a, b, where: str = ""):
+    """Yield ``field: a != b`` for every leaf where two parsed JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            yield from json_diffs(a[key], b[key], f"{where}.{key}" if where else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for k, (x, y) in enumerate(zip(a, b)):
+            yield from json_diffs(x, y, f"{where}[{k}]")
+    elif json.dumps(a) != json.dumps(b):
+        yield f"{where or '(root)'}: {a!r} != {b!r}"
+
+
+def compare(base: Path, head: Path, rev: str) -> int:
+    names = {path.relative_to(side) for side in (base, head)
+             for path in side.rglob("*") if path.is_file()}
+    differing = 0
+    for name in sorted(names):
+        old, new = base / name, head / name
+        if not old.exists() or not new.exists():
+            print(f"only {'in the working tree' if new.exists() else f'at {rev}'}: {name}")
+            differing += 1
+            continue
+        if content(old) == content(new):
+            continue
+        differing += 1
+        print(f"differs: {name}")
+        if name.suffix == ".json":
+            for line in json_diffs(parsed(old), parsed(new)):
+                print(f"  {line}")
+    print(f"golden: {differing} of {len(names)} files differ between {rev} and the working tree")
+    return 1 if differing else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    rev = argv[0]
+    with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
+        work = Path(tmp)
+        run_commands(export_src(rev, work / "export"), work / "base")
+        run_commands(ROOT / "src", work / "head")
+        return compare(work / "base", work / "head", rev)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
