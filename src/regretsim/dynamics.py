@@ -9,6 +9,7 @@ upstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,8 +77,9 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     and of -eta, (m_g, B, 1). An adaptive player whose threshold is below 2T
     (see ``init_state``) keeps its two (B,) variance sums, extended each round
     by ``learners.row_variances``, and takes the switch test on them. Each
-    round, every player's expected losses are computed into its row of its
-    group's loss stack; then each group records and updates at once, repeating
+    round, each cell (a run of a group's rows, below) computes its players'
+    expected losses into their rows of the group's loss stack in one
+    contraction; then each group records and updates at once, repeating
     ``learners.step`` row by row, bit for bit, so no game depends on its batch
     nor a player on its group. The record is each player's (T, B, n_i)
     strategies and losses, views of its group's (m_g, T, B, n) history, with
@@ -87,7 +89,6 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     """
     batch, counts = len(games), games[0].action_counts
     players = range(len(counts))
-    matrices = [np.stack([loss_matrix(g, i) for g in games]) for i in players]
     states = [learners.init_state(n, cfg.eta, cfg.mode, horizon=rounds, c_prime=cfg.c_prime)
               for n, cfg in zip(counts, configs)]
     var_sums = {i: np.zeros((2, batch)) for i, s in enumerate(states)
@@ -103,17 +104,42 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     hedge = [kinds[members[0]][1] for members in groups]
     rows = [strategies[g][k] for g, k in place]
     switch_rounds = [np.zeros(batch, dtype=int) for _ in players]
-    # Strategies are updated in place, so views of them stay valid: player i's
-    # opponents' strategies are viewed on their joint (B, n_j1, n_j2, ..., 1)
-    # grid, a column for ``matmul`` (several multiplied left to right each
-    # round, as ``np.multiply.outer`` would), into i's row of a loss stack.
+    # A cell is a run of rows of one group whose loss matrices are C-contiguous
+    # (see ``loss_matrix``) and whose opponents all lie in one group, so a cell
+    # of two or more rows lies in the one group of every player and its
+    # matrices share one shape. A cell starts at every row that cannot join.
+    joins = [len(groups) == 1 and loss_matrix(games[0], i).flags.c_contiguous for i in players]
+    starts = [i for i in players if not (i and joins[i - 1] and joins[i])]
+    cells = [list(range(a, b)) for a, b in zip(starts, starts[1:] + [len(counts)])]
+    # Strategies are updated in place, so views of them stay valid. Each round
+    # a cell of c rows takes its opponents' strategies from its group's stack
+    # in one ``take`` into a (c, m - 1, B, n) buffer (a one-player cell views
+    # them in place, with no c axis), multiplies them left to right on their
+    # joint (c, B, n_j1, n_j2, ..., 1) grid into preallocated buffers, as
+    # ``np.multiply.outer`` would, and ``matmul``s that column with its
+    # (c, B, n_i, N) stack of ``loss_matrix`` results, in their layout, into
+    # its rows of a loss stack.
     contractions = []
-    for i, (g, k) in zip(players, place):
-        opponents = [j for j in players if j != i]
-        views = [rows[j].reshape([batch] + [counts[o] if o == j else 1 for o in opponents] + [1])
-                 for j in opponents]
-        contractions.append((matrices[i], views[0], views[1:],
-                             [stacks[g][k][..., None] for stacks in loss_stacks]))
+    for cell in cells:
+        (g, k), c = place[cell[0]], len(cell)
+        lead = (c, batch) if c > 1 else (batch,)
+        mat = np.stack([loss_matrix(game, i) for i in cell for game in games])
+        opponents = [[j for j in players if j != i] for i in cell]
+        if c == 1:
+            gather, sources = None, [rows[j] for j in opponents[0]]
+        else:
+            gathered = np.empty((c, len(counts) - 1) + shapes[g][1:])
+            gather = partial(strategies[g].take, np.array(opponents), 0, gathered, "clip")
+            sources = list(gathered.swapaxes(0, 1))
+        joint, *factors = [x.reshape(lead + (1,) * s + (-1,) + (1,) * (len(sources) - s))
+                           for s, x in enumerate(sources)]
+        chain = []
+        for factor in factors:
+            chain.append((joint, factor, np.empty(np.broadcast_shapes(joint.shape, factor.shape))))
+            joint = chain[-1][2]
+        contractions.append((gather, chain, mat.reshape(lead + mat.shape[1:]),
+                             joint.reshape(lead + (-1, 1)),
+                             [stacks[g][k:k + c].reshape(lead + (-1, 1)) for stacks in loss_stacks]))
     played, seen = ([np.zeros(shape[:1] + ((rounds,) if full_history else ()) + shape[1:])
                      for shape in shapes] for _ in range(2))
     # Local names for the ufuncs the loop calls T times per group.
@@ -121,12 +147,12 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     for t in range(rounds):
         parity = t & 1
         losses, prev_losses = loss_stacks[parity], loss_stacks[1 - parity]
-        for mat, joint, factors, outs in contractions:
-            if factors:
-                for factor in factors:
-                    joint = joint * factor
-                joint = joint.reshape(batch, -1, 1)
-            np.matmul(mat, joint, out=outs[parity])
+        for gather, chain, mat, column, outs in contractions:
+            if gather:
+                gather()
+            for joint, factor, product in chain:
+                np.multiply(joint, factor, out=product)
+            np.matmul(mat, column, out=outs[parity])
         for i, sums in var_sums.items():
             (g, k), x, fired = place[i], rows[i], switch_rounds[i]
             sums[0] += learners.row_variances(x, losses[g][k] - prev_losses[g][k])

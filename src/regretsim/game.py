@@ -130,7 +130,10 @@ def loss_matrix(game: Game, player: int) -> np.ndarray:
     """Player's loss tensor as an (n_i, prod n_{-i}) matrix.
 
     Row j holds the losses of action j against every opponent profile, with
-    opponent profiles flattened in row-major order.
+    opponent profiles flattened in row-major order. Player 0 gets a C-ordered
+    view of its tensor, a middle player a C-ordered copy and the last player a
+    transposed (column-major) view. BLAS rounding follows the layout, so the
+    engine stacks only matrices of one layout to match ``expected_loss_vector``.
     """
     n = game.action_counts[player]
     return np.moveaxis(game.loss_tensors[player], player, 0).reshape(n, -1)

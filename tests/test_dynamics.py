@@ -296,6 +296,12 @@ class TestBatchRun:
     @example(counts=[(2, 3, 3), (3, 3, 2)], seeds=[1, 2, 3, 4],
              modes=["opt_hedge"] * 3, etas=[0.2, 0.5, 1.0],
              c_prime=learners.DEFAULT_C_PRIME, rounds=48)
+    # five 3x3x3 games, whose one optimistic group forms a cell of the first
+    # two players; the adaptive first player switches at round 4 in the games
+    # of seeds 0, 8 and 12, and not in those of 2 and 4
+    @example(counts=[(3, 3, 3), (2, 3, 3)], seeds=[0, 2, 4, 8, 12, 3],
+             modes=["adaptive_opt_hedge", "opt_hedge", "adaptive_opt_hedge"], etas=[1.0] * 3,
+             c_prime=0.0, rounds=48)
     def test_matches_per_game_run(self, counts, seeds, modes, etas, c_prime, rounds):
         m = len(counts[0])
         source = lambda s: random_game(m, counts[s % len(counts)], seed=s)
@@ -393,6 +399,13 @@ class TestEngineMatchesReference:
     # two optimistic groups, of two and three actions
     @example(counts=[2, 3, 3], game_seed=1, modes=["opt_hedge"] * 4,
              etas=[0.2, 0.5, 1.0, 0.1], c_prime=learners.DEFAULT_C_PRIME, rounds=48)
+    # one group of four players: the first three form one cell, the last another
+    @example(counts=[3, 3, 3, 3], game_seed=3, modes=["opt_hedge"] * 4,
+             etas=[0.1, 0.4, 1.0, 2.0], c_prime=learners.DEFAULT_C_PRIME, rounds=48)
+    # the adaptive second player, in the cell of the first three, switches at round 4
+    @example(counts=[2, 2, 2, 2], game_seed=2,
+             modes=["opt_hedge", "adaptive_opt_hedge", "opt_hedge", "opt_hedge"],
+             etas=[0.4, 1.5, 0.7, 0.2], c_prime=0.0, rounds=48)
     # a 1-action player, and an adaptive player that switches at round 4
     @example(counts=[3, 1, 2], game_seed=2,
              modes=["adaptive_opt_hedge", "hedge", "opt_hedge", "hedge"],

@@ -2,7 +2,7 @@
 
 Usage: python tools/golden.py <rev>
 
-Exports ``src`` at <rev> with ``git archive``, then runs the four golden
+Exports ``src`` at <rev> with ``git archive``, then runs the five golden
 commands below twice, once against that export and once against the working
 tree's ``src``, each side in its own fresh directory with the same ``--out``
 names. Every file written is compared byte for byte, except that
@@ -33,6 +33,9 @@ COMMANDS = (
      "--learner", "hedge,opt_hedge", "--rounds", "4096", "--out", "compare"],
     ["run", "--game", "game.json", "--learner", "adaptive_opt_hedge", "--eta", "0.5",
      "--rounds", "2048", "--out", "run"],
+    # equal action counts put every player in one group, so players share cells
+    ["run", "--game", "random", "--actions", "3,3,3,3", "--game-seed", "2", "--rounds", "4096",
+     "--out", "run4"],
 )
 
 
