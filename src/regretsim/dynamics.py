@@ -73,9 +73,11 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
 
     Players that share an action count n and an update kind (Hedge, or the
     optimistic rule of the other modes) form a group, held as (m_g, B, n)
-    stacks of strategies and of the two latest losses, which swap each round,
-    and of -eta, (m_g, B, 1). An adaptive player whose threshold is below 2T
-    (see ``init_state``) keeps its two (B,) variance sums, extended each round
+    stacks of strategies, of the two latest losses, which swap each round, of
+    -eta and of work arrays made once (the exponent and x * loss), beside one
+    (m_g, B, 1) reduction buffer, so the update allocates nothing and
+    broadcasts only that buffer. An adaptive player whose threshold is below
+    2T (see ``init_state``) keeps its two (B,) variance sums, extended each round
     by ``learners.row_variances``, and takes the switch test on them. Each
     round, each cell (a run of a group's rows, below) computes its players'
     expected losses into their rows of the group's loss stack in one
@@ -100,15 +102,16 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     shapes = [(len(members), batch, counts[members[0]]) for members in groups]
     strategies = [np.full(shape, 1.0 / shape[2]) for shape in shapes]
     loss_stacks = [[np.zeros(shape) for shape in shapes] for _ in range(2)]
-    neg_etas = [np.array([[[-states[i].eta]] * batch for i in members]) for members in groups]
-    hedge = [kinds[members[0]][1] for members in groups]
+    neg_etas = [np.stack([np.full(shape[1:], -states[i].eta) for i in members])
+                for members, shape in zip(groups, shapes)]
     rows = [strategies[g][k] for g, k in place]
     switch_rounds = [np.zeros(batch, dtype=int) for _ in players]
     # A cell is a run of rows of one group whose loss matrices are C-contiguous
     # (see ``loss_matrix``) and whose opponents all lie in one group, so a cell
     # of two or more rows lies in the one group of every player and its
     # matrices share one shape. A cell starts at every row that cannot join.
-    joins = [len(groups) == 1 and loss_matrix(games[0], i).flags.c_contiguous for i in players]
+    matrices = {i: [loss_matrix(game, i) for game in games] for i in players}
+    joins = [len(groups) == 1 and matrices[i][0].flags.c_contiguous for i in players]
     starts = [i for i in players if not (i and joins[i - 1] and joins[i])]
     cells = [list(range(a, b)) for a, b in zip(starts, starts[1:] + [len(counts)])]
     # Strategies are updated in place, so views of them stay valid. Each round
@@ -123,7 +126,8 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     for cell in cells:
         (g, k), c = place[cell[0]], len(cell)
         lead = (c, batch) if c > 1 else (batch,)
-        mat = np.stack([loss_matrix(game, i) for i in cell for game in games])
+        # popped, so no middle player's copy outlives its cell's stack
+        mat = np.stack([matrix for i in cell for matrix in matrices.pop(i)])
         opponents = [[j for j in players if j != i] for i in cell]
         if c == 1:
             gather, sources = None, [rows[j] for j in opponents[0]]
@@ -142,43 +146,53 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
                              [stacks[g][k:k + c].reshape(lead + (-1, 1)) for stacks in loss_stacks]))
     played, seen = ([np.zeros(shape[:1] + ((rounds,) if full_history else ()) + shape[1:])
                      for shape in shapes] for _ in range(2))
+    # Per group: strategies, (loss, prev) by parity, -eta, work arrays, kind, record.
+    updates = [(strategies[g], ((l0, l1), (l1, l0)), neg_etas[g], np.empty(shape),
+                np.empty(shape[:2] + (1,)), np.empty(shape), kinds[members[0]][1], play, see)
+               for g, (members, shape, l0, l1, play, see)
+               in enumerate(zip(groups, shapes, *loss_stacks, played, seen))]
     # Local names for the ufuncs the loop calls T times per group.
-    maximum, add, exp, divide = np.maximum.reduce, np.add.reduce, np.exp, np.divide
+    maximum, total, exp = np.maximum.reduce, np.add.reduce, np.exp
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     for t in range(rounds):
         parity = t & 1
-        losses, prev_losses = loss_stacks[parity], loss_stacks[1 - parity]
         for gather, chain, mat, column, outs in contractions:
             if gather:
                 gather()
             for joint, factor, product in chain:
-                np.multiply(joint, factor, out=product)
-            np.matmul(mat, column, out=outs[parity])
+                multiply(joint, factor, product)
+            np.matmul(mat, column, outs[parity])
         for i, sums in var_sums.items():
             (g, k), x, fired = place[i], rows[i], switch_rounds[i]
-            sums[0] += learners.row_variances(x, losses[g][k] - prev_losses[g][k])
-            sums[1] += learners.row_variances(x, prev_losses[g][k])
+            loss, prev = loss_stacks[parity][g][k], loss_stacks[1 - parity][g][k]
+            sums[0] += learners.row_variances(x, loss - prev)
+            sums[1] += learners.row_variances(x, prev)
             if t + 1 >= learners.MIN_SWITCH_ROUND:
                 fire = (fired == 0) & (sums[0] > 0.5 * sums[1] + states[i].switch_threshold)
                 fired[fire] = t + 1
                 neg_etas[g][k][fire] = -states[i].eta_post
-        for x, loss, prev, neg_eta, is_hedge, play, see in zip(
-                strategies, losses, prev_losses, neg_etas, hedge, played, seen):
+        for x, pairs, neg_eta, e, red, product, is_hedge, play, see in updates:
+            loss, prev = pairs[parity]
             if full_history:
                 play[:, t] = x
                 see[:, t] = loss
             else:
-                play += x * loss
-                see += loss
+                multiply(x, loss, product)
+                add(play, product, play)
+                add(see, loss, see)
             if is_hedge:
-                e = loss * neg_eta
+                multiply(loss, neg_eta, e)
             else:
-                e = 2.0 * loss
-                e -= prev
-                e *= neg_eta
-            e -= maximum(e, -1, keepdims=True)
-            exp(e, out=e)
-            e *= x
-            divide(e, add(e, -1, keepdims=True), out=x)
+                # loss + loss is 2.0 * loss exactly
+                add(loss, loss, e)
+                subtract(e, prev, e)
+                multiply(e, neg_eta, e)
+            maximum(e, -1, None, red, True)
+            subtract(e, red, e)
+            exp(e, e)
+            multiply(e, x, e)
+            total(e, -1, None, red, True)
+            divide(e, red, x)
     if not full_history:
         played = [play.sum(-1) for play in played]
     return [[arrays[g][k] for g, k in place] for arrays in (played, seen)] + [rows, switch_rounds]
@@ -406,20 +420,19 @@ def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     labels = [(k // 2 + 1, ("strategy", "loss")[k % 2], j + 1)
               for k, h in enumerate(histories) for j in range(h.shape[1])]
     write_csv(path, ("round", "player", "kind", "action", "value"),
-              _round_blocks(histories, labels))
+              _round_blocks(histories, len(labels)), labels)
 
 
 def regret_curves_to_csv(entries: Sequence[RegretEntry], path) -> None:
     """Write rows (round, player, regret), 1-indexed, LF-terminated."""
-    curves = [entry.curve[:, None] for entry in entries]
     write_csv(path, ("round", "player", "regret"),
-              _round_blocks(curves, [(entry.player + 1,) for entry in entries]))
+              _round_blocks([entry.curve[:, None] for entry in entries], len(entries)),
+              [(entry.player + 1,) for entry in entries])
 
 
-def _round_blocks(histories, labels):
-    """``write_csv`` blocks of whole rounds: row j holds the round, ``labels[j]`` and value j."""
-    step = max(1, CSV_BLOCK_ROWS // len(labels))
+def _round_blocks(histories, period):
+    """``write_csv`` blocks of whole rounds: (round, value) rows, ``period`` per round."""
+    step = max(1, CSV_BLOCK_ROWS // period)
     for start in range(0, len(histories[0]), step):
         values = np.concatenate([h[start:start + step] for h in histories], axis=1)
-        yield ([t for t in range(start + 1, start + len(values) + 1) for _ in labels],
-               *(list(column) * len(values) for column in zip(*labels)), values.reshape(-1))
+        yield np.arange(start + 1, start + len(values) + 1).repeat(period), values.reshape(-1)

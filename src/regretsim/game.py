@@ -10,6 +10,7 @@ every file the package writes.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import reduce
@@ -61,7 +62,7 @@ class Game:
 
 
 def _profile_count(action_counts: Sequence[int]) -> int:
-    return int(np.prod([int(n) for n in action_counts], dtype=object)) if action_counts else 0
+    return math.prod(int(n) for n in action_counts) if action_counts else 0
 
 
 def uniform_strategy(n: int) -> np.ndarray:
@@ -101,7 +102,8 @@ def validate_game(game: Game) -> list[str]:
             )
             continue
         flat = tensor.reshape(-1)
-        bad = ~(np.isfinite(flat) & (flat >= 0.0) & (flat <= 1.0))
+        # NaN and +-inf fail one of the two comparisons
+        bad = ~((flat >= 0.0) & (flat <= 1.0))
         if bad.any():
             k = int(np.argmax(bad))
             profile = np.unravel_index(k, game.action_counts)
@@ -135,8 +137,9 @@ def loss_matrix(game: Game, player: int) -> np.ndarray:
     transposed (column-major) view. BLAS rounding follows the layout, so the
     engine stacks only matrices of one layout to match ``expected_loss_vector``.
     """
-    n = game.action_counts[player]
-    return np.moveaxis(game.loss_tensors[player], player, 0).reshape(n, -1)
+    tensor = game.loss_tensors[player]
+    axes = (player, *(j for j in range(tensor.ndim) if j != player))
+    return tensor.transpose(axes).reshape(game.action_counts[player], -1)
 
 
 def expected_loss_vector(game: Game, player: int, strategies: Sequence[np.ndarray]) -> np.ndarray:
@@ -252,28 +255,36 @@ def load_game_json(path) -> Game:
     return game_from_dict(data, name=stem)
 
 
-def write_csv(path, header: Sequence[str], blocks: Iterable[tuple]) -> None:
+def write_csv(path, header: Sequence[str], blocks: Iterable[tuple],
+              labels: Sequence[tuple] = ((),)) -> None:
     """Stream ``blocks`` of rows under ``header`` to an LF-terminated CSV file.
 
     A block is a tuple of equal-length columns, each a NumPy array (read with
-    ``tolist``) or a sequence. It is formatted ``CSV_BLOCK_ROWS`` rows at a
-    time with one ``%`` call. Float cells get 17 significant digits, enough to
-    read back the same double in any locale; every other cell is written with
-    ``str``. The first row's cell types fix the layout, so each column holds one type.
+    ``tolist``) or a sequence. Row r of a block holds its first column's cell,
+    then the cells of ``labels[r % len(labels)]``, then its other columns'
+    cells, so a block holds whole periods of ``labels``. The labels are baked
+    into the row format, and a block is formatted ``CSV_BLOCK_ROWS`` rows (or
+    one period) at a time with one ``%`` call. Float cells get 17 significant
+    digits, enough to read back the same double in any locale; every other
+    cell and label is written with ``str``. The first row's cell types fix the
+    layout, so each column holds one type.
     """
-    fmt = None
+    fmt, period = None, len(labels)
+    step = max(1, CSV_BLOCK_ROWS // period) * period
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            for start in range(0, len(block[0]), CSV_BLOCK_ROWS):
-                columns = [c[start:start + CSV_BLOCK_ROWS] for c in block]
+            for start in range(0, len(block[0]), step):
+                columns = [c[start:start + step] for c in block]
                 columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-                fmt = fmt or ",".join("%.17g" if isinstance(c[0], float) else "%s"
-                                      for c in columns) + "\n"
+                if fmt is None:
+                    first, *rest = ("%.17g" if isinstance(c[0], float) else "%s" for c in columns)
+                    fmt = "".join(",".join([first, *(str(cell).replace("%", "%%") for cell in row),
+                                            *rest]) + "\n" for row in labels)
                 cells = [None] * (len(columns) * len(columns[0]))
                 for j, column in enumerate(columns):
                     cells[j::len(columns)] = column
-                fh.write(fmt * len(columns[0]) % tuple(cells))
+                fh.write(fmt * (len(columns[0]) // period) % tuple(cells))
 
 
 def write_json(data, path) -> None:

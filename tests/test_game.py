@@ -17,7 +17,7 @@ from regretsim import (
     uniform_strategy,
     validate_game,
 )
-from regretsim.game import game_from_dict, game_to_dict, write_csv
+from regretsim.game import _profile_count, game_from_dict, game_to_dict, loss_matrix, write_csv
 
 
 def small_random_games():
@@ -70,9 +70,16 @@ class TestValidateGame:
         assert any("at least 2 players" in v for v in violations)
 
     def test_non_finite_reported(self):
-        l1 = np.array([[np.nan, 0.0], [0.0, 1.0]])
-        violations = validate_game(Game(2, (2, 2), (l1, np.zeros((2, 2)))))
-        assert any("player 1" in v for v in violations)
+        for value in (math.nan, math.inf, -math.inf):
+            l2 = np.full((2, 3, 2), 0.5)
+            l2[1, 0, 1] = value
+            l2[1, 2, 0] = -value  # only the first offending profile is reported
+            game = Game(3, (2, 3, 2), (np.zeros((2, 3, 2)), l2, np.ones((2, 3, 2))))
+            assert validate_game(game) == [
+                f"loss outside [0, 1] at player 2, profile (2, 1, 2): {value!r}"]
+
+    def test_profile_count_exact_past_int64(self):
+        assert _profile_count((10**10, 10**10)) == 10**20
 
 
 class TestJointActionLoss:
@@ -168,6 +175,19 @@ class TestExpectedLossVector:
             np.testing.assert_allclose(
                 expected_loss_vector(game, i, strategies),
                 _einsum_oracle(game, i, strategies), rtol=0, atol=1e-12)
+
+
+class TestLossMatrix:
+    @pytest.mark.parametrize("counts", [(2, 3), (3, 2, 4), (2, 4, 3, 2)])
+    def test_matches_moveaxis_layout(self, counts):
+        game = random_game(len(counts), counts, seed=len(counts))
+        for i, tensor in enumerate(game.loss_tensors):
+            expected = np.moveaxis(tensor, i, 0).reshape(counts[i], -1)
+            matrix = loss_matrix(game, i)
+            np.testing.assert_array_equal(matrix, expected)
+            assert matrix.flags.c_contiguous == expected.flags.c_contiguous
+            assert matrix.flags.f_contiguous == expected.flags.f_contiguous
+            assert np.shares_memory(matrix, tensor) == np.shares_memory(expected, tensor)
 
 
 class TestRandomGame:
@@ -302,3 +322,18 @@ class TestWriteCsv:
                    for a, b in zip(cuts, cuts[1:]) if b > a])
         for name in ("a.csv", "b.csv"):
             assert (tmp_path / name).read_bytes() == reference.encode()
+
+    @pytest.mark.parametrize("period, periods", [(1, 2049), (3, 700), (1100, 2)])
+    def test_labels_match_per_row_formatting(self, period, periods, tmp_path):
+        rows = period * periods
+        floats = np.resize(np.array(self.SPECIAL), rows)
+        labels = [(k % 7, ("strategy", "100%s")[k % 2]) for k in range(period)]
+        reference = "t,label,kind,value\n" + "".join(
+            "%s,%s,%s,%.17g\n" % (r // period, *labels[r % period], v)
+            for r, v in enumerate(floats.tolist()))
+        # blocks of whole periods, split at a period that is not a chunk boundary
+        cut = (periods // 2) * period
+        write_csv(tmp_path / "a.csv", ("t", "label", "kind", "value"),
+                  [(np.arange(a, b) // period, floats[a:b]) for a, b in ((0, cut), (cut, rows))],
+                  labels)
+        assert (tmp_path / "a.csv").read_bytes() == reference.encode()
