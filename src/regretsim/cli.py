@@ -43,7 +43,7 @@ class LearnerSpec:
 
     def resolve_eta(self, m: int, rounds: int) -> float:
         if self.eta_policy == "explicit":
-            return self.eta
+            return float(self.eta)
         if self.eta_policy == "theorem":
             return learners.recommended_eta(m, max(rounds, 2))
         return learners.practical_eta(m, max(rounds, 2))
@@ -103,7 +103,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"config.seed: must be an integer or null, got {cfg.seed!r}")
     if not isinstance(cfg.out_dir, str):
         raise ConfigError(f"config.out_dir: must be a path string, got {cfg.out_dir!r}")
-    flags = {f"diagnostics.{k}": v for k, v in asdict(cfg.diagnostics).items() if k != "fd_h_max"}
+    flags = {f"diagnostics.{name}": getattr(cfg.diagnostics, name) for name in PLAYER_DIAGNOSTICS}
     flags.update(emit_trajectory=cfg.emit_trajectory, force_trajectory=cfg.force_trajectory)
     for name, value in flags.items():
         if type(value) is not bool:
@@ -137,7 +137,7 @@ def load_config_game(cfg: ExperimentConfig) -> Game:
         actions = [json_int(n, "game_random.actions") for n in r["actions"]]
         return random_game(json_int(r.get("players", len(actions)), "game_random.players"),
                            actions, json_int(r.get("seed", 0), "game_random.seed"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"config.game: {exc}") from exc
 
 
@@ -153,7 +153,7 @@ def build_learner_configs(cfg: ExperimentConfig, game: Game) -> list[dynamics.Le
         dynamics.LearnerConfig(mode=s.mode, eta=s.resolve_eta(game.num_players, cfg.rounds))
         for s in specs
     ]
-    audits = [name for name, on in asdict(cfg.diagnostics).items() if on]
+    audits = [name for name in PLAYER_DIAGNOSTICS if getattr(cfg.diagnostics, name)]
     try:
         diagnostics.check_audit_learners(audits, [c.mode for c in configs], [c.eta for c in configs])
     except ValueError as exc:
@@ -222,12 +222,8 @@ def _diag_from_flags(text: str | None, fd_h_max: int | None) -> dict | None:
     for name in names:
         if name not in DIAGNOSTIC_NAMES:
             raise ConfigError(f"--diagnostics: unknown diagnostic {name!r}")
-    return dict(
-        bound_terms="bound_terms" in names,
-        variance_inequality="variance_inequality" in names,
-        fd_h_max=(fd_h_max if fd_h_max is not None else 5) if "fd_profile" in names else None,
-        closeness="closeness" in names,
-    )
+    fd_h_max = (fd_h_max if fd_h_max is not None else 5) if "fd_profile" in names else None
+    return dict({name: name in names for name in PLAYER_DIAGNOSTICS}, fd_h_max=fd_h_max)
 
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -296,57 +292,45 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
 # Experiment execution
 # ---------------------------------------------------------------------------
 
+def _closeness_entry(trajectory: dynamics.Trajectory, i: int) -> dict:
+    closeness = diagnostics.consecutive_closeness(trajectory.strategies[i])
+    bound = math.exp(6.0 * trajectory.metadata.etas[i]) - 1.0
+    return dict(closeness.to_dict(), player=i + 1, bound=bound,
+                within_bound=closeness.zeta_observed <= bound)
+
+
+# Per-player diagnostics: name -> (player i's diagnostics.json entry, the name of
+# its summary.json verdict, the test every entry must pass for that verdict to
+# hold). Audits are looked up on ``diagnostics`` per call, so tracers can wrap them.
+PLAYER_DIAGNOSTICS = {
+    "bound_terms": (lambda traj, i: diagnostics.regret_bound_terms(traj, i).to_dict(),
+                    "bound_terms_all_c_star_finite",
+                    lambda e: e["c_star"] is not None and math.isfinite(e["c_star"])),
+    "variance_inequality": (lambda traj, i: diagnostics.check_variance_inequality(traj, i).to_dict(),
+                            "variance_inequality_all_hold", lambda e: e["holds"]),
+    "closeness": (_closeness_entry, "closeness_all_within_bound", lambda e: e["within_bound"]),
+}
+
+
 def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory):
-    """Diagnostics report plus the per-player finite-difference profiles."""
-    toggles = cfg.diagnostics
-    m = trajectory.game.num_players
-    report: dict = {}
-    if toggles.bound_terms:
-        report["bound_terms"] = [
-            diagnostics.regret_bound_terms(trajectory, i).to_dict() for i in range(m)
-        ]
-    if toggles.variance_inequality:
-        report["variance_inequality"] = [
-            diagnostics.check_variance_inequality(trajectory, i).to_dict() for i in range(m)
-        ]
+    """Diagnostics report, its summary verdicts and the per-player finite-difference profiles."""
+    toggles, players = cfg.diagnostics, range(trajectory.game.num_players)
+    report, verdicts = {}, {}
+    for name, (entry, verdict, passes) in PLAYER_DIAGNOSTICS.items():
+        if getattr(toggles, name):
+            report[name] = [entry(trajectory, i) for i in players]
+            verdicts[verdict] = all(passes(e) for e in report[name])
     fd_profiles = []
     if toggles.fd_h_max is not None:
         h_max = min(toggles.fd_h_max, trajectory.rounds - 1)
         fd_profiles = [diagnostics.fd_decay_profile(trajectory.losses[i], h_max)
-                       for i in range(m)]
+                       for i in players]
         report["fd_profile"] = [dict(player=i + 1, **p.to_dict())
                                 for i, p in enumerate(fd_profiles)]
-    if toggles.closeness:
-        entries = []
-        for i in range(m):
-            closeness = diagnostics.consecutive_closeness(trajectory.strategies[i])
-            eta = trajectory.metadata.etas[i]
-            bound = math.exp(6.0 * eta) - 1.0
-            entry = closeness.to_dict()
-            entry.update(player=i + 1, bound=bound,
-                         within_bound=closeness.zeta_observed <= bound)
-            entries.append(entry)
-        report["closeness"] = entries
-    return report, fd_profiles
-
-
-def _diagnostic_verdicts(report: dict) -> dict:
-    verdicts = {}
-    if "bound_terms" in report:
-        verdicts["bound_terms_all_c_star_finite"] = all(
-            e["c_star"] is not None and math.isfinite(e["c_star"])
-            for e in report["bound_terms"])
-    if "variance_inequality" in report:
-        verdicts["variance_inequality_all_hold"] = all(
-            e["holds"] for e in report["variance_inequality"])
-    if "closeness" in report:
-        verdicts["closeness_all_within_bound"] = all(
-            e["within_bound"] for e in report["closeness"])
-    if "fd_profile" in report:
         verdicts["fd_profile_max_ratio"] = max(
             (r for e in report["fd_profile"] for r in e["ratios"] if r is not None),
             default=None)
-    return verdicts
+    return report, verdicts, fd_profiles
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -354,15 +338,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     started = time.perf_counter()
     game = load_config_game(cfg)
     configs = build_learner_configs(cfg, game)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     trajectory = dynamics.run(game, configs, cfg.rounds, seed=cfg.seed)
     entries = dynamics.regret_report(trajectory)
     play = None
     if game.profile_count <= dynamics.DENSE_SUPPORT_LIMIT:
         play = dynamics.cce_gap(game, dynamics.empirical_joint_distribution(trajectory))
-    diag_report, fd_profiles = _run_diagnostics(cfg, trajectory)
+    diag_report, verdicts, fd_profiles = _run_diagnostics(cfg, trajectory)
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
         dynamics.regret_curves_to_csv(entries, out / "regret_curve.csv")
         rows = 2 * cfg.rounds * sum(game.action_counts)  # strategy and loss per (round, action)
@@ -384,7 +368,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "etas": [c.eta for c in configs],
         "regret": [e.to_dict() for e in entries],
         "cce": play.to_dict() if play is not None else None,
-        "diagnostics": _diagnostic_verdicts(diag_report),
+        "diagnostics": verdicts,
         "duration_seconds": time.perf_counter() - started,
     }
     if "json" in cfg.formats:
@@ -402,6 +386,8 @@ def compare_learners(cfg: ExperimentConfig) -> list[dict]:
     if len(cfg.learner_specs) < 2:
         raise ConfigError("compare needs at least 2 learner specs (--learner a,b)")
     game = load_config_game(cfg)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     checkpoints = sorted({max(1, cfg.rounds // 4), max(1, cfg.rounds // 2), cfg.rounds})
     rows: list[dict] = []
     for spec in cfg.learner_specs:
@@ -416,13 +402,9 @@ def compare_learners(cfg: ExperimentConfig) -> list[dict]:
                     "player": e.player + 1,
                     "regret": float(e.curve[checkpoint - 1]),
                 })
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
         header = ("learner", "eta", "round", "player", "regret")
         columns = [[r[k] for r in rows] for k in header]
-        # an explicit eta read from a config file may be an int; the column holds floats
-        columns[1] = [float(eta) for eta in columns[1]]
         write_csv(out / "compare.csv", header, [columns])
     if "json" in cfg.formats:
         write_json(rows, out / "compare.json")

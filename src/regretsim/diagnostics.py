@@ -282,7 +282,8 @@ class ClosenessReport:
     """How far consecutive distributions drift, measured by coordinate ratios.
 
     zeta_observed is max over steps of (largest ratio in either direction)
-    minus 1; a zero coordinate produces an infinite ratio.
+    minus 1; a zero coordinate produces an infinite ratio. worst_step s is the
+    0-indexed move from row s to row s + 1; both indices are -1 with no step.
     """
 
     zeta_observed: float
@@ -291,10 +292,12 @@ class ClosenessReport:
     worst_coordinate: int
 
     def to_dict(self) -> dict:
+        """1-indexed: step t moves from round t to round t + 1; null for both with no step."""
+        has_step = self.worst_step >= 0
         return {
             "zeta_observed": self.zeta_observed,
-            "worst_step": self.worst_step,
-            "worst_coordinate": self.worst_coordinate,
+            "worst_step": self.worst_step + 1 if has_step else None,
+            "worst_coordinate": self.worst_coordinate + 1 if has_step else None,
         }
 
 

@@ -22,6 +22,9 @@ __version__ = "0.1.0"
 # Dense storage cap for the empirical joint distribution.
 DENSE_SUPPORT_LIMIT = 10**6
 
+# ``batch_run`` plays a shape's waiting games once their loss tensors reach this many bytes.
+BATCH_BYTES = 2 * 2**20
+
 
 @dataclass(frozen=True)
 class LearnerConfig:
@@ -387,26 +390,35 @@ def batch_run(game_source: Game | Callable[[int], Game], seeds: Sequence[int],
     """One streaming run per seed; results follow ``seeds``.
 
     ``game_source`` is either a fixed game or a callable mapping a seed to a
-    game. Every game is checked first; games with equal ``action_counts`` are
-    then played in one ``_play`` batch, so a game's result does not depend on
-    the other games. It equals ``regret_report(run(...))`` up to the order in
-    which the cumulative losses are summed.
+    game. Each game is checked as it is built, then waits with the games of
+    its ``action_counts``; they are played in one ``_play`` batch, and
+    dropped, once they hold ``BATCH_BYTES`` of loss tensors, or at the end.
+    A game's result does not depend on the other games of its batch. It
+    equals ``regret_report(run(...))`` up to the order in which the
+    cumulative losses are summed.
     """
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
-    games = [game_source(seed) if callable(game_source) else game_source for seed in seeds]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k, game in enumerate(games):
-        _check(game, configs, rounds)
-        groups.setdefault(game.action_counts, []).append(k)
     results = [None] * len(seeds)
-    for members in groups.values():
-        cumulative, action_cumulative, _, _ = _play([games[k] for k in members], configs,
+
+    def play(members):
+        cumulative, action_cumulative, _, _ = _play([game for _, game in members], configs,
                                                     rounds, full_history=False)
         regrets, best = _regrets(cumulative, action_cumulative)
-        for k, regret_row, best_row in zip(members, regrets, best):
+        for (k, _), regret_row, best_row in zip(members, regrets, best):
             results[k] = BatchResult(seed=seeds[k], total_regrets=regret_row.tolist(),
                                      best_actions=best_row.tolist())
+
+    waiting: dict[tuple[int, ...], list[tuple[int, Game]]] = {}
+    for k, seed in enumerate(seeds):
+        game = game_source(seed) if callable(game_source) else game_source
+        _check(game, configs, rounds)
+        members = waiting.setdefault(game.action_counts, [])
+        members.append((k, game))
+        if len(members) * sum(tensor.nbytes for tensor in game.loss_tensors) >= BATCH_BYTES:
+            play(waiting.pop(game.action_counts))
+    for members in waiting.values():
+        play(members)
     return results
 
 

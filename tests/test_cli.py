@@ -1,6 +1,7 @@
 """Tests for the command-line front end: config handling, artifacts, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -93,6 +94,12 @@ class TestParseConfig:
         cfg = parse_flags(["run", "--game", "matching_pennies", "--rounds", "8",
                            "--diagnostics", "none"])
         assert cfg.diagnostics == DiagnosticsToggles()
+
+    def test_diagnostic_table_matches_config_format(self):
+        # every per-player diagnostic is a config toggle and a --diagnostics name
+        fields = {f.name for f in dataclasses.fields(DiagnosticsToggles)}
+        assert set(cli.PLAYER_DIAGNOSTICS) | {"fd_h_max"} == fields
+        assert set(cli.PLAYER_DIAGNOSTICS) | {"fd_profile"} == set(cli.DIAGNOSTIC_NAMES)
 
     def test_exactly_one_game_source(self):
         with pytest.raises(ConfigError):
@@ -238,6 +245,20 @@ class TestCompare:
         assert "explicit policy needs an eta" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_integer_eta_is_a_float_in_every_artifact(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"game_name": "matching_pennies", "rounds": 8, "learner_specs": [
+            {"mode": mode, "eta_policy": "explicit", "eta": 1} for mode in ("hedge", "opt_hedge")]}))
+        for command in ("run", "compare"):
+            assert cli.main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        rows = json.loads((tmp_path / "compare" / "compare.json").read_text())
+        with open(tmp_path / "compare" / "compare.csv", newline="") as fh:
+            column = [r["eta"] for r in csv.DictReader(fh)]
+        etas = summary["etas"] + [r["eta"] for r in rows]
+        assert all(type(eta) is float for eta in etas)
+        assert set(etas) == {float(eta) for eta in column} == {1.0}
+
     def test_matching_pennies_symmetric_fixed_point(self, tmp_path):
         # uniform self-play never moves on the symmetric fixture, so both
         # learners score exactly zero regret at every checkpoint
@@ -299,6 +320,32 @@ class TestMainExitCodes:
         code = cli.main(["run", "--game", "matching_pennies", "--rounds", "4",
                          "--out", str(blocker)])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_unusable_out_exits_before_simulating(self, command, tmp_path, monkeypatch):
+        # a patched run that raised would exit 3 as well, so record the calls
+        calls = []
+        monkeypatch.setattr(dynamics, "run", lambda *args, **kwargs: calls.append(args))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        code = cli.main([command, "--game", "matching_pennies", "--rounds", "4",
+                         "--learner", "hedge,opt_hedge", "--out", str(blocker)])
+        assert code == 3
+        assert calls == []
+
+    @pytest.mark.parametrize("flag", ["--game", "--config"])
+    def test_directory_game_is_config_error(self, flag, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("dynamics.run called on a rejected config")
+
+        monkeypatch.setattr(dynamics, "run", no_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "config.json").write_text(json.dumps({"game_path": "d"}))
+        code = cli.main(["run", flag, "d" if flag == "--game" else "config.json"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: config.game:")
+        assert not (tmp_path / "out").exists()
 
     def test_gen_game(self, tmp_path, capsys):
         out = tmp_path / "game.json"

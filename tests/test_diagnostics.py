@@ -375,6 +375,15 @@ class TestConsecutiveCloseness:
         report = consecutive_closeness(np.array([[0.5, 0.5], [0.55, 0.45]]))
         assert report.zeta_observed == pytest.approx(0.5 / 0.45 - 1.0, rel=1e-12)
         assert report.worst_coordinate == 1
+        # the JSON form is 1-indexed: step 1 is the move from round 1 to round 2
+        assert report.to_dict()["worst_coordinate"] == 2
+        assert report.to_dict()["worst_step"] == 1
+
+    def test_single_round_has_no_step(self):
+        report = consecutive_closeness(np.array([[0.5, 0.5]]))
+        assert (report.worst_step, report.worst_coordinate) == (-1, -1)
+        assert report.to_dict() == {"zeta_observed": 0.0, "worst_step": None,
+                                    "worst_coordinate": None}
 
     def test_zero_coordinate_infinite(self):
         report = consecutive_closeness(np.array([[1.0, 0.0], [0.5, 0.5]]))

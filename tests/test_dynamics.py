@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regretsim import learners
+from regretsim import dynamics, learners
 from regretsim import (
     CceReport,
     EmpiricalPlay,
@@ -273,6 +273,28 @@ class TestBatchRun:
         source = lambda s: bad if s == 3 else random_game(2, (2, 2), seed=s)
         with pytest.raises(ValueError, match="invalid game"):
             batch_run(source, [1, 2, 3], [LearnerConfig()] * 2, 4)
+
+    def test_split_batches_match_one_batch(self, monkeypatch):
+        sizes = []
+        play = dynamics._play
+
+        def counted(games, *args, **kwargs):
+            sizes.append(len(games))
+            return play(games, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_play", counted)
+        source = lambda s: random_game(2, (3, 3) if s % 3 == 0 else (2, 2), seed=s)
+        seeds, configs = list(range(1, 11)), [LearnerConfig(eta=0.3)] * 2
+        whole = batch_run(source, seeds, configs, 32)
+        assert sizes == [7, 3]
+        # a 2x2 game holds 64 bytes of loss tensors and a 3x3 game 144, so the
+        # 2x2 games play in pairs, the last one alone at the end, and 3x3 games alone
+        monkeypatch.setattr(dynamics, "BATCH_BYTES", 128)
+        sizes.clear()
+        split = batch_run(source, seeds, configs, 32)
+        assert sizes == [2, 1, 2, 1, 2, 1, 1]
+        assert ([(r.seed, r.total_regrets, r.best_actions) for r in split]
+                == [(r.seed, r.total_regrets, r.best_actions) for r in whole])
 
     @settings(max_examples=40, deadline=None)
     @given(counts=st.integers(2, 3).flatmap(lambda m: st.lists(
