@@ -414,6 +414,7 @@ def compare_learners(cfg: ExperimentConfig) -> list[dict]:
 def gen_game(args: argparse.Namespace) -> None:
     spec = {"actions": _parse_int_list(args.actions), "seed": args.game_seed}
     game = load_config_game(ExperimentConfig(game_random=spec))
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_game_json(game, args.out)
     print(f"wrote {args.out}")
 
@@ -437,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         if summary["cce"] is not None:
             print(f"cce gap {summary['cce']['epsilon']:.6g}")
         return EXIT_OK
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

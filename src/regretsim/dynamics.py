@@ -82,8 +82,9 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     broadcasts only that buffer. An adaptive player whose threshold is below
     2T (see ``init_state``) keeps its two (B,) variance sums, extended each round
     by ``learners.row_variances``, and takes the switch test on them. Each
-    round, each cell (a run of a group's rows, below) computes its players'
-    expected losses into their rows of the group's loss stack in one
+    round, each cell (a run of a group's rows, below) builds its players'
+    opponent joints as right folds, x_j1 * (x_j2 * (... * x_jk)), and computes
+    their expected losses into their rows of the group's loss stack in one
     contraction; then each group records and updates at once, repeating
     ``learners.step`` row by row, bit for bit, so no game depends on its batch
     nor a player on its group. The record is each player's (T, B, n_i)
@@ -120,11 +121,13 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     # Strategies are updated in place, so views of them stay valid. Each round
     # a cell of c rows takes its opponents' strategies from its group's stack
     # in one ``take`` into a (c, m - 1, B, n) buffer (a one-player cell views
-    # them in place, with no c axis), multiplies them left to right on their
-    # joint (c, B, n_j1, n_j2, ..., 1) grid into preallocated buffers, as
-    # ``np.multiply.outer`` would, and ``matmul``s that column with its
-    # (c, B, n_i, N) stack of ``loss_matrix`` results, in their layout, into
-    # its rows of a loss stack.
+    # them in place, with no c axis), folds them from the right into
+    # preallocated buffers, each earlier opponent multiplied in as the new
+    # outer axis of the product so far, as ``expected_loss_vector`` does, so
+    # the inner loop runs over that product and the (c, B, N) joint comes out
+    # in ``loss_matrix``'s row-major opponent order. It ``matmul``s that
+    # column with its (c, B, n_i, N) stack of ``loss_matrix`` results, in
+    # their layout, into its rows of a loss stack.
     contractions = []
     for cell in cells:
         (g, k), c = place[cell[0]], len(cell)
@@ -138,12 +141,12 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
             gathered = np.empty((c, len(counts) - 1) + shapes[g][1:])
             gather = partial(strategies[g].take, np.array(opponents), 0, gathered, "clip")
             sources = list(gathered.swapaxes(0, 1))
-        joint, *factors = [x.reshape(lead + (1,) * s + (-1,) + (1,) * (len(sources) - s))
-                           for s, x in enumerate(sources)]
+        *factors, joint = sources
         chain = []
-        for factor in factors:
-            chain.append((joint, factor, np.empty(np.broadcast_shapes(joint.shape, factor.shape))))
-            joint = chain[-1][2]
+        for factor in reversed(factors):
+            product = np.empty(factor.shape + joint.shape[-1:])
+            chain.append((factor[..., :, None], joint[..., None, :], product))
+            joint = product.reshape(lead + (-1,))
         contractions.append((gather, chain, mat.reshape(lead + mat.shape[1:]),
                              joint.reshape(lead + (-1, 1)),
                              [stacks[g][k:k + c].reshape(lead + (-1, 1)) for stacks in loss_stacks]))
@@ -162,8 +165,8 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
         for gather, chain, mat, column, outs in contractions:
             if gather:
                 gather()
-            for joint, factor, product in chain:
-                multiply(joint, factor, product)
+            for factor, joint, product in chain:
+                multiply(factor, joint, product)
             np.matmul(mat, column, outs[parity])
         for i, sums in var_sums.items():
             (g, k), x, fired = place[i], rows[i], switch_rounds[i]
@@ -312,7 +315,8 @@ def empirical_joint_distribution(trajectory: Trajectory,
 
     Chunks of at most 2^13 profile-rounds, or one round, are built with the
     players' axes reversed, so each multiply runs over its longest axis, in
-    ``np.multiply.outer``'s order; the running total is added into the first
+    ``np.multiply.outer``'s order. A one-round chunk is added straight into
+    the running total; for a longer one the total is added into its first row
     and the rows are summed in sequence: bit for bit a loop over rounds.
     """
     game = trajectory.game
@@ -330,8 +334,11 @@ def empirical_joint_distribution(trajectory: Trajectory,
             out = block[:size].reshape(size, counts[i], -1) if i == m - 1 else None
             joint = np.multiply(trajectory.strategies[i][start:start + size, :, None],
                                 joint.reshape(size, 1, -1), out=out)
-        block[0] += total
-        np.add.reduce(block[:size], axis=0, out=total)
+        if size == 1:
+            total += block[0]
+        else:
+            block[0] += total
+            np.add.reduce(block[:size], axis=0, out=total)
     probs = np.ascontiguousarray(total.transpose())
     probs /= rounds
     return EmpiricalPlay(probs=probs, rounds=rounds)

@@ -147,7 +147,11 @@ def expected_loss_vector(game: Game, player: int, strategies: Sequence[np.ndarra
 
     ``strategies`` is the full strategy profile (length m); entry ``player``
     is ignored. Component j equals the expectation of the player's loss when
-    playing j while every opponent i' draws from ``strategies[i']``.
+    playing j while every opponent i' draws from ``strategies[i']``. The
+    opponents' joint is folded from the right, x_j1 * (x_j2 * (... * x_jk))
+    over the opponents j1 < j2 < ... < jk, in ``loss_matrix``'s row-major
+    profile order; the engine forms the same products, so it matches this
+    function bit for bit.
     """
     if not 0 <= player < game.num_players:
         raise IndexError(f"player index {player} out of range")
@@ -162,7 +166,8 @@ def expected_loss_vector(game: Game, player: int, strategies: Sequence[np.ndarra
                 f"expected {game.action_counts[j]}"
             )
     opponents = [np.asarray(s, dtype=np.float64) for j, s in enumerate(strategies) if j != player]
-    return loss_matrix(game, player) @ reduce(np.multiply.outer, opponents).reshape(-1)
+    joint = reduce(lambda product, x: np.multiply.outer(x, product), opponents[::-1])
+    return loss_matrix(game, player) @ joint.reshape(-1)
 
 
 def random_game(m: int, action_counts: Sequence[int], seed: int,

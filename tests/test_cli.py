@@ -355,6 +355,15 @@ class TestMainExitCodes:
         game = load_game_json(out)
         assert game.action_counts == (2, 3, 2)
 
+    def test_gen_game_creates_missing_directories(self, tmp_path):
+        out = tmp_path / "a" / "b" / "game.json"
+        assert cli.main(["gen-game", "--actions", "2,2", "--out", str(out)]) == 0
+        assert load_game_json(out).action_counts == (2, 2)
+
+    def test_gen_game_out_directory_is_runtime_error(self, tmp_path, capsys):
+        assert cli.main(["gen-game", "--actions", "2,2", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_diagnose_enables_everything(self, tmp_path):
         code = cli.main(["diagnose", "--game", "random", "--actions", "2,2",
                          "--game-seed", "1", "--rounds", "32",

@@ -171,9 +171,10 @@ def empirical_round_loop(trajectory):
 
 class TestEmpiricalPlay:
     @pytest.mark.parametrize("counts, rounds", [((3, 3), 2000), ((2, 3, 2), 1500),
-                                                ((8,) * 5, 6)])
+                                                ((8,) * 5, 6), ((4, 3, 5, 7, 20), 5)])
     def test_matches_round_loop(self, counts, rounds):
-        # 2^13 profile-rounds per chunk: 910 rounds of 3x3, 682 of 2x3x2, one of 8^5
+        # 2^13 profile-rounds per chunk: 910 rounds of 3x3, 682 of 2x3x2, one round of
+        # 8^5 or 4x3x5x7x20
         game = random_game(len(counts), counts, seed=21)
         traj = run(game, [LearnerConfig(eta=0.3)] * len(counts), rounds)
         assert np.array_equal(empirical_joint_distribution(traj).probs, empirical_round_loop(traj))
@@ -428,6 +429,12 @@ class TestEngineMatchesReference:
     @example(counts=[2, 2, 2, 2], game_seed=2,
              modes=["opt_hedge", "adaptive_opt_hedge", "opt_hedge", "opt_hedge"],
              etas=[0.4, 1.5, 0.7, 0.2], c_prime=0.0, rounds=48)
+    # one group of five players: four opponents folded inside the cell of the first four,
+    # whose two adaptive players switch at round 4
+    @example(counts=[2, 2, 2, 2, 2], game_seed=0,
+             modes=["opt_hedge", "adaptive_opt_hedge", "opt_hedge", "adaptive_opt_hedge",
+                    "opt_hedge"],
+             etas=[0.3, 1.5, 1.2, 2.0, 0.15], c_prime=0.0, rounds=48)
     # a 1-action player, and an adaptive player that switches at round 4
     @example(counts=[3, 1, 2], game_seed=2,
              modes=["adaptive_opt_hedge", "hedge", "opt_hedge", "hedge"],

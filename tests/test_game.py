@@ -176,6 +176,19 @@ class TestExpectedLossVector:
                 expected_loss_vector(game, i, strategies),
                 _einsum_oracle(game, i, strategies), rtol=0, atol=1e-12)
 
+    # on these seeds a left fold, ((x_j1 * x_j2) * ...) * x_jk, differs in the last bits
+    @pytest.mark.parametrize("counts, seed", [((3, 2, 4, 3), 0), ((2, 3, 2, 3, 2), 3)])
+    def test_opponents_folded_from_the_right(self, counts, seed):
+        game = random_game(len(counts), counts, seed=seed)
+        rng = np.random.default_rng(seed)
+        strategies = [rng.dirichlet(np.ones(n)) for n in counts]
+        for i in range(game.num_players):
+            *factors, joint = [x for j, x in enumerate(strategies) if j != i]
+            for x in reversed(factors):
+                joint = np.multiply.outer(x, joint)
+            assert np.array_equal(expected_loss_vector(game, i, strategies),
+                                  loss_matrix(game, i) @ joint.reshape(-1))
+
 
 class TestLossMatrix:
     @pytest.mark.parametrize("counts", [(2, 3), (3, 2, 4), (2, 4, 3, 2)])

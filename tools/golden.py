@@ -7,9 +7,11 @@ commands below twice, once against that export and once against the working
 tree's ``src``, each side in its own fresh directory with the same ``--out``
 names. Every file written is compared byte for byte, except that
 ``duration_seconds`` is dropped from each ``summary.json`` first. For a JSON
-file that differs, the differing fields are listed. Exit status: 0 if every
-file agrees, 1 if any differs, 2 if the export or a command fails. Needs
-only the stdlib and the numpy that ``regretsim`` itself imports.
+file that differs, the differing fields are listed; for a CSV file, the
+number of differing lines and the largest absolute and relative difference
+between numeric cells. Exit status: 0 if every file agrees, 1 if any
+differs, 2 if the export or a command fails. Needs only the stdlib and the
+numpy that ``regretsim`` itself imports.
 """
 
 from __future__ import annotations
@@ -91,6 +93,27 @@ def json_diffs(a, b, where: str = ""):
         yield f"{where or '(root)'}: {a!r} != {b!r}"
 
 
+def csv_diff(old: Path, new: Path) -> str:
+    """How far two CSV files differ: differing lines, largest gaps between numeric cells."""
+    a, b = old.read_text().splitlines(), new.read_text().splitlines()
+    lines = abs(len(a) - len(b))
+    largest, relative = 0.0, 0.0
+    for row_a, row_b in zip(a, b):
+        if row_a == row_b:
+            continue
+        lines += 1
+        for cell_a, cell_b in zip(row_a.split(","), row_b.split(",")):
+            try:
+                x, y = float(cell_a), float(cell_b)
+            except ValueError:
+                continue
+            if x != y:
+                largest = max(largest, abs(x - y))
+                relative = max(relative, abs(x - y) / max(abs(x), abs(y)))
+    return (f"{lines} lines differ; largest numeric difference {largest:.3g} absolute, "
+            f"{relative:.3g} relative")
+
+
 def compare(base: Path, head: Path, rev: str) -> int:
     names = {path.relative_to(side) for side in (base, head)
              for path in side.rglob("*") if path.is_file()}
@@ -108,6 +131,8 @@ def compare(base: Path, head: Path, rev: str) -> int:
         if name.suffix == ".json":
             for line in json_diffs(parsed(old), parsed(new)):
                 print(f"  {line}")
+        elif name.suffix == ".csv":
+            print(f"  {csv_diff(old, new)}")
     print(f"golden: {differing} of {len(names)} files differ between {rev} and the working tree")
     return 1 if differing else 0
 
