@@ -191,12 +191,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write trajectory.csv even past the size gate")
         p.add_argument("--no-trajectory", action="store_true", help="skip trajectory.csv")
 
-    p_run = sub.add_parser("run", help="run one experiment")
-    add_common(p_run)
-    p_cmp = sub.add_parser("compare", help="run several learners on the same game and seed")
-    add_common(p_cmp)
-    p_diag = sub.add_parser("diagnose", help="run with every diagnostic enabled")
-    add_common(p_diag)
+    for name, text in (("run", "run one experiment"),
+                       ("compare", "run several learners on the same game and seed"),
+                       ("diagnose", "run with every diagnostic enabled")):
+        add_common(sub.add_parser(name, help=text))
     p_gen = sub.add_parser("gen-game", help="generate a random game JSON")
     p_gen.add_argument("--actions", required=True, help="comma-separated action counts, e.g. 2,3,2")
     p_gen.add_argument("--game-seed", type=int, default=0)
@@ -211,19 +209,26 @@ def _parse_int_list(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _diag_from_flags(text: str | None, fd_h_max: int | None) -> dict | None:
+def _diag_from_flags(text: str | None, fd_h_max: int | None, configured: dict) -> dict:
+    """The config's ``configured`` diagnostics under ``--diagnostics`` and ``--fd-h-max``.
+
+    The finite-difference order is ``--fd-h-max``, else the config's, else 5.
+    """
     if text is None:
-        return None
+        return configured if fd_h_max is None else dict(configured, fd_h_max=fd_h_max)
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
     if names == ["none"]:
-        return {}
+        names = []
     if names == ["all"]:
         names = list(DIAGNOSTIC_NAMES)
     for name in names:
         if name not in DIAGNOSTIC_NAMES:
             raise ConfigError(f"--diagnostics: unknown diagnostic {name!r}")
-    fd_h_max = (fd_h_max if fd_h_max is not None else 5) if "fd_profile" in names else None
-    return dict({name: name in names for name in PLAYER_DIAGNOSTICS}, fd_h_max=fd_h_max)
+    if "fd_profile" not in names and fd_h_max is not None:
+        raise ConfigError("--fd-h-max: needs fd_profile in --diagnostics")
+    order = next(h for h in (fd_h_max, configured.get("fd_h_max"), 5) if h is not None)
+    return dict({name: name in names for name in PLAYER_DIAGNOSTICS},
+                fd_h_max=order if "fd_profile" in names else None)
 
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -238,15 +243,13 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config: expected a JSON object, got {type(data).__name__}")
 
+    actions, game_seed = getattr(args, "actions", None), getattr(args, "game_seed", None)
     if getattr(args, "game", None):
         data.update(game_name=None, game_path=None, game_random=None)
         if args.game == "random":
-            if not getattr(args, "actions", None):
+            if not actions:
                 raise ConfigError("--game random requires --actions")
-            actions = _parse_int_list(args.actions)
-            data["game_random"] = {
-                "players": len(actions), "actions": actions,
-                "seed": getattr(args, "game_seed", None) or 0}
+            data["game_random"] = {}
         elif args.game in NAMED_GAMES:
             data["game_name"] = args.game
         elif args.game.endswith(".json") or Path(args.game).exists():
@@ -254,6 +257,14 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
         else:
             raise ConfigError(
                 f"--game: {args.game!r} is not a named game, an existing JSON path, or 'random'")
+    if actions is not None or game_seed is not None:
+        spec = data.get("game_random")
+        if not isinstance(spec, dict):
+            raise ConfigError("--actions, --game-seed: apply only to a random game")
+        if actions is not None:
+            counts = _parse_int_list(actions)
+            spec.update(players=len(counts), actions=counts)
+        spec["seed"] = game_seed if game_seed is not None else spec.get("seed", 0)
     if getattr(args, "rounds", None) is not None:
         data["rounds"] = args.rounds
     if getattr(args, "seed", None) is not None:
@@ -280,11 +291,13 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(f"config.learner_specs: {exc}") from exc
 
-    diag = _diag_from_flags(getattr(args, "diagnostics", None), getattr(args, "fd_h_max", None))
-    if args.command == "diagnose" and diag is None:
-        diag = _diag_from_flags("all", getattr(args, "fd_h_max", None))
-    if diag is not None:
-        data["diagnostics"] = diag
+    configured = data.get("diagnostics", {})
+    if not isinstance(configured, dict):
+        raise ConfigError(f"config.diagnostics: expected an object, got {configured!r}")
+    text = getattr(args, "diagnostics", None)
+    if args.command == "diagnose" and text is None:
+        text = "all"
+    data["diagnostics"] = _diag_from_flags(text, getattr(args, "fd_h_max", None), configured)
     return ExperimentConfig.from_dict(data)
 
 

@@ -156,8 +156,7 @@ def fd_decay_profile(seq: np.ndarray, h_max: int) -> FiniteDifferenceProfile:
         raise ValueError(f"h_max={h_max} out of range [0, {t - 1}]")
     orders = [base]
     for _ in range(h_max):
-        prev = orders[-1]
-        orders.append(prev[1:] - prev[:-1])
+        orders.append(np.diff(orders[-1], axis=0))
     sup_norms = np.array([float(np.max(np.abs(d))) if d.size else 0.0 for d in orders])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(sup_norms[:-1] > 0.0, sup_norms[1:] / sup_norms[:-1], np.nan)
@@ -403,15 +402,8 @@ def regret_bound_terms(trajectory: Trajectory, player: int) -> BoundTermBreakdow
     term_log = math.log(n) / eta
     base = term_log + (eta / 2.0) * (sum_var_delta - sum_var_prev)
     coeff = eta * eta * (sum_var_delta + sum_var_prev / 2.0)
-    if lhs <= base:
-        c_star: float | None = 0.0
-        holds_at_zero = True
-    elif coeff < _C_COEFF_EPS:
-        c_star = None
-        holds_at_zero = False
-    else:
-        c_star = (lhs - base) / coeff
-        holds_at_zero = False
+    holds_at_zero = lhs <= base
+    c_star = 0.0 if holds_at_zero else None if coeff < _C_COEFF_EPS else (lhs - base) / coeff
     return BoundTermBreakdown(
         player=player, lhs=lhs, term_log=term_log,
         term_log_base2=math.log2(n) / eta,

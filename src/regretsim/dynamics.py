@@ -82,16 +82,16 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     broadcasts only that buffer. An adaptive player whose threshold is below
     2T (see ``init_state``) keeps its two (B,) variance sums, extended each round
     by ``learners.row_variances``, and takes the switch test on them. Each
-    round, each cell (a run of a group's rows, below) builds its players'
-    opponent joints as right folds, x_j1 * (x_j2 * (... * x_jk)), and computes
-    their expected losses into their rows of the group's loss stack in one
-    contraction; then each group records and updates at once, repeating
-    ``learners.step`` row by row, bit for bit, so no game depends on its batch
-    nor a player on its group. The record is each player's (T, B, n_i)
-    strategies and losses, views of its group's (m_g, T, B, n) history, with
-    ``full_history``, else its (B,) cumulative losses and (B, n_i) per-action
-    sums. Returns it, the final (B, n_i) strategies and each player's (B,)
-    switch rounds (0: none).
+    round, each cell (every player if one group holds them all, else one
+    player) builds its players' opponent joints as right folds,
+    x_j1 * (x_j2 * (... * x_jk)), and computes their expected losses into
+    their rows of the group's loss stack in one contraction; then each group
+    records and updates at once, repeating ``learners.step`` row by row, bit
+    for bit, so no game depends on its batch nor a player on its group. The
+    record is each player's (T, B, n_i) strategies and losses, views of its
+    group's (m_g, T, B, n) history, with ``full_history``, else its (B,)
+    cumulative losses and (B, n_i) per-action sums. Returns it, the final
+    (B, n_i) strategies and each player's (B,) switch rounds (0: none).
     """
     batch, counts = len(games), games[0].action_counts
     players = range(len(counts))
@@ -110,33 +110,28 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
                 for members, shape in zip(groups, shapes)]
     rows = [strategies[g][k] for g, k in place]
     switch_rounds = [np.zeros(batch, dtype=int) for _ in players]
-    # A cell is a run of rows of one group whose loss matrices are C-contiguous
-    # (see ``loss_matrix``) and whose opponents all lie in one group, so a cell
-    # of two or more rows lies in the one group of every player and its
-    # matrices share one shape. A cell starts at every row that cannot join.
-    matrices = {i: [loss_matrix(game, i) for game in games] for i in players}
-    joins = [len(groups) == 1 and matrices[i][0].flags.c_contiguous for i in players]
-    starts = [i for i in players if not (i and joins[i - 1] and joins[i])]
-    cells = [list(range(a, b)) for a, b in zip(starts, starts[1:] + [len(counts)])]
+    # A cell's players share one group, so their loss matrices share a shape.
+    cells = [list(players)] if len(groups) == 1 else [[i] for i in players]
     # Strategies are updated in place, so views of them stay valid. Each round
     # a cell of c rows takes its opponents' strategies from its group's stack
     # in one ``take`` into a (c, m - 1, B, n) buffer (a one-player cell views
-    # them in place, with no c axis), folds them from the right into
-    # preallocated buffers, each earlier opponent multiplied in as the new
-    # outer axis of the product so far, as ``expected_loss_vector`` does, so
-    # the inner loop runs over that product and the (c, B, N) joint comes out
-    # in ``loss_matrix``'s row-major opponent order. It ``matmul``s that
-    # column with its (c, B, n_i, N) stack of ``loss_matrix`` results, in
-    # their layout, into its rows of a loss stack.
+    # them in place, with c = 1), folds them from the right into preallocated
+    # buffers, each earlier opponent multiplied in as the new outer axis of
+    # the product so far, as ``expected_loss_vector`` does, so the inner loop
+    # runs over that product and the (c, B, N) joint comes out in
+    # ``loss_matrix``'s row-major opponent order. It ``matmul``s that column
+    # with its (c, B, n_i, N) array of ``loss_matrix`` results into its rows
+    # of a loss stack.
     contractions = []
     for cell in cells:
-        (g, k), c = place[cell[0]], len(cell)
-        lead = (c, batch) if c > 1 else (batch,)
-        # popped, so no middle player's copy outlives its cell's stack
-        mat = np.stack([matrix for i in cell for matrix in matrices.pop(i)])
+        (g, k), c, n = place[cell[0]], len(cell), counts[cell[0]]
+        lead = (c, batch)
+        mat = np.empty(lead + (n, games[0].profile_count // n))
+        for a, b in np.ndindex(lead):
+            mat[a, b] = loss_matrix(games[b], cell[a])
         opponents = [[j for j in players if j != i] for i in cell]
         if c == 1:
-            gather, sources = None, [rows[j] for j in opponents[0]]
+            gather, sources = None, [rows[j][None] for j in opponents[0]]
         else:
             gathered = np.empty((c, len(counts) - 1) + shapes[g][1:])
             gather = partial(strategies[g].take, np.array(opponents), 0, gathered, "clip")
@@ -147,8 +142,7 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
             product = np.empty(factor.shape + joint.shape[-1:])
             chain.append((factor[..., :, None], joint[..., None, :], product))
             joint = product.reshape(lead + (-1,))
-        contractions.append((gather, chain, mat.reshape(lead + mat.shape[1:]),
-                             joint.reshape(lead + (-1, 1)),
+        contractions.append((gather, chain, mat, joint.reshape(lead + (-1, 1)),
                              [stacks[g][k:k + c].reshape(lead + (-1, 1)) for stacks in loss_stacks]))
     played, seen = ([np.zeros(shape[:1] + ((rounds,) if full_history else ()) + shape[1:])
                      for shape in shapes] for _ in range(2))

@@ -132,14 +132,11 @@ def loss_matrix(game: Game, player: int) -> np.ndarray:
     """Player's loss tensor as an (n_i, prod n_{-i}) matrix.
 
     Row j holds the losses of action j against every opponent profile, with
-    opponent profiles flattened in row-major order. Player 0 gets a C-ordered
-    view of its tensor, a middle player a C-ordered copy and the last player a
-    transposed (column-major) view. BLAS rounding follows the layout, so the
-    engine stacks only matrices of one layout to match ``expected_loss_vector``.
+    opponent profiles flattened in row-major order. It is C-ordered for every
+    player: a view of the tensor for player 0, a copy otherwise.
     """
-    tensor = game.loss_tensors[player]
-    axes = (player, *(j for j in range(tensor.ndim) if j != player))
-    return tensor.transpose(axes).reshape(game.action_counts[player], -1)
+    matrix = np.moveaxis(game.loss_tensors[player], player, 0)
+    return np.ascontiguousarray(matrix).reshape(game.action_counts[player], -1)
 
 
 def expected_loss_vector(game: Game, player: int, strategies: Sequence[np.ndarray]) -> np.ndarray:

@@ -95,6 +95,31 @@ class TestParseConfig:
                            "--diagnostics", "none"])
         assert cfg.diagnostics == DiagnosticsToggles()
 
+    @pytest.mark.parametrize("command, config, flags, expected", [
+        ("run", {"fd_h_max": 2}, ["--fd-h-max", "5"], DiagnosticsToggles(fd_h_max=5)),
+        ("run", None, ["--fd-h-max", "5"], DiagnosticsToggles(fd_h_max=5)),
+        ("diagnose", {"fd_h_max": 2}, [], DiagnosticsToggles(True, True, 2, True)),
+        ("diagnose", {"fd_h_max": 2}, ["--fd-h-max", "3"], DiagnosticsToggles(True, True, 3, True)),
+        ("run", {"fd_h_max": 2}, ["--diagnostics", "fd_profile"], DiagnosticsToggles(fd_h_max=2)),
+    ], ids=["flag_beats_config", "flag_alone_turns_fd_profile_on", "diagnose_keeps_config",
+            "diagnose_flag_beats_config", "config_order_for_listed_fd_profile"])
+    def test_fd_h_max_flag_then_config_then_default(self, command, config, flags, expected,
+                                                     tmp_path):
+        body = {"game_name": "matching_pennies"}
+        if config is not None:
+            body["diagnostics"] = config
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(body))
+        assert parse_flags([command, "--config", str(path)] + flags).diagnostics == expected
+
+    def test_game_flags_override_config_random_game(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"game_random": {"actions": [3, 3], "seed": 1}}))
+        cfg = parse_flags(["run", "--config", str(path), "--game-seed", "5"])
+        assert cfg.game_random == {"actions": [3, 3], "seed": 5}
+        cfg = parse_flags(["run", "--config", str(path), "--actions", "4,2,2"])
+        assert cfg.game_random == {"actions": [4, 2, 2], "seed": 1, "players": 3}
+
     def test_diagnostic_table_matches_config_format(self):
         # every per-player diagnostic is a config toggle and a --diagnostics name
         fields = {f.name for f in dataclasses.fields(DiagnosticsToggles)}
@@ -345,6 +370,31 @@ class TestMainExitCodes:
         code = cli.main(["run", flag, "d" if flag == "--game" else "config.json"])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: config.game:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--game", "matching_pennies", "--diagnostics", "closeness", "--fd-h-max", "5"],
+        ["--game", "matching_pennies", "--diagnostics", "none", "--fd-h-max", "5"],
+        ["--game", "matching_pennies", "--game-seed", "5"],
+        ["--game", "matching_pennies", "--actions", "4,4"],
+        ["--game", "game.json", "--game-seed", "5"],
+        ["--config", "named.json", "--game-seed", "5"],
+        ["--config", "path.json", "--actions", "2,2"],
+    ], ids=["fd_h_max_without_fd_profile", "fd_h_max_with_none", "game_seed_named_game",
+            "actions_named_game", "game_seed_game_path", "game_seed_config_named_game",
+            "actions_config_game_path"])
+    def test_dropped_flag_exits_before_simulating(self, argv, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("dynamics.run called on a rejected config")
+
+        monkeypatch.setattr(dynamics, "run", no_run)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gen-game", "--actions", "2,2", "--out", "game.json"]) == 0
+        (tmp_path / "named.json").write_text(json.dumps({"game_name": "matching_pennies"}))
+        (tmp_path / "path.json").write_text(json.dumps({"game_path": "game.json"}))
+        code = cli.main(["run", "--rounds", "8"] + argv)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_gen_game(self, tmp_path, capsys):

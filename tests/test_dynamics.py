@@ -319,11 +319,17 @@ class TestBatchRun:
     @example(counts=[(2, 3, 3), (3, 3, 2)], seeds=[1, 2, 3, 4],
              modes=["opt_hedge"] * 3, etas=[0.2, 0.5, 1.0],
              c_prime=learners.DEFAULT_C_PRIME, rounds=48)
-    # five 3x3x3 games, whose one optimistic group forms a cell of the first
-    # two players; the adaptive first player switches at round 4 in the games
-    # of seeds 0, 8 and 12, and not in those of 2 and 4
+    # five 3x3x3 games, whose one optimistic group forms one cell of all three
+    # players; the adaptive first player switches at round 4 in the games of
+    # seeds 0, 8 and 12, and not in those of 2 and 4
     @example(counts=[(3, 3, 3), (2, 3, 3)], seeds=[0, 2, 4, 8, 12, 3],
              modes=["adaptive_opt_hedge", "opt_hedge", "adaptive_opt_hedge"], etas=[1.0] * 3,
+             c_prime=0.0, rounds=48)
+    # five 3x3 games, whose one optimistic group forms one cell of both players;
+    # the adaptive last player switches at round 4 in the games of seeds 2, 4
+    # and 6, and not in those of 0 and 14
+    @example(counts=[(3, 3), (2, 2)], seeds=[2, 0, 4, 14, 6],
+             modes=["opt_hedge", "adaptive_opt_hedge", "hedge"], etas=[0.8, 2.0, 0.1],
              c_prime=0.0, rounds=48)
     def test_matches_per_game_run(self, counts, seeds, modes, etas, c_prime, rounds):
         m = len(counts[0])
@@ -422,19 +428,24 @@ class TestEngineMatchesReference:
     # two optimistic groups, of two and three actions
     @example(counts=[2, 3, 3], game_seed=1, modes=["opt_hedge"] * 4,
              etas=[0.2, 0.5, 1.0, 0.1], c_prime=learners.DEFAULT_C_PRIME, rounds=48)
-    # one group of four players: the first three form one cell, the last another
+    # one group of four players, which form one cell
     @example(counts=[3, 3, 3, 3], game_seed=3, modes=["opt_hedge"] * 4,
              etas=[0.1, 0.4, 1.0, 2.0], c_prime=learners.DEFAULT_C_PRIME, rounds=48)
-    # the adaptive second player, in the cell of the first three, switches at round 4
+    # the adaptive second player, in the one cell of all four, switches at round 4
     @example(counts=[2, 2, 2, 2], game_seed=2,
              modes=["opt_hedge", "adaptive_opt_hedge", "opt_hedge", "opt_hedge"],
              etas=[0.4, 1.5, 0.7, 0.2], c_prime=0.0, rounds=48)
-    # one group of five players: four opponents folded inside the cell of the first four,
+    # one group of five players: four opponents folded inside the one cell of all five,
     # whose two adaptive players switch at round 4
     @example(counts=[2, 2, 2, 2, 2], game_seed=0,
              modes=["opt_hedge", "adaptive_opt_hedge", "opt_hedge", "adaptive_opt_hedge",
                     "opt_hedge"],
              etas=[0.3, 1.5, 1.2, 2.0, 0.15], c_prime=0.0, rounds=48)
+    # one group of two players, which form one cell; the adaptive last player
+    # switches at round 4
+    @example(counts=[3, 3], game_seed=2,
+             modes=["opt_hedge", "adaptive_opt_hedge", "hedge", "hedge"],
+             etas=[0.8, 2.0, 0.1, 0.1], c_prime=0.0, rounds=48)
     # a 1-action player, and an adaptive player that switches at round 4
     @example(counts=[3, 1, 2], game_seed=2,
              modes=["adaptive_opt_hedge", "hedge", "opt_hedge", "hedge"],

@@ -9,9 +9,11 @@ names. Every file written is compared byte for byte, except that
 ``duration_seconds`` is dropped from each ``summary.json`` first. For a JSON
 file that differs, the differing fields are listed; for a CSV file, the
 number of differing lines and the largest absolute and relative difference
-between numeric cells. Exit status: 0 if every file agrees, 1 if any
-differs, 2 if the export or a command fails. Needs only the stdlib and the
-numpy that ``regretsim`` itself imports.
+between numeric cells. Then it prints the total line count of
+``src/regretsim/*.py`` at <rev> and in the working tree, and the difference.
+Exit status: 0 if every file agrees, 1 if any differs, 2 if the export or a
+command fails. Needs only the stdlib and the numpy that ``regretsim`` itself
+imports.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ COMMANDS = (
      "--learner", "hedge,opt_hedge", "--rounds", "4096", "--out", "compare"],
     ["run", "--game", "game.json", "--learner", "adaptive_opt_hedge", "--eta", "0.5",
      "--rounds", "2048", "--out", "run"],
-    # equal action counts put every player in one group, so players share cells
+    # equal action counts put every player in one group, which forms one cell
     ["run", "--game", "random", "--actions", "3,3,3,3", "--game-seed", "2", "--rounds", "4096",
      "--out", "run4"],
 )
@@ -137,6 +139,11 @@ def compare(base: Path, head: Path, rev: str) -> int:
     return 1 if differing else 0
 
 
+def source_lines(src: Path) -> int:
+    """The number of lines in ``src/regretsim/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "regretsim").glob("*.py"))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -144,9 +151,14 @@ def main(argv: list[str]) -> int:
     rev = argv[0]
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         work = Path(tmp)
-        run_commands(export_src(rev, work / "export"), work / "base")
+        base_src = export_src(rev, work / "export")
+        run_commands(base_src, work / "base")
         run_commands(ROOT / "src", work / "head")
-        return compare(work / "base", work / "head", rev)
+        status = compare(work / "base", work / "head", rev)
+        old, new = source_lines(base_src), source_lines(ROOT / "src")
+        print(f"golden: src/regretsim/*.py has {old} lines at {rev} and {new} in the working "
+              f"tree ({new - old:+d})")
+        return status
 
 
 if __name__ == "__main__":
