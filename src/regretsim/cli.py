@@ -171,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate no-regret learning dynamics in normal-form games.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, name):
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--game", help=f"named game ({', '.join(NAMED_GAMES)}), a game JSON path, or 'random'")
         p.add_argument("--actions", help="comma-separated action counts for --game random, e.g. 3,3")
@@ -182,11 +182,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--learner", help="learner mode, or comma-separated list (one per player)")
         p.add_argument("--seed", type=int, help="run seed recorded in metadata")
         p.add_argument("--out", help="output directory")
+        p.add_argument("--format", help="comma-separated output formats (json,csv)")
+        if name == "compare":
+            return  # compare writes regret checkpoints only: no diagnostic, no trajectory
         p.add_argument("--diagnostics",
                        help="comma-separated subset of "
                             f"{{{','.join(DIAGNOSTIC_NAMES)}}}, or 'all'/'none'")
         p.add_argument("--fd-h-max", type=int, help="max finite-difference order for fd_profile")
-        p.add_argument("--format", help="comma-separated output formats (json,csv)")
         p.add_argument("--force-trajectory", action="store_true",
                        help="write trajectory.csv even past the size gate")
         p.add_argument("--no-trajectory", action="store_true", help="skip trajectory.csv")
@@ -194,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, text in (("run", "run one experiment"),
                        ("compare", "run several learners on the same game and seed"),
                        ("diagnose", "run with every diagnostic enabled")):
-        add_common(sub.add_parser(name, help=text))
+        add_common(sub.add_parser(name, help=text), name)
     p_gen = sub.add_parser("gen-game", help="generate a random game JSON")
     p_gen.add_argument("--actions", required=True, help="comma-separated action counts, e.g. 2,3,2")
     p_gen.add_argument("--game-seed", type=int, default=0)

@@ -23,6 +23,10 @@ from .learners import (DEFAULT_C_PRIME, DEFAULT_C_THM, OPT_HEDGE, BoundConstants
 # inequality is effectively C-free and no boundary constant is reported.
 _C_COEFF_EPS = 1e-15
 
+# The finite-difference, variance and closeness audits read a (T, n) history
+# this many rows at a time, so their scratch memory does not grow with T.
+AUDIT_BLOCK_ROWS = 4096
+
 
 # ---------------------------------------------------------------------------
 # Local norms, divergences
@@ -126,10 +130,12 @@ def circular_finite_difference(seq: np.ndarray, h: int) -> np.ndarray:
 
 @dataclass
 class FiniteDifferenceProfile:
-    """Per-order finite-difference sequences of a loss sequence and their
-    sup norms; ``ratios[h]`` is sup_norms[h + 1] / sup_norms[h]."""
+    """Per-round sups over actions of the finite differences of a loss sequence.
 
-    orders: list[np.ndarray]
+    ``round_sups[h][t]`` is max |Delta^h seq[t]| for t < length - h, ``sup_norms[h]``
+    is its maximum and ``ratios[h]`` is sup_norms[h + 1] / sup_norms[h]."""
+
+    round_sups: list[np.ndarray]
     sup_norms: np.ndarray
     ratios: np.ndarray
     h_max: int
@@ -145,30 +151,38 @@ class FiniteDifferenceProfile:
 
 
 def fd_decay_profile(seq: np.ndarray, h_max: int) -> FiniteDifferenceProfile:
-    """Finite differences of orders 0..h_max with sup norms and decay ratios.
+    """Per-round sups of the finite differences of orders 0..h_max, with sup
+    norms and decay ratios.
 
-    Undefined ratios (zero denominator) are reported as NaN, which happens
-    for constant sequences.
+    The differences are taken over row blocks that overlap by h_max rows, by
+    the recursion of ``finite_difference``, so no full-length order is held.
+    Undefined ratios (zero denominator) are reported as NaN, which happens for
+    constant sequences.
     """
     base = np.asarray(seq, dtype=np.float64)
     t = base.shape[0]
     if not 0 <= h_max <= t - 1:
         raise ValueError(f"h_max={h_max} out of range [0, {t - 1}]")
-    orders = [base]
-    for _ in range(h_max):
-        orders.append(np.diff(orders[-1], axis=0))
-    sup_norms = np.array([float(np.max(np.abs(d))) if d.size else 0.0 for d in orders])
+    base = base.reshape(t, -1)
+    round_sups = [np.empty(t - h) for h in range(h_max + 1)]
+    for start in range(0, t, AUDIT_BLOCK_ROWS):
+        d = base[start:start + AUDIT_BLOCK_ROWS + h_max]
+        for sups in round_sups:
+            sups[start:start + AUDIT_BLOCK_ROWS] = np.abs(d[:AUDIT_BLOCK_ROWS]).max(1)
+            d = d[1:] - d[:-1]
+    sup_norms = np.array([float(s.max()) for s in round_sups])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(sup_norms[:-1] > 0.0, sup_norms[1:] / sup_norms[:-1], np.nan)
-    return FiniteDifferenceProfile(orders=orders, sup_norms=sup_norms,
+    return FiniteDifferenceProfile(round_sups=round_sups, sup_norms=sup_norms,
                                    ratios=ratios, h_max=h_max, length=t)
 
 
 def fd_profile_values_csv(profile: FiniteDifferenceProfile, path) -> None:
-    """CSV rows (order, t, value); value is the sup norm of the entry at t."""
+    """CSV rows (order, t, value); value is ``round_sups[order][t - 1]``, the sup
+    norm of the order's entry at round t."""
     write_csv(path, ("order", "t", "value"),
-              ((np.broadcast_to(h, len(d)), range(1, len(d) + 1),
-                np.abs(d).reshape(len(d), -1).max(1)) for h, d in enumerate(profile.orders)))
+              ((np.broadcast_to(h, len(s)), range(1, len(s) + 1), s)
+               for h, s in enumerate(profile.round_sups)))
 
 
 def fd_profile_norms_csv(profile: FiniteDifferenceProfile, path) -> None:
@@ -300,6 +314,14 @@ class ClosenessReport:
         }
 
 
+def _worst_ratios(x: np.ndarray) -> np.ndarray:
+    """Coordinatewise larger of the forward and backward ratios of consecutive rows;
+    a 0/0 ratio counts as infinite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst = np.maximum(x[1:] / x[:-1], x[:-1] / x[1:])
+    return np.nan_to_num(worst, nan=np.inf, posinf=np.inf)
+
+
 def consecutive_closeness(strategies: Sequence[np.ndarray] | np.ndarray) -> ClosenessReport:
     """Measure the worst coordinatewise ratio between consecutive distributions."""
     x = np.asarray(strategies, dtype=np.float64)
@@ -308,15 +330,12 @@ def consecutive_closeness(strategies: Sequence[np.ndarray] | np.ndarray) -> Clos
     t = x.shape[0]
     if t < 2:
         return ClosenessReport(0.0, np.zeros(0), -1, -1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fwd = x[1:] / x[:-1]
-        bwd = x[:-1] / x[1:]
-    fwd = np.nan_to_num(fwd, nan=np.inf, posinf=np.inf)
-    bwd = np.nan_to_num(bwd, nan=np.inf, posinf=np.inf)
-    worst = np.maximum(fwd, bwd)
-    per_step = worst.max(axis=1) - 1.0
+    per_step = np.empty(t - 1)
+    for start in range(0, t - 1, AUDIT_BLOCK_ROWS):
+        block = _worst_ratios(x[start:start + AUDIT_BLOCK_ROWS + 1])
+        per_step[start:start + AUDIT_BLOCK_ROWS] = block.max(axis=1) - 1.0
     step = int(np.argmax(per_step))
-    coord = int(np.argmax(worst[step]))
+    coord = int(np.argmax(_worst_ratios(x[step:step + 2])[0]))
     return ClosenessReport(float(per_step.max()), per_step, step, coord)
 
 
@@ -341,12 +360,20 @@ def check_audit_learners(audits: Iterable[str], modes: Sequence[str], etas: Sequ
 def _variance_sums(trajectory: Trajectory, player: int) -> tuple[float, float]:
     """Sums over rounds of Var[loss - prev loss] and Var[prev loss] under the player's strategy.
 
-    The round-0 previous loss is the all-zeros vector by convention.
+    The round-0 previous loss is the all-zeros vector by convention. Each sum
+    is taken at once over per-round variances computed one row block at a time.
     """
     x = trajectory.strategies[player]
     losses = trajectory.losses[player]
-    prev = np.vstack([np.zeros((1, losses.shape[1])), losses[:-1]])
-    return float(row_variances(x, losses - prev).sum()), float(row_variances(x, prev).sum())
+    t = losses.shape[0]
+    var_delta, var_prev = np.empty(t), np.empty(t)
+    for start in range(0, t, AUDIT_BLOCK_ROWS):
+        stop = min(start + AUDIT_BLOCK_ROWS, t)
+        prev = losses[start - 1:stop - 1] if start else np.vstack(
+            [np.zeros((1, losses.shape[1])), losses[:stop - 1]])
+        var_delta[start:stop] = row_variances(x[start:stop], losses[start:stop] - prev)
+        var_prev[start:stop] = row_variances(x[start:stop], prev)
+    return float(var_delta.sum()), float(var_prev.sum())
 
 
 @dataclass

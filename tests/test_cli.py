@@ -358,6 +358,20 @@ class TestMainExitCodes:
         assert code == 3
         assert calls == []
 
+    @pytest.mark.parametrize("flag", [["--diagnostics", "all"], ["--fd-h-max", "3"],
+                                      ["--no-trajectory"], ["--force-trajectory"]],
+                             ids=["diagnostics", "fd_h_max", "no_trajectory", "force_trajectory"])
+    def test_compare_rejects_diagnostic_and_trajectory_flags(self, flag, tmp_path, monkeypatch):
+        # compare runs no diagnostic and writes no trajectory, so these flags would be dropped
+        calls = []
+        monkeypatch.setattr(dynamics, "run", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compare", "--game", "matching_pennies", "--learner", "hedge,opt_hedge",
+                      "--rounds", "8", "--out", str(tmp_path / "out"), *flag])
+        assert exc.value.code == 2
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", ["--game", "--config"])
     def test_directory_game_is_config_error(self, flag, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):

@@ -2,6 +2,7 @@
 trajectory-level bound audits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,11 +32,13 @@ from regretsim import (
     variance,
 )
 from regretsim.diagnostics import (
+    AUDIT_BLOCK_ROWS,
     BoundConstants,
     ceil_log2,
     check_audit_learners,
     fd_profile_norms_csv,
     fd_profile_values_csv,
+    _variance_sums,
     row_variances,
 )
 from regretsim.game import Game
@@ -550,8 +553,8 @@ class TestFdDecayProfile:
     def test_lengths(self):
         rng = np.random.default_rng(18)
         profile = fd_decay_profile(rng.random((32, 3)), 5)
-        for h, order in enumerate(profile.orders):
-            assert order.shape[0] == 32 - h
+        for h, sups in enumerate(profile.round_sups):
+            assert sups.shape == (32 - h,)
 
     def test_h_max_validation(self):
         with pytest.raises(ValueError):
@@ -569,8 +572,9 @@ class TestFdDecayProfile:
         lines = raw.decode().splitlines()
         assert lines[0] == "order,t,value"
         assert len(lines) == 1 + sum(40 - h for h in range(5))
+        orders = [finite_difference(traj.losses[1], h) for h in range(5)]
         assert lines[1:] == [f"{h},{t + 1},{format(float(np.abs(d[t]).max()), '.17g')}"
-                             for h, d in enumerate(profile.orders) for t in range(40 - h)]
+                             for h, d in enumerate(orders) for t in range(40 - h)]
         raw = norms_path.read_bytes()
         assert b"\r" not in raw
         lines = raw.decode().splitlines()
@@ -578,3 +582,60 @@ class TestFdDecayProfile:
         assert len(lines) == 1 + 5
         assert lines[1:] == [f"{h},{format(float(v), '.17g')}"
                              for h, v in enumerate(profile.sup_norms)]
+
+
+BLOCK = AUDIT_BLOCK_ROWS
+
+
+class TestBlockedAudits:
+    """The audits read histories in row blocks; every value must match the whole-array form."""
+
+    @pytest.mark.parametrize("t", [1, 2, BLOCK - 1, BLOCK, 2 * BLOCK + 7])
+    def test_fd_round_sups_match_whole_array(self, t):
+        seq = np.random.default_rng(t).random((t, 3))
+        for h_max in range(min(5, t - 1) + 1):
+            profile = fd_decay_profile(seq, h_max)
+            for h, sups in enumerate(profile.round_sups):
+                whole = np.abs(finite_difference(seq, h)).reshape(t - h, -1).max(1)
+                np.testing.assert_array_equal(sups, whole)
+                assert profile.sup_norms[h] == whole.max()
+
+    @pytest.mark.parametrize("t", [1, 2, BLOCK - 1, BLOCK, 2 * BLOCK + 7])
+    def test_variance_sums_match_whole_array(self, t):
+        game = random_game(2, (2, 3), seed=3)
+        traj = run(game, [LearnerConfig(eta=0.1)] * 2, t)
+        for i in range(2):
+            x, losses = traj.strategies[i], traj.losses[i]
+            prev = np.vstack([np.zeros((1, losses.shape[1])), losses[:-1]])
+            expected = (float(row_variances(x, losses - prev).sum()),
+                        float(row_variances(x, prev).sum()))
+            assert _variance_sums(traj, i) == expected
+
+    @pytest.mark.parametrize("t", [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    def test_closeness_matches_whole_array(self, t):
+        x = np.random.default_rng(t).dirichlet(np.ones(3), t)
+        x[t // 2, 1] = 0.0  # an infinite ratio into and out of this row
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fwd = np.nan_to_num(x[1:] / x[:-1], nan=np.inf, posinf=np.inf)
+            bwd = np.nan_to_num(x[:-1] / x[1:], nan=np.inf, posinf=np.inf)
+        worst = np.maximum(fwd, bwd)
+        per_step = worst.max(axis=1) - 1.0
+        step = int(np.argmax(per_step))
+        report = consecutive_closeness(x)
+        np.testing.assert_array_equal(report.per_step, per_step)
+        assert (report.worst_step, report.worst_coordinate) == (step, int(np.argmax(worst[step])))
+        assert math.isinf(report.zeta_observed)
+
+    def test_fd_profile_memory_is_per_round_vectors(self):
+        t, n, h_max = 4 * BLOCK, 8, 5
+        seq = np.random.default_rng(0).random((t, n))
+        tracemalloc.start()
+        try:
+            fd_decay_profile(seq, h_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vectors = 8 * sum(t - h for h in range(h_max + 1))
+        block = 8 * (BLOCK + h_max) * n
+        # the O(h_max T n) form would hold one (T, n) array per order: 6.3 MB here
+        assert peak < vectors + 4 * block, (peak, vectors, block)

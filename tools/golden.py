@@ -9,8 +9,10 @@ names. Every file written is compared byte for byte, except that
 ``duration_seconds`` is dropped from each ``summary.json`` first. For a JSON
 file that differs, the differing fields are listed; for a CSV file, the
 number of differing lines and the largest absolute and relative difference
-between numeric cells. Then it prints the total line count of
-``src/regretsim/*.py`` at <rev> and in the working tree, and the difference.
+between numeric cells. Then it prints each command's peak resident set size
+on both sides, as ``os.wait4`` reports it for that child process, and the
+total line count of ``src/regretsim/*.py`` at <rev> and in the working tree,
+and the difference.
 Exit status: 0 if every file agrees, 1 if any differs, 2 if the export or a
 command fails. Needs only the stdlib and the numpy that ``regretsim`` itself
 imports.
@@ -59,15 +61,24 @@ def export_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run_commands(src: Path, cwd: Path) -> None:
+def run_commands(src: Path, cwd: Path) -> list[float]:
+    """Run every golden command in ``cwd`` against ``src``; return each one's peak RSS in MiB."""
     cwd.mkdir()
     env = {**os.environ, "PYTHONPATH": str(src)}
+    peaks = []
     for argv in COMMANDS:
-        done = subprocess.run([sys.executable, "-m", "regretsim.cli", *argv], cwd=cwd, env=env,
-                              capture_output=True, text=True)
-        if done.returncode != 0:
-            fail(f"`regretsim {' '.join(argv)}` against {src} exited "
-                 f"{done.returncode}:\n{done.stderr}")
+        with tempfile.TemporaryFile() as err:
+            child = subprocess.Popen([sys.executable, "-m", "regretsim.cli", *argv], cwd=cwd,
+                                     env=env, stdout=subprocess.DEVNULL, stderr=err)
+            # wait4 reaps the child and returns its own resource usage
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            if child.returncode != 0:
+                err.seek(0)
+                fail(f"`regretsim {' '.join(argv)}` against {src} exited "
+                     f"{child.returncode}:\n{err.read().decode()}")
+        peaks.append(usage.ru_maxrss / 1024)  # Linux reports kilobytes
+    return peaks
 
 
 def parsed(path: Path):
@@ -152,9 +163,12 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         work = Path(tmp)
         base_src = export_src(rev, work / "export")
-        run_commands(base_src, work / "base")
-        run_commands(ROOT / "src", work / "head")
+        base_peaks = run_commands(base_src, work / "base")
+        head_peaks = run_commands(ROOT / "src", work / "head")
         status = compare(work / "base", work / "head", rev)
+        print(f"golden: peak RSS in MiB at {rev} and in the working tree:")
+        for argv, old, new in zip(COMMANDS, base_peaks, head_peaks):
+            print(f"  {old:7.1f} {new:7.1f}  regretsim {' '.join(argv)}")
         old, new = source_lines(base_src), source_lines(ROOT / "src")
         print(f"golden: src/regretsim/*.py has {old} lines at {rev} and {new} in the working "
               f"tree ({new - old:+d})")
