@@ -7,7 +7,6 @@ suite (:mod:`regretsim.diagnostics`). The ``regretsim`` CLI wraps all of it.
 """
 
 from .diagnostics import (
-    BoundConstants,
     BoundTermBreakdown,
     ClosenessReport,
     DivergenceValues,
@@ -27,7 +26,6 @@ from .diagnostics import (
     finite_difference_binomial,
     idft,
     local_norms,
-    variance,
 )
 from .dynamics import (
     BatchResult,
@@ -60,6 +58,7 @@ from .learners import (
     ADAPTIVE_OPT_HEDGE,
     HEDGE,
     OPT_HEDGE,
+    BoundConstants,
     LearnerState,
     adaptive_opt_hedge_step,
     hedge_step,
@@ -68,6 +67,7 @@ from .learners import (
     opt_hedge_step,
     practical_eta,
     recommended_eta,
+    variance,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")] + ["__version__"]

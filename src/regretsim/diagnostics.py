@@ -15,9 +15,7 @@ import numpy as np
 
 from .dynamics import Trajectory, regret
 from .game import write_csv
-# The constants and variance helpers live in learners; they stay importable from here.
-from .learners import (DEFAULT_C_PRIME, DEFAULT_C_THM, OPT_HEDGE, BoundConstants, ceil_log2,
-                       row_variances, variance)
+from .learners import OPT_HEDGE, BoundConstants, row_variances
 
 # When the C-coefficient of the linear bound audit is below this, the
 # inequality is effectively C-free and no boundary constant is reported.

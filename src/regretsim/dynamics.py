@@ -303,8 +303,7 @@ class EmpiricalPlay:
     rounds: int
 
 
-def empirical_joint_distribution(trajectory: Trajectory,
-                                 limit: int = DENSE_SUPPORT_LIMIT) -> EmpiricalPlay:
+def empirical_joint_distribution(trajectory: Trajectory) -> EmpiricalPlay:
     """Average over rounds of the joint product distribution of play.
 
     Chunks of at most 2^13 profile-rounds, or one round, are built with the
@@ -314,9 +313,9 @@ def empirical_joint_distribution(trajectory: Trajectory,
     and the rows are summed in sequence: bit for bit a loop over rounds.
     """
     game = trajectory.game
-    if game.profile_count > limit:
+    if game.profile_count > DENSE_SUPPORT_LIMIT:
         raise ValueError(
-            f"joint support {game.profile_count} exceeds dense limit {limit}")
+            f"joint support {game.profile_count} exceeds dense limit {DENSE_SUPPORT_LIMIT}")
     m, rounds, counts = game.num_players, trajectory.rounds, game.action_counts
     step = max(1, 2**13 // game.profile_count)
     total = np.zeros(counts[::-1])
@@ -351,14 +350,6 @@ class CceReport:
     raw_gaps: np.ndarray
     best_deviations: np.ndarray
     on_path: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "raw_gaps": self.raw_gaps.tolist(),
-            "best_deviations": [int(a) + 1 for a in self.best_deviations],
-            "on_path": self.on_path.tolist(),
-        }
 
 
 def cce_gap(game: Game, play: EmpiricalPlay) -> CceReport:

@@ -77,6 +77,16 @@ class TestParseConfig:
         assert summary["config"]["game_name"] == "matching_pennies"
         assert "T=64 " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, eta", [("practical", None), ("theorem", None),
+                                           ("explicit", 0.5)])
+    def test_eta_policy_flag_over_config_eta(self, flag, eta, tmp_path):
+        # a computed policy drops the config's eta; --eta-policy explicit keeps it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"game_name": "matching_pennies", "learner_specs": [
+            {"mode": "hedge", "eta_policy": "explicit", "eta": 0.5}]}))
+        cfg = parse_flags(["run", "--config", str(path), "--eta-policy", flag])
+        assert cfg.learner_specs == (cli.LearnerSpec("hedge", flag, eta),)
+
     def test_round_trip_idempotent(self, tmp_path):
         cfg = parse_flags(["run", "--game", "random", "--actions", "2,2",
                            "--game-seed", "3", "--rounds", "128",
@@ -189,6 +199,29 @@ class TestRunExperiment:
                     for t in range(rounds)) / rounds
         gap = cce_gap(game, EmpiricalPlay(probs=probs, rounds=rounds))
         assert summary["cce"]["epsilon"] == pytest.approx(gap.epsilon, abs=1e-9)
+
+    def test_cce_past_dense_limit(self, tmp_path):
+        # 1001 x 1000 = 1,001,000 profiles, one past dynamics.DENSE_SUPPORT_LIMIT's 10^6
+        code = cli.main(["run", "--game", "random", "--actions", "1001,1000", "--rounds", "2",
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        gaps = [e["regret"] / 2 for e in summary["regret"]]
+        assert summary["cce"] == {"epsilon": max(0.0, *gaps), "raw_gaps": gaps}
+
+    def test_cce_taken_from_regret_report(self, tmp_path, capsys, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("the CLI built the dense joint distribution")
+
+        monkeypatch.setattr(dynamics, "empirical_joint_distribution", dense)
+        monkeypatch.setattr(dynamics, "cce_gap", dense)
+        code = cli.main(["run", "--game", "random", "--actions", "2,3,2", "--game-seed", "3",
+                         "--rounds", "64", "--out", str(tmp_path / "out")])
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        gaps = [e["regret"] / 64 for e in summary["regret"]]
+        assert summary["cce"] == {"epsilon": max(0.0, *gaps), "raw_gaps": gaps}
+        assert f"cce gap {max(0.0, *gaps):.6g}" in capsys.readouterr().out
 
     def test_float_rendering_is_full_precision(self, tmp_path):
         cfg = parse_flags(["run", "--game", "matching_pennies", "--rounds", "4",
@@ -372,6 +405,23 @@ class TestMainExitCodes:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [("diagnostics", {"closeness": True, "fd_h_max": 3}),
+                                            ("emit_trajectory", False), ("force_trajectory", True)],
+                             ids=["diagnostics", "emit_trajectory", "force_trajectory"])
+    def test_compare_rejects_diagnostic_and_trajectory_config_keys(self, key, value, tmp_path,
+                                                                    capsys, monkeypatch):
+        # the config twin of the flag test above: compare would drop these keys
+        calls = []
+        monkeypatch.setattr(dynamics, "run", lambda *args, **kwargs: calls.append(args))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"game_name": "matching_pennies", "rounds": 8, key: value,
+                                    "learner_specs": [{"mode": "hedge"}, {"mode": "opt_hedge"}]}))
+        code = cli.main(["compare", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: config.{key}:")
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", ["--game", "--config"])
     def test_directory_game_is_config_error(self, flag, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
@@ -484,12 +534,17 @@ class TestMainExitCodes:
         ("--config", {"game_name": "matching_pennies", "diagnostics": {"variance_inequality": True},
                       "learner_specs": [{"mode": "opt_hedge", "eta_policy": "explicit", "eta": eta}
                                         for eta in (0.1, 0.2)]}),
+        ("--config", {"game_name": "matching_pennies",
+                      "learner_specs": [{"mode": "opt_hedge", "eta": 0.5}]}),
+        ("--config", {"game_name": "matching_pennies",
+                      "learner_specs": [{"eta_policy": "theorem", "eta": 0.5}]}),
     ], ids=["rounds_string", "eta_string", "fd_h_max_string", "actions_not_integers",
             "players_not_integer", "config_array", "game_path_not_string",
             "game_actions_scalar", "game_losses_scalar", "rounds_true", "eta_true",
             "fd_h_max_true", "seed_string", "random_one_player", "out_dir_not_string",
             "random_actions_bool_and_fraction", "game_actions_fraction",
-            "emit_trajectory_string", "closeness_string", "variance_inequality_mixed_eta"])
+            "emit_trajectory_string", "closeness_string", "variance_inequality_mixed_eta",
+            "eta_under_practical", "eta_under_theorem"])
     def test_bad_file_exits_before_simulating(self, flag, body, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("dynamics.run called on a rejected config")

@@ -33,14 +33,12 @@ from regretsim import (
 )
 from regretsim.diagnostics import (
     AUDIT_BLOCK_ROWS,
-    BoundConstants,
-    ceil_log2,
     check_audit_learners,
     fd_profile_norms_csv,
     fd_profile_values_csv,
     _variance_sums,
-    row_variances,
 )
+from regretsim.learners import BoundConstants, ceil_log2, row_variances
 from regretsim.game import Game
 
 

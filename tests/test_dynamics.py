@@ -199,10 +199,11 @@ class TestEmpiricalPlay:
         assert play.probs.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(play.probs >= 0.0)
 
-    def test_support_limit(self):
+    def test_support_limit(self, monkeypatch):
         traj = run(named_game("matching_pennies"), [LearnerConfig(eta=0.05)] * 2, 1)
-        with pytest.raises(ValueError, match="dense limit"):
-            empirical_joint_distribution(traj, limit=3)
+        monkeypatch.setattr(dynamics, "DENSE_SUPPORT_LIMIT", 3)
+        with pytest.raises(ValueError, match="4 exceeds dense limit 3"):
+            empirical_joint_distribution(traj)
 
 
 class TestCceGap:

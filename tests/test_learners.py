@@ -15,8 +15,8 @@ from regretsim import (
     practical_eta,
     recommended_eta,
 )
-from regretsim.diagnostics import BoundConstants
-from regretsim.learners import ADAPTIVE_OPT_HEDGE, HEDGE, MIN_SWITCH_ROUND, OPT_HEDGE
+from regretsim.learners import (ADAPTIVE_OPT_HEDGE, HEDGE, MIN_SWITCH_ROUND, OPT_HEDGE,
+                                BoundConstants)
 
 
 def two_action_state(eta=0.1, mode=OPT_HEDGE, **kwargs):

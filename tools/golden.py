@@ -2,7 +2,7 @@
 
 Usage: python tools/golden.py <rev>
 
-Exports ``src`` at <rev> with ``git archive``, then runs the five golden
+Exports ``src`` at <rev> with ``git archive``, then runs the six golden
 commands below twice, once against that export and once against the working
 tree's ``src``, each side in its own fresh directory with the same ``--out``
 names. Every file written is compared byte for byte, except that
@@ -42,6 +42,8 @@ COMMANDS = (
     # equal action counts put every player in one group, which forms one cell
     ["run", "--game", "random", "--actions", "3,3,3,3", "--game-seed", "2", "--rounds", "4096",
      "--out", "run4"],
+    # 1,001,000 profiles: past the dense joint distribution's limit of 10^6
+    ["run", "--game", "random", "--actions", "1001,1000", "--rounds", "2", "--out", "run_wide"],
 )
 
 
