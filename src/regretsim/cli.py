@@ -178,7 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--actions", help="comma-separated action counts for --game random, e.g. 3,3")
         p.add_argument("--game-seed", type=int, help="seed for --game random")
         p.add_argument("--rounds", type=int, help="number of rounds T")
-        p.add_argument("--eta", type=float, help="explicit step size (sets --eta-policy explicit)")
+        p.add_argument("--eta", type=float,
+                       help="explicit step size (sets --eta-policy explicit; no other policy takes one)")
         p.add_argument("--eta-policy", choices=ETA_POLICIES, help="step-size policy")
         p.add_argument("--learner", help="learner mode, or comma-separated list (one per player)")
         p.add_argument("--seed", type=int, help="run seed recorded in metadata")
@@ -288,8 +289,10 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     modes = None
     if getattr(args, "learner", None):
         modes = [tok.strip() for tok in args.learner.split(",") if tok.strip()]
-    eta = getattr(args, "eta", None)
-    policy = "explicit" if eta is not None else getattr(args, "eta_policy", None)
+    eta, policy = getattr(args, "eta", None), getattr(args, "eta_policy", None)
+    if eta is not None and policy not in (None, "explicit"):
+        raise ConfigError(f"--eta: sets an explicit step size, but --eta-policy is {policy!r}")
+    policy = "explicit" if eta is not None else policy
     overrides = {} if policy is None else {"eta_policy": policy, "eta": eta}
     if policy == "explicit" and eta is None:
         del overrides["eta"]  # --eta-policy explicit keeps the config's eta
@@ -379,7 +382,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                       f"({rows} rows > {TRAJECTORY_ROW_LIMIT}); "
                       "use --force-trajectory to write it anyway", file=sys.stderr)
         for i, profile in enumerate(fd_profiles):
-            diagnostics.fd_profile_values_csv(profile, out / f"fd_values_player{i + 1}.csv")
+            diagnostics.fd_profile_values_csv(trajectory.losses[i], profile.h_max,
+                                              out / f"fd_values_player{i + 1}.csv")
             diagnostics.fd_profile_norms_csv(profile, out / f"fd_norms_player{i + 1}.csv")
 
     summary = {

@@ -2,7 +2,8 @@
 
 Divergences, local norms, plain and circular finite differences, discrete
 Fourier identities, and the inequality checkers used to audit regret bounds
-on recorded runs. Everything here is a pure function of its inputs.
+on recorded runs. Everything here is a pure function of its inputs, except
+the ``fd_profile_*_csv`` writers, which write a file.
 """
 
 from __future__ import annotations
@@ -13,17 +14,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import Trajectory, regret
+from .dynamics import AUDIT_BLOCK_ROWS, Trajectory, regret
 from .game import write_csv
 from .learners import OPT_HEDGE, BoundConstants, row_variances
 
 # When the C-coefficient of the linear bound audit is below this, the
 # inequality is effectively C-free and no boundary constant is reported.
 _C_COEFF_EPS = 1e-15
-
-# The finite-difference, variance and closeness audits read a (T, n) history
-# this many rows at a time, so their scratch memory does not grow with T.
-AUDIT_BLOCK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +125,11 @@ def circular_finite_difference(seq: np.ndarray, h: int) -> np.ndarray:
 
 @dataclass
 class FiniteDifferenceProfile:
-    """Per-round sups over actions of the finite differences of a loss sequence.
+    """Sup norms of the finite differences of a loss sequence.
 
-    ``round_sups[h][t]`` is max |Delta^h seq[t]| for t < length - h, ``sup_norms[h]``
-    is its maximum and ``ratios[h]`` is sup_norms[h + 1] / sup_norms[h]."""
+    ``sup_norms[h]`` is the max over t < length - h and over actions of
+    |Delta^h seq[t]|, and ``ratios[h]`` is sup_norms[h + 1] / sup_norms[h]."""
 
-    round_sups: list[np.ndarray]
     sup_norms: np.ndarray
     ratios: np.ndarray
     h_max: int
@@ -148,39 +144,56 @@ class FiniteDifferenceProfile:
         }
 
 
-def fd_decay_profile(seq: np.ndarray, h_max: int) -> FiniteDifferenceProfile:
-    """Per-round sups of the finite differences of orders 0..h_max, with sup
-    norms and decay ratios.
-
-    The differences are taken over row blocks that overlap by h_max rows, by
-    the recursion of ``finite_difference``, so no full-length order is held.
-    Undefined ratios (zero denominator) are reported as NaN, which happens for
-    constant sequences.
-    """
+def _fd_history(seq: np.ndarray, h_max: int) -> np.ndarray:
+    """``seq`` as a (T, n) float array, once ``h_max`` is checked against its length."""
     base = np.asarray(seq, dtype=np.float64)
     t = base.shape[0]
     if not 0 <= h_max <= t - 1:
         raise ValueError(f"h_max={h_max} out of range [0, {t - 1}]")
-    base = base.reshape(t, -1)
-    round_sups = [np.empty(t - h) for h in range(h_max + 1)]
-    for start in range(0, t, AUDIT_BLOCK_ROWS):
-        d = base[start:start + AUDIT_BLOCK_ROWS + h_max]
-        for sups in round_sups:
-            sups[start:start + AUDIT_BLOCK_ROWS] = np.abs(d[:AUDIT_BLOCK_ROWS]).max(1)
+    return base.reshape(t, -1)
+
+
+def _fd_blocks(base: np.ndarray, h: int):
+    """Yield (first row, |block|) for each ``AUDIT_BLOCK_ROWS`` rows of the
+    order-h finite difference of the (T, n) ``base``.
+
+    Each block is differenced from its h + 1 overlapping rows of ``base`` by
+    the recursion of ``finite_difference``, so every row is computed as the
+    whole-array form computes it, and no full-length order is held.
+    """
+    for start in range(0, len(base) - h, AUDIT_BLOCK_ROWS):
+        d = base[start:start + AUDIT_BLOCK_ROWS + h]
+        for _ in range(h):
             d = d[1:] - d[:-1]
-    sup_norms = np.array([float(s.max()) for s in round_sups])
+        yield start, np.abs(d)
+
+
+def fd_decay_profile(seq: np.ndarray, h_max: int) -> FiniteDifferenceProfile:
+    """Sup norms of the finite differences of orders 0..h_max, and decay ratios.
+
+    Undefined ratios (zero denominator) are reported as NaN, which happens for
+    constant sequences.
+    """
+    base = _fd_history(seq, h_max)
+    sup_norms = np.array([np.max([block.max() for _, block in _fd_blocks(base, h)])
+                          for h in range(h_max + 1)])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(sup_norms[:-1] > 0.0, sup_norms[1:] / sup_norms[:-1], np.nan)
-    return FiniteDifferenceProfile(round_sups=round_sups, sup_norms=sup_norms,
-                                   ratios=ratios, h_max=h_max, length=t)
+    return FiniteDifferenceProfile(sup_norms=sup_norms, ratios=ratios, h_max=h_max,
+                                   length=len(base))
 
 
-def fd_profile_values_csv(profile: FiniteDifferenceProfile, path) -> None:
-    """CSV rows (order, t, value); value is ``round_sups[order][t - 1]``, the sup
-    norm of the order's entry at round t."""
+def fd_profile_values_csv(seq: np.ndarray, h_max: int, path) -> None:
+    """CSV rows (order, t, value) for orders 0..h_max of ``seq``; value is the sup
+    over actions of the order's entry at round t.
+
+    The rows are written a block of ``AUDIT_BLOCK_ROWS`` rounds at a time,
+    straight from ``seq``, so no full-length order is held.
+    """
+    base = _fd_history(seq, h_max)
     write_csv(path, ("order", "t", "value"),
-              ((np.broadcast_to(h, len(s)), range(1, len(s) + 1), s)
-               for h, s in enumerate(profile.round_sups)))
+              ((np.broadcast_to(h, len(block)), range(start + 1, start + len(block) + 1),
+                block.max(1)) for h in range(h_max + 1) for start, block in _fd_blocks(base, h)))
 
 
 def fd_profile_norms_csv(profile: FiniteDifferenceProfile, path) -> None:

@@ -25,6 +25,10 @@ DENSE_SUPPORT_LIMIT = 10**6
 # ``batch_run`` plays a shape's waiting games once their loss tensors reach this many bytes.
 BATCH_BYTES = 2 * 2**20
 
+# ``regret`` and the audits of ``diagnostics`` read a (T, n) history this many
+# rows at a time, so their scratch memory does not grow with T.
+AUDIT_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class LearnerConfig:
@@ -274,19 +278,30 @@ class RegretEntry:
 
 
 def regret(trajectory: Trajectory, player: int) -> RegretEntry:
-    """Regret of one player, computed directly from the stored trajectory."""
+    """Regret of one player, computed directly from the stored trajectory.
+
+    The running per-action sums are built ``AUDIT_BLOCK_ROWS`` rounds at a
+    time: each block's ``cumsum`` starts from the previous block's last row,
+    so every sum is added in round order, bit for bit the whole-array form.
+    """
     x = trajectory.strategies[player]
     losses = trajectory.losses[player]
-    play_cum = np.cumsum(np.einsum("tj,tj->t", x, losses))
-    action_cum = np.cumsum(losses, axis=0)
-    curve = play_cum - action_cum.min(axis=1)
-    best_action = int(np.argmin(action_cum[-1]))
+    curve = np.einsum("tj,tj->t", x, losses)
+    np.cumsum(curve, out=curve)
+    cumulative_loss = float(curve[-1])
+    last = losses[:0]  # the running sums through the previous block; none before the first
+    for start in range(0, len(losses), AUDIT_BLOCK_ROWS):
+        sums = np.concatenate([last, losses[start:start + AUDIT_BLOCK_ROWS]])
+        np.cumsum(sums, axis=0, out=sums)
+        curve[start:start + AUDIT_BLOCK_ROWS] -= sums[len(last):].min(axis=1)
+        last = sums[-1:].copy()  # a view would keep the whole block alive
+    best_action = int(np.argmin(last[0]))
     return RegretEntry(
         player=player,
         total_regret=float(curve[-1]),
         best_action=best_action,
-        cumulative_loss=float(play_cum[-1]),
-        best_fixed_loss=float(action_cum[-1, best_action]),
+        cumulative_loss=cumulative_loss,
+        best_fixed_loss=float(last[0, best_action]),
         curve=curve,
     )
 

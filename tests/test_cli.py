@@ -87,6 +87,13 @@ class TestParseConfig:
         cfg = parse_flags(["run", "--config", str(path), "--eta-policy", flag])
         assert cfg.learner_specs == (cli.LearnerSpec("hedge", flag, eta),)
 
+    @pytest.mark.parametrize("flags", [["--eta", "0.5"],
+                                       ["--eta-policy", "explicit", "--eta", "0.5"]],
+                             ids=["eta_alone", "eta_with_explicit"])
+    def test_eta_flag_sets_explicit_policy(self, flags):
+        cfg = parse_flags(["run", "--game", "matching_pennies", "--learner", "hedge"] + flags)
+        assert cfg.learner_specs == (cli.LearnerSpec("hedge", "explicit", 0.5),)
+
     def test_round_trip_idempotent(self, tmp_path):
         cfg = parse_flags(["run", "--game", "random", "--actions", "2,2",
                            "--game-seed", "3", "--rounds", "128",
@@ -390,6 +397,20 @@ class TestMainExitCodes:
                          "--learner", "hedge,opt_hedge", "--out", str(blocker)])
         assert code == 3
         assert calls == []
+
+    @pytest.mark.parametrize("policy", ["practical", "theorem"])
+    def test_eta_flag_beside_computed_policy_exits_before_simulating(self, policy, tmp_path,
+                                                                      capsys, monkeypatch):
+        # the flag twin of a config spec with an eta under a computed policy
+        calls = []
+        monkeypatch.setattr(dynamics, "run", lambda *args, **kwargs: calls.append(args))
+        code = cli.main(["run", "--game", "matching_pennies", "--rounds", "64", "--eta", "0.5",
+                         "--eta-policy", policy, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (f"config error: --eta: sets an explicit step size, "
+                                           f"but --eta-policy is {policy!r}\n")
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", [["--diagnostics", "all"], ["--fd-h-max", "3"],
                                       ["--no-trajectory"], ["--force-trajectory"]],

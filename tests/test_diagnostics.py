@@ -548,11 +548,12 @@ class TestFdDecayProfile:
         np.testing.assert_array_equal(profile.sup_norms[1:], 0.0)
         assert all(math.isnan(r) for r in profile.ratios[1:])
 
-    def test_lengths(self):
+    def test_lengths(self, tmp_path):
         rng = np.random.default_rng(18)
-        profile = fd_decay_profile(rng.random((32, 3)), 5)
-        for h, sups in enumerate(profile.round_sups):
-            assert sups.shape == (32 - h,)
+        path = tmp_path / "fd_values.csv"
+        fd_profile_values_csv(rng.random((32, 3)), 5, path)
+        rows = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
+        assert rows == [[str(h), str(t)] for h in range(6) for t in range(1, 33 - h)]
 
     def test_h_max_validation(self):
         with pytest.raises(ValueError):
@@ -563,7 +564,7 @@ class TestFdDecayProfile:
         profile = fd_decay_profile(traj.losses[1], 4)
         values_path = tmp_path / "fd_values_player2.csv"
         norms_path = tmp_path / "fd_norms_player2.csv"
-        fd_profile_values_csv(profile, values_path)
+        fd_profile_values_csv(traj.losses[1], 4, values_path)
         fd_profile_norms_csv(profile, norms_path)
         raw = values_path.read_bytes()
         assert b"\r" not in raw
@@ -589,14 +590,17 @@ class TestBlockedAudits:
     """The audits read histories in row blocks; every value must match the whole-array form."""
 
     @pytest.mark.parametrize("t", [1, 2, BLOCK - 1, BLOCK, 2 * BLOCK + 7])
-    def test_fd_round_sups_match_whole_array(self, t):
+    def test_fd_round_sups_match_whole_array(self, t, tmp_path):
         seq = np.random.default_rng(t).random((t, 3))
+        path = tmp_path / "fd_values.csv"
         for h_max in range(min(5, t - 1) + 1):
             profile = fd_decay_profile(seq, h_max)
-            for h, sups in enumerate(profile.round_sups):
-                whole = np.abs(finite_difference(seq, h)).reshape(t - h, -1).max(1)
-                np.testing.assert_array_equal(sups, whole)
-                assert profile.sup_norms[h] == whole.max()
+            fd_profile_values_csv(seq, h_max, path)
+            values = path.read_text().splitlines()[1:]
+            wholes = [np.abs(finite_difference(seq, h)).max(1) for h in range(h_max + 1)]
+            assert values == [f"{h},{k + 1},{float(v):.17g}"
+                              for h, whole in enumerate(wholes) for k, v in enumerate(whole)]
+            assert profile.sup_norms.tolist() == [whole.max() for whole in wholes]
 
     @pytest.mark.parametrize("t", [1, 2, BLOCK - 1, BLOCK, 2 * BLOCK + 7])
     def test_variance_sums_match_whole_array(self, t):
@@ -624,16 +628,20 @@ class TestBlockedAudits:
         assert (report.worst_step, report.worst_coordinate) == (step, int(np.argmax(worst[step])))
         assert math.isinf(report.zeta_observed)
 
-    def test_fd_profile_memory_is_per_round_vectors(self):
+    @pytest.mark.parametrize("audit", ["profile", "values_csv"])
+    def test_fd_profile_memory_is_a_few_blocks(self, audit, tmp_path):
         t, n, h_max = 4 * BLOCK, 8, 5
         seq = np.random.default_rng(0).random((t, n))
         tracemalloc.start()
         try:
-            fd_decay_profile(seq, h_max)
+            if audit == "profile":
+                fd_decay_profile(seq, h_max)
+            else:
+                fd_profile_values_csv(seq, h_max, tmp_path / "fd_values.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        vectors = 8 * sum(t - h for h in range(h_max + 1))
         block = 8 * (BLOCK + h_max) * n
-        # the O(h_max T n) form would hold one (T, n) array per order: 6.3 MB here
-        assert peak < vectors + 4 * block, (peak, vectors, block)
+        # one per-round vector per order would add 3 blocks here, and one
+        # (T, n) array per order 24 blocks
+        assert peak < 4 * block, (peak, block)

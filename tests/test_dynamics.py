@@ -1,6 +1,7 @@
 """Tests for self-play runs, regret accounting, empirical play, and exports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from regretsim import (
     uniform_strategy,
 )
 from regretsim.dynamics import (
+    AUDIT_BLOCK_ROWS,
     RunMetadata,
     __version__,
     regret_curves_to_csv,
@@ -150,6 +152,44 @@ class TestRegret:
                 best = min(sum(traj.losses[i][s][j] for s in range(t + 1))
                            for j in range(traj.losses[i].shape[1]))
                 assert entry.curve[t] == pytest.approx(play - best, rel=1e-9, abs=1e-9)
+
+    @staticmethod
+    def blocked_case(t, n):
+        """A trajectory whose player 1 has random (t, n) strategies and losses."""
+        rng = np.random.default_rng(t)
+        x, losses = rng.dirichlet(np.ones(n), t), rng.random((t, n))
+        return make_trajectory([x, np.full((t, 2), 0.5)], [losses, np.zeros((t, 2))],
+                               game=random_game(2, (n, 2), seed=0))
+
+    @staticmethod
+    def assert_whole_array_form(traj, entry):
+        """``entry`` is player 1's regret by whole-array ``cumsum``s, bit for bit."""
+        losses = traj.losses[0]
+        play_cum = np.cumsum(np.einsum("tj,tj->t", traj.strategies[0], losses))
+        action_cum = np.cumsum(losses, axis=0)
+        best = int(np.argmin(action_cum[-1]))
+        np.testing.assert_array_equal(entry.curve, play_cum - action_cum.min(axis=1))
+        assert (entry.best_action, entry.cumulative_loss, entry.best_fixed_loss) == (
+            best, play_cum[-1], action_cum[-1, best])
+
+    @pytest.mark.parametrize("t", [1, 2, AUDIT_BLOCK_ROWS, AUDIT_BLOCK_ROWS + 1,
+                                   2 * AUDIT_BLOCK_ROWS + 7])
+    def test_blocked_sums_match_whole_array(self, t):
+        traj = self.blocked_case(t, 3)
+        self.assert_whole_array_form(traj, regret(traj, 0))
+
+    def test_blocked_sums_memory_below_one_history(self):
+        traj = self.blocked_case(4 * AUDIT_BLOCK_ROWS, 8)
+        tracemalloc.start()
+        try:
+            entry = regret(traj, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-array form holds the (T, n) running sums at once
+        assert peak < traj.losses[0].nbytes, (peak, traj.losses[0].nbytes)
+        # three block edges lie inside the curve
+        self.assert_whole_array_form(traj, entry)
 
     def test_regret_bounded_by_horizon(self):
         game = random_game(2, (4, 4), seed=14)

@@ -2,7 +2,7 @@
 
 Usage: python tools/golden.py <rev>
 
-Exports ``src`` at <rev> with ``git archive``, then runs the six golden
+Exports ``src`` at <rev> with ``git archive``, then runs the seven golden
 commands below twice, once against that export and once against the working
 tree's ``src``, each side in its own fresh directory with the same ``--out``
 names. Every file written is compared byte for byte, except that
@@ -44,6 +44,10 @@ COMMANDS = (
      "--out", "run4"],
     # 1,001,000 profiles: past the dense joint distribution's limit of 10^6
     ["run", "--game", "random", "--actions", "1001,1000", "--rounds", "2", "--out", "run_wide"],
+    # T = 2^16: 16 row blocks of the regret sums and the audits, and a peak RSS
+    # set by the trajectory and the per-round vectors, not by the CSV writers
+    ["diagnose", "--game", "random", "--actions", "3,3", "--game-seed", "1", "--rounds", "65536",
+     "--fd-h-max", "5", "--seed", "7", "--no-trajectory", "--out", "diagnose_long"],
 )
 
 
