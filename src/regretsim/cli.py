@@ -82,7 +82,8 @@ class ExperimentConfig:
         try:
             specs = tuple(LearnerSpec(**s) for s in data.pop("learner_specs", [{}]))
             diag = DiagnosticsToggles(**data.pop("diagnostics", {}))
-            formats = tuple(data.pop("formats", ("json", "csv")))
+            formats = data.pop("formats", ("json", "csv"))
+            formats = formats if isinstance(formats, str) else tuple(formats)
             cfg = cls(learner_specs=specs, diagnostics=diag, formats=formats, **data)
         except TypeError as exc:
             raise ConfigError(f"config: {exc}") from exc
@@ -120,6 +121,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
                                          and 0 < spec.eta < math.inf):
             raise ConfigError(
                 f"config.learners[{k}].eta: must be a finite number > 0, got {spec.eta!r}")
+    if isinstance(cfg.formats, str) or not cfg.formats:
+        raise ConfigError(f"config.formats: must be a non-empty list of formats, got {cfg.formats!r}")
     for f in cfg.formats:
         if f not in FORMATS:
             raise ConfigError(f"config.formats: unknown format {f!r}")

@@ -157,15 +157,12 @@ def _fd_blocks(base: np.ndarray, h: int):
     """Yield (first row, |block|) for each ``AUDIT_BLOCK_ROWS`` rows of the
     order-h finite difference of the (T, n) ``base``.
 
-    Each block is differenced from its h + 1 overlapping rows of ``base`` by
-    the recursion of ``finite_difference``, so every row is computed as the
-    whole-array form computes it, and no full-length order is held.
+    Each block is ``finite_difference`` of its rows of ``base`` and the h
+    after them, so every row is computed as the whole-array form computes it,
+    and no full-length order is held.
     """
     for start in range(0, len(base) - h, AUDIT_BLOCK_ROWS):
-        d = base[start:start + AUDIT_BLOCK_ROWS + h]
-        for _ in range(h):
-            d = d[1:] - d[:-1]
-        yield start, np.abs(d)
+        yield start, np.abs(finite_difference(base[start:start + AUDIT_BLOCK_ROWS + h], h))
 
 
 def fd_decay_profile(seq: np.ndarray, h_max: int) -> FiniteDifferenceProfile:

@@ -321,68 +321,55 @@ class EmpiricalPlay:
 def empirical_joint_distribution(trajectory: Trajectory) -> EmpiricalPlay:
     """Average over rounds of the joint product distribution of play.
 
-    Chunks of at most 2^13 profile-rounds, or one round, are built with the
+    An oracle for the CCE gap, built one round at a time in T x
+    ``profile_count`` operations. Each round's product is built with the
     players' axes reversed, so each multiply runs over its longest axis, in
-    ``np.multiply.outer``'s order. A one-round chunk is added straight into
-    the running total; for a longer one the total is added into its first row
-    and the rows are summed in sequence: bit for bit a loop over rounds.
+    ``np.multiply.outer``'s order; the last factor lands in one preallocated
+    array, which is added to the running total: bit for bit a loop over rounds.
     """
     game = trajectory.game
     if game.profile_count > DENSE_SUPPORT_LIMIT:
         raise ValueError(
             f"joint support {game.profile_count} exceeds dense limit {DENSE_SUPPORT_LIMIT}")
-    m, rounds, counts = game.num_players, trajectory.rounds, game.action_counts
-    step = max(1, 2**13 // game.profile_count)
-    total = np.zeros(counts[::-1])
-    block = np.empty((min(step, rounds),) + counts[::-1])
-    for start in range(0, rounds, step):
-        size = min(step, rounds - start)
-        joint = trajectory.strategies[0][start:start + size]
-        for i in range(1, m):
-            out = block[:size].reshape(size, counts[i], -1) if i == m - 1 else None
-            joint = np.multiply(trajectory.strategies[i][start:start + size, :, None],
-                                joint.reshape(size, 1, -1), out=out)
-        if size == 1:
-            total += block[0]
-        else:
-            block[0] += total
-            np.add.reduce(block[:size], axis=0, out=total)
+    first, *middle, last = trajectory.strategies
+    total, joint = np.zeros(game.action_counts[::-1]), np.empty(game.action_counts[::-1])
+    for t in range(trajectory.rounds):
+        product = first[t]
+        for x in middle:
+            product = np.multiply.outer(x[t], product)
+        np.multiply.outer(last[t], product, out=joint)
+        total += joint
     probs = np.ascontiguousarray(total.transpose())
-    probs /= rounds
-    return EmpiricalPlay(probs=probs, rounds=rounds)
+    probs /= trajectory.rounds
+    return EmpiricalPlay(probs=probs, rounds=trajectory.rounds)
 
 
 @dataclass
 class CceReport:
     """Best-deviation gaps of a joint distribution of play.
 
-    ``raw_gaps[i]`` is player i's on-path loss minus its best fixed
-    deviation; ``epsilon`` is the maximum over players of the gaps clamped
-    below at zero.
+    ``raw_gaps[i]`` is player i's expected loss under the distribution minus
+    that of its best fixed action ``best_deviations[i]`` against the others'
+    marginal; ``epsilon`` is the maximum over players of the gaps clamped
+    below at zero. For the average of a run's play, ``raw_gaps[i]`` is
+    Reg_i(T) / T in exact arithmetic.
     """
 
     epsilon: float
     raw_gaps: np.ndarray
     best_deviations: np.ndarray
-    on_path: np.ndarray
 
 
 def cce_gap(game: Game, play: EmpiricalPlay) -> CceReport:
     """Approximation gap of ``play`` as a coarse correlated equilibrium."""
-    m = game.num_players
-    raw = np.empty(m)
-    on_path = np.empty(m)
-    best = np.empty(m, dtype=int)
-    for i in range(m):
-        tensor = game.loss_tensors[i]
-        on_path[i] = float((play.probs * tensor).sum())
-        marginal = play.probs.sum(axis=i)
-        deviations = loss_matrix(game, i) @ marginal.reshape(-1)
+    raw = np.empty(game.num_players)
+    best = np.empty(game.num_players, dtype=int)
+    for i, tensor in enumerate(game.loss_tensors):
+        deviations = loss_matrix(game, i) @ play.probs.sum(axis=i).reshape(-1)
         best[i] = int(np.argmin(deviations))
-        raw[i] = on_path[i] - float(deviations[best[i]])
-    return CceReport(
-        epsilon=float(np.maximum(raw, 0.0).max()),
-        raw_gaps=raw, best_deviations=best, on_path=on_path)
+        raw[i] = float((play.probs * tensor).sum()) - float(deviations[best[i]])
+    return CceReport(epsilon=float(np.maximum(raw, 0.0).max()), raw_gaps=raw,
+                     best_deviations=best)
 
 
 @dataclass

@@ -107,7 +107,6 @@ class LearnerState:
     eta: float
     mode: str
     round: int = 1
-    horizon: int | None = None
     switched: bool = False
     switch_round: int | None = None
     var_delta_sum: float = 0.0
@@ -150,7 +149,6 @@ def init_state(n: int, eta: float, mode: str, horizon: int | None = None,
         prev_loss=np.zeros(n),
         eta=float(eta),
         mode=mode,
-        horizon=horizon,
         eta_post=eta_post,
         switch_threshold=threshold,
     )

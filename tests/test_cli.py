@@ -150,6 +150,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"rounds": 4})
 
+    def test_formats_string_rejected_whole(self):
+        # not split into the one-letter formats 'j', 's', 'o', 'n'
+        with pytest.raises(ConfigError, match="non-empty list of formats, got 'json'"):
+            ExperimentConfig.from_dict({"game_name": "matching_pennies", "formats": "json"})
+
 
 class TestRunExperiment:
     def test_artifact_files_and_row_counts(self, tmp_path):
@@ -518,8 +523,11 @@ class TestMainExitCodes:
         ["compare", "--game", "random", "--actions", "2,0", "--learner", "hedge,opt_hedge"],
         ["diagnose", "--game", "random", "--actions", "2,2", "--learner", "hedge"],
         ["gen-game", "--actions", "2,0"],
+        ["run", "--game", "matching_pennies", "--rounds", "8", "--format", ","],
+        ["compare", "--game", "matching_pennies", "--learner", "hedge,opt_hedge", "--rounds", "8",
+         "--format", ","],
     ], ids=["fd_h_max_negative", "one_player", "zero_actions", "diagnose_hedge",
-            "gen_game_zero_actions"])
+            "gen_game_zero_actions", "run_no_formats", "compare_no_formats"])
     def test_bad_input_exits_before_simulating(self, argv, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("dynamics.run called on a rejected config")
@@ -559,13 +567,15 @@ class TestMainExitCodes:
                       "learner_specs": [{"mode": "opt_hedge", "eta": 0.5}]}),
         ("--config", {"game_name": "matching_pennies",
                       "learner_specs": [{"eta_policy": "theorem", "eta": 0.5}]}),
+        ("--config", {"game_name": "matching_pennies", "formats": []}),
+        ("--config", {"game_name": "matching_pennies", "formats": "json"}),
     ], ids=["rounds_string", "eta_string", "fd_h_max_string", "actions_not_integers",
             "players_not_integer", "config_array", "game_path_not_string",
             "game_actions_scalar", "game_losses_scalar", "rounds_true", "eta_true",
             "fd_h_max_true", "seed_string", "random_one_player", "out_dir_not_string",
             "random_actions_bool_and_fraction", "game_actions_fraction",
             "emit_trajectory_string", "closeness_string", "variance_inequality_mixed_eta",
-            "eta_under_practical", "eta_under_theorem"])
+            "eta_under_practical", "eta_under_theorem", "formats_empty", "formats_string"])
     def test_bad_file_exits_before_simulating(self, flag, body, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("dynamics.run called on a rejected config")

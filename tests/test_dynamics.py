@@ -199,7 +199,8 @@ class TestRegret:
 
 
 def empirical_round_loop(trajectory):
-    """The joint distribution's sum, one round at a time: the chunked version's oracle."""
+    """The joint distribution's sum, one round at a time, by ``np.multiply.outer`` in
+    player order."""
     total = np.zeros(trajectory.game.action_counts)
     for t in range(trajectory.rounds):
         joint = trajectory.strategies[0][t]
@@ -213,8 +214,7 @@ class TestEmpiricalPlay:
     @pytest.mark.parametrize("counts, rounds", [((3, 3), 2000), ((2, 3, 2), 1500),
                                                 ((8,) * 5, 6), ((4, 3, 5, 7, 20), 5)])
     def test_matches_round_loop(self, counts, rounds):
-        # 2^13 profile-rounds per chunk: 910 rounds of 3x3, 682 of 2x3x2, one round of
-        # 8^5 or 4x3x5x7x20
+        # long runs of small games, and a few rounds of games of 32768 and 8400 profiles
         game = random_game(len(counts), counts, seed=21)
         traj = run(game, [LearnerConfig(eta=0.3)] * len(counts), rounds)
         assert np.array_equal(empirical_joint_distribution(traj).probs, empirical_round_loop(traj))
@@ -268,6 +268,15 @@ class TestCceGap:
         report = cce_gap(game, empirical_joint_distribution(traj))
         max_avg_regret = max(e.total_regret for e in regret_report(traj)) / traj.rounds
         assert report.raw_gaps.max() == pytest.approx(max_avg_regret, abs=1e-9)
+
+    def test_three_player_gaps_are_average_regrets(self):
+        game = random_game(3, (2, 3, 2), seed=16)
+        traj = run(game, [LearnerConfig(eta=0.2)] * 3, 256)
+        report = cce_gap(game, empirical_joint_distribution(traj))
+        np.testing.assert_allclose(report.raw_gaps,
+                                   [e.total_regret / traj.rounds for e in regret_report(traj)],
+                                   rtol=0, atol=1e-9)
+        assert report.epsilon == max(0.0, report.raw_gaps.max())
 
     def test_epsilon_clamped_nonnegative(self):
         game = named_game("prisoners_dilemma_rescaled")

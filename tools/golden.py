@@ -2,7 +2,7 @@
 
 Usage: python tools/golden.py <rev>
 
-Exports ``src`` at <rev> with ``git archive``, then runs the seven golden
+Exports ``src`` at <rev> with ``git archive``, then runs the eight golden
 commands below twice, once against that export and once against the working
 tree's ``src``, each side in its own fresh directory with the same ``--out``
 names. Every file written is compared byte for byte, except that
@@ -48,6 +48,9 @@ COMMANDS = (
     # set by the trajectory and the per-round vectors, not by the CSV writers
     ["diagnose", "--game", "random", "--actions", "3,3", "--game-seed", "1", "--rounds", "65536",
      "--fd-h-max", "5", "--seed", "7", "--no-trajectory", "--out", "diagnose_long"],
+    # JSON only: summary.json and diagnostics.json, and no CSV file
+    ["run", "--game", "matching_pennies", "--rounds", "64", "--format", "json",
+     "--diagnostics", "closeness", "--out", "run_json"],
 )
 
 
