@@ -189,7 +189,7 @@ def fd_profile_values_csv(seq: np.ndarray, h_max: int, path) -> None:
     """
     base = _fd_history(seq, h_max)
     write_csv(path, ("order", "t", "value"),
-              ((np.broadcast_to(h, len(block)), range(start + 1, start + len(block) + 1),
+              ((np.broadcast_to(h, len(block)), np.arange(start + 1, start + len(block) + 1),
                 block.max(1)) for h in range(h_max + 1) for start, block in _fd_blocks(base, h)))
 
 

@@ -130,9 +130,12 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     for cell in cells:
         (g, k), c, n = place[cell[0]], len(cell), counts[cell[0]]
         lead = (c, batch)
-        mat = np.empty(lead + (n, games[0].profile_count // n))
-        for a, b in np.ndindex(lead):
-            mat[a, b] = loss_matrix(games[b], cell[a])
+        if lead == (1, 1):  # player 0 views its tensor; another keeps loss_matrix's copy
+            mat = loss_matrix(games[0], cell[0])[None, None]
+        else:
+            mat = np.empty(lead + (n, games[0].profile_count // n))
+            for a, b in np.ndindex(lead):
+                mat[a, b] = loss_matrix(games[b], cell[a])
         opponents = [[j for j in players if j != i] for i in cell]
         if c == 1:
             gather, sources = None, [rows[j][None] for j in opponents[0]]

@@ -9,6 +9,7 @@ every file the package writes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -18,8 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Most rows that ``write_csv`` formats at once.
+# Most rows that ``write_csv`` formats at once, and the exact float formatter it falls back on.
 CSV_BLOCK_ROWS = 1024
+_format_float = "%.17g".__mod__
 
 NAMED_GAMES = (
     "matching_pennies",
@@ -259,34 +261,137 @@ def load_game_json(path) -> Game:
 
 def write_csv(path, header: Sequence[str], blocks: Iterable[tuple],
               labels: Sequence[tuple] = ((),)) -> None:
-    """Stream ``blocks`` of rows under ``header`` to an LF-terminated CSV file.
+    """Stream ``blocks`` of rows under ``header`` to an LF-terminated UTF-8 CSV file.
 
-    A block is a tuple of equal-length columns, each a NumPy array (read with
-    ``tolist``) or a sequence. Row r of a block holds its first column's cell,
-    then the cells of ``labels[r % len(labels)]``, then its other columns'
-    cells, so a block holds whole periods of ``labels``. The labels are baked
-    into the row format, and a block is formatted ``CSV_BLOCK_ROWS`` rows (or
-    one period) at a time with one ``%`` call. Float cells get 17 significant
-    digits, enough to read back the same double in any locale; every other
-    cell and label is written with ``str``. The first row's cell types fix the
-    layout, so each column holds one type.
+    A block is a tuple of equal-length columns, each a NumPy array or a
+    sequence. Row r of a block holds its first column's cell, then the cells
+    of ``labels[r % len(labels)]``, then its other columns' cells, so a block
+    holds whole periods of ``labels``. Each cell of a float column (as
+    ``np.asarray`` reads it) is written exactly as ``'%.17g' % cell``, which
+    reads back as the same double in any locale, and every other cell and
+    label as ``str(cell)``. Rows are formatted ``CSV_BLOCK_ROWS`` (or one
+    period) at a time in NumPy; ``_float_text`` names the floats that it
+    formats one by one with ``_format_float`` instead.
     """
-    fmt, period = None, len(labels)
+    period = len(labels)
+    label_text = _text(",".join(["", *map(str, row)]) for row in labels)
     step = max(1, CSV_BLOCK_ROWS // period) * period
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for block in blocks:
             for start in range(0, len(block[0]), step):
-                columns = [c[start:start + step] for c in block]
-                columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-                if fmt is None:
-                    first, *rest = ("%.17g" if isinstance(c[0], float) else "%s" for c in columns)
-                    fmt = "".join(",".join([first, *(str(cell).replace("%", "%%") for cell in row),
-                                            *rest]) + "\n" for row in labels)
-                cells = [None] * (len(columns) * len(columns[0]))
-                for j, column in enumerate(columns):
-                    cells[j::len(columns)] = column
-                fh.write(fmt * (len(columns[0]) // period) % tuple(cells))
+                text = [{"f": _float_text, "i": _int_text}.get(c.dtype.kind, _text)(c)
+                        for c in (np.asarray(c[start:start + step]) for c in block)]
+                comma = np.full((len(text[0]), 1), ord(","), np.uint8)
+                # each stage replaces the last, so a chunk holds at most two copies of its text
+                text = np.concatenate([text[0], np.tile(label_text, (len(comma) // period, 1)),
+                                       *(part for cell in text[1:] for part in (comma, cell)), comma], 1)
+                text[:, -1] = ord("\n")
+                text = text.tobytes()
+                fh.write(text.translate(None, b"\0"))
+
+
+def _text(cells) -> np.ndarray:
+    """``str(cell)`` of each cell, UTF-8 encoded, as a NUL-padded uint8 row."""
+    text = np.array([str(cell).encode() for cell in cells])
+    return text.view(np.uint8).reshape(len(text), -1)
+
+
+def _split(values):
+    """Veltkamp's split of float64 values into halves of at most 26 bits."""
+    scaled = values * 134217729.0
+    high = scaled - (scaled - values)
+    return high, values - high
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """Digit pairs, float layouts and powers of ten, built on first use: a
+    process that writes no CSV file never runs the NumPy code that builds them.
+
+    Pair j < 100 spreads j's two ASCII digits over a uint32, each after a NUL,
+    so digit i of a number spread pair by pair sits in byte 2i + 1; pair 100 + j
+    is pair j less its leading "0"s. Layout (x + 27) * 17 + k - 1, XORed into the
+    ten pairs of a 17-digit integer and a NUL word, gives the text of a positive
+    number with exponent x in [-27, 15] and k significant digits: 0x30 turns a
+    dropped "0" into NUL, byte 6 + 2i holds the point if it precedes digit i,
+    bytes 1-5 the "0.000" of -4 <= x < 0 and bytes 40-43 the "e-XX" of x < -4.
+    Power row s holds 10**s as a double-double (high, tail), high's halves between.
+    """
+    pairs = np.zeros((200, 4), np.uint8)
+    pairs[:100, 1::2] = np.indices((10, 10), np.uint8).reshape(2, -1).T + ord("0")
+    pairs[100:] = pairs[:100]
+    pairs[100:110, 1], pairs[100, 3] = 0, 0
+    x, k = (axis.reshape(-1, 1) for axis in np.meshgrid(np.arange(-27, 16, dtype=np.int8),
+                                                          np.arange(1, 18, dtype=np.int8), indexing="ij"))
+    place, point = np.arange(17, dtype=np.int8), np.where(x < -4, 1, np.where(x < 0, 17, x + 1))
+    layouts = np.zeros((len(x), 44), np.uint8)
+    layouts[:, 1:6] = np.where((x <= [-1, -1, -2, -3, -4]) & (x >= -4),
+                               [0, ord("."), 0, ord("0"), 0], [0x30, 0, 0x30, 0, 0x30])
+    layouts[:, 6:40:2] = ((place == point) & (k > point)) * np.uint8(ord("."))
+    layouts[:, 7:40:2] = (place >= np.maximum(k, x + 1)) * np.uint8(0x30)
+    layouts[:, 40:44] = (x < -4) * np.concatenate([np.full((len(x), 2), [ord("e"), ord("-")], np.uint8),
+                                                   pairs[np.abs(x[:, 0]), 1::2]], axis=1)
+    high = [float(10**s) for s in range(44)]
+    tens = np.stack([high, *_split(np.array(high)), [float(10**s - int(h)) for s, h in enumerate(high)]], 1)
+    return pairs.view(np.uint32).ravel(), layouts.view(np.uint32), tens
+
+
+def _int_text(values: np.ndarray) -> np.ndarray:
+    """Each integer as ``str(value)``, in NUL-padded uint8 rows."""
+    values = np.asarray(values, dtype=np.int64)
+    magnitudes = np.abs(values).view(np.uint64)  # abs(-2**63) wraps to 2**63 as uint64
+    pairs = np.empty((len(values), (len(str(int(magnitudes.max()))) + 1) // 2), np.int32)
+    for column in range(pairs.shape[1] - 1, -1, -1):
+        quotient = magnitudes // 100  # NumPy divides by a scalar far faster than it takes %
+        pairs[:, column] = magnitudes - quotient * 100
+        pairs[:, column] += (quotient == 0) * 100  # the leading pair, less its leading "0"s
+        magnitudes = quotient
+    text = np.take(_tables()[0], pairs).view(np.uint8)
+    text[:, 0] = (values < 0) * ord("-") + (values == 0) * ord("0")  # byte 0 precedes all digits
+    return text
+
+
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """Each float as ``'%.17g' % value``, in NUL-padded uint8 rows.
+
+    A value with 1e-26 <= |v| < 1e15 gets its 17 digits from a double-double
+    product with a power of ten, exact for |v| >= 1e-6, else within 2**-47.
+    Zeros, non-finite values, the rest of the range and fractions within
+    1e-12 of a rounding tie go through ``_format_float``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    magnitudes = np.abs(values)
+    fast = (magnitudes >= 1e-26) & (magnitudes < 1e15)  # False for NaN
+    a = np.where(fast, magnitudes, 1.0)
+    # x is a guess at the decimal exponent; a wrong guess fails the range test below
+    x = np.floor(np.log10(a)).astype(np.int64)
+    ten, ten_high, ten_low, ten_tail = np.take(_tables()[2], 16 - x, axis=0).T
+    # a * 10**(16 - x) == product + error + a * ten_tail, with error exact (Dekker)
+    a_high, a_low = _split(a)
+    product = a * ten
+    error = ((a_high * ten_high - product) + a_high * ten_low + a_low * ten_high) + a_low * ten_low
+    error += a * ten_tail
+    exact = fast & ((product - 1e16) + error >= 0) & ((product - 1e17) + error < 0)
+    exact &= (ten_tail == 0) | (np.abs(error - np.floor(error) - 0.5) >= 1e-12)
+    digits = product.astype(np.int64) + np.rint(error).astype(np.int64)  # ties to even
+    exact &= digits < 10**17  # a carry to the next power of ten needs log10 to have come out low
+    pairs = np.full((len(values), 11), 100, np.int32)
+    for column in range(9, -1, -1):
+        quotient = digits // 100
+        pairs[:, column] = digits - quotient * 100
+        digits = quotient
+    text = np.take(_tables()[0], pairs)
+    significant = 17 - np.argmax(text.view(np.uint8)[:, 39:6:-2] != ord("0"), axis=1)
+    text ^= np.take(_tables()[1], (x + 27) * 17 + significant - 1, axis=0)
+    text = text.view(np.uint8)
+    text[:, 0] = (values < 0) * ord("-")
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        fallback = _text(map(_format_float, values[slow].tolist()))
+        text[slow] = 0
+        text[slow, :fallback.shape[1]] = fallback
+    return text
 
 
 def write_json(data, path) -> None:

@@ -113,6 +113,22 @@ class TestRun:
         assert regret(moved, 0).total_regret == pytest.approx(
             regret(base, 0).total_regret, abs=1e-10)
 
+    def test_two_group_run_holds_one_loss_matrix_copy(self):
+        # Hedge and OptHedge players form two groups of one player each: player 0's
+        # matrix is a view of its tensor and player 1's is the one copy loss_matrix makes.
+        game = random_game(2, (300, 300), seed=3)
+        configs = [LearnerConfig(mode="hedge", eta=0.1), LearnerConfig(eta=0.1)]
+        tracemalloc.start()
+        try:
+            traj = run(game, configs, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * game.loss_tensors[0].nbytes, (peak, game.loss_tensors[0].nbytes)
+        for i in range(2):
+            np.testing.assert_array_equal(traj.losses[i][1], expected_loss_vector(
+                game, i, [s[1] for s in traj.strategies]))
+
     def test_constant_game_zero_regret(self):
         tensors = tuple(np.full((2, 3), 0.6) for _ in range(2))
         game = Game(2, (2, 3), tensors)

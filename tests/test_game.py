@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regretsim import (
     Game,
@@ -314,8 +316,54 @@ class TestGameJson:
             game_from_dict({"players": 2, "actions": [2, 2]})
 
 
+def per_row_csv(header, columns):
+    """The CSV text of ``columns`` formatted row by row: ``'%.17g'`` for floats, else ``'%s'``."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % cell if isinstance(cell, float) else "%s" % cell for cell in row) + "\n"
+        for row in rows)
+
+
 class TestWriteCsv:
     SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1.0, 1e300]
+    # the fast float path's domain bounds and neighbours; in its two-product
+    # range an exact tie and two fractions within 1e-15 of one; exponents that
+    # log10 or rounding can misplace (1e-14 rounds up to a power of ten); signs
+    EDGES = [1e-26, np.nextafter(1e-26, 0), np.nextafter(1e-26, 1), 1e15, np.nextafter(1e15, 0),
+             np.nextafter(1e15, 2e15), 2.0**-25, 4.9102966142601843e-08, 9.895086944612226e-10,
+             9.9999999999999996e-24, 0.99999999999999989, 1e-14, 123456789012345.67, -1e-5, -0.0]
+    INT_EDGES = [0, -3, 10**15]
+
+    def test_float_and_int_branch_edges(self, tmp_path):
+        floats = np.array(self.EDGES)
+        ints = np.resize(np.array(self.INT_EDGES), len(floats))
+        reference = per_row_csv(("i", "v"), (ints, floats)).encode()
+        write_csv(tmp_path / "a.csv", ("i", "v"), [(ints, floats)])
+        write_csv(tmp_path / "b.csv", ("i", "v"), [(ints.tolist(), floats.tolist())])
+        for name in ("a.csv", "b.csv"):
+            assert (tmp_path / name).read_bytes() == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(-2**63, 2**63 - 1)),
+                    min_size=1, max_size=40))
+    @example([(0x7FF8000000000001, 0), (0xFFF0000000000000, -1), (0x7FF0000000000000, 1),
+              (0x8000000000000000, -2**63), (0, 2**63 - 1), (1, 10**17), (0x800FFFFFFFFFFFFF, -10)])
+    def test_bit_patterns_match_per_row_formatting(self, tmp_path_factory, rows):
+        bits, ints = zip(*rows)
+        floats = np.array(bits, dtype=np.uint64).view(np.float64)
+        ints = np.array(ints, dtype=np.int64)
+        path = tmp_path_factory.mktemp("bits") / "a.csv"
+        write_csv(path, ("v", "i"), [(floats, ints)])
+        assert path.read_bytes() == per_row_csv(("v", "i"), (floats, ints)).encode()
+
+    def test_uniform_values_take_the_fast_path(self, tmp_path, monkeypatch):
+        def fallback(value):
+            raise AssertionError(f"{value!r} went to the fallback")
+
+        values = np.random.default_rng(20).random(10**5)
+        monkeypatch.setattr("regretsim.game._format_float", fallback)
+        write_csv(tmp_path / "u.csv", ("value",), [(values,)])
+        assert (tmp_path / "u.csv").read_bytes() == per_row_csv(("value",), (values,)).encode()
 
     @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
     def test_matches_per_row_formatting(self, rows, tmp_path):
