@@ -15,6 +15,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import diagnostics, dynamics, learners
 from .game import (Game, json_int, load_game_json, named_game, random_game, save_game_json,
                    write_csv, write_json, NAMED_GAMES)
@@ -361,6 +363,15 @@ def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory):
     return report, verdicts, fd_profiles
 
 
+def _check_finite(trajectory: dynamics.Trajectory) -> None:
+    """Raise naming the first round and player with a non-finite strategy or loss."""
+    finite = np.stack([np.isfinite(np.hstack(pair)).all(axis=1)
+                       for pair in zip(trajectory.strategies, trajectory.losses)], axis=1)
+    if not finite.all():
+        t, i = np.argwhere(~finite)[0]
+        raise RuntimeError(f"round {t + 1}, player {i + 1}: strategy or loss not finite")
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment, write its artifact files, return the summary dict."""
     started = time.perf_counter()
@@ -369,6 +380,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trajectory = dynamics.run(game, configs, cfg.rounds, seed=cfg.seed)
+    _check_finite(trajectory)
     entries = dynamics.regret_report(trajectory)
     # Player i's CCE gap of the time-averaged product play is Reg_i(T) / T.
     gaps = [e.total_regret / cfg.rounds for e in entries]
@@ -394,6 +406,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "game": {"name": game.name, "players": game.num_players,
                  "actions": list(game.action_counts)},
         "etas": [c.eta for c in configs],
+        "metadata": {"switch_rounds": list(trajectory.metadata.switch_rounds)},
         "regret": [e.to_dict() for e in entries],
         "cce": {"epsilon": max(0.0, *gaps), "raw_gaps": gaps},
         "diagnostics": verdicts,
@@ -422,6 +435,7 @@ def compare_learners(cfg: ExperimentConfig) -> list[dict]:
         eta = spec.resolve_eta(game.num_players, cfg.rounds)
         configs = [dynamics.LearnerConfig(mode=spec.mode, eta=eta)] * game.num_players
         trajectory = dynamics.run(game, configs, cfg.rounds, seed=cfg.seed)
+        _check_finite(trajectory)
         entries = dynamics.regret_report(trajectory)
         for checkpoint in checkpoints:
             for e in entries:

@@ -313,10 +313,11 @@ class ClosenessReport:
     worst_coordinate: int
 
     def to_dict(self) -> dict:
-        """1-indexed: step t moves from round t to round t + 1; null for both with no step."""
+        """1-indexed: step t moves from round t to t + 1; null for both with no step.
+        An infinite zeta_observed is null too, as strict JSON has no infinity."""
         has_step = self.worst_step >= 0
         return {
-            "zeta_observed": self.zeta_observed,
+            "zeta_observed": self.zeta_observed if math.isfinite(self.zeta_observed) else None,
             "worst_step": self.worst_step + 1 if has_step else None,
             "worst_coordinate": self.worst_coordinate + 1 if has_step else None,
         }

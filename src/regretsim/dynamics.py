@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import learners
-from .game import CSV_BLOCK_ROWS, Game, loss_matrix, validate_game, write_csv
+from .game import AUDIT_BLOCK_ROWS, Game, loss_matrix, validate_game, write_csv
 
 __version__ = "0.1.0"
 
@@ -24,10 +24,6 @@ DENSE_SUPPORT_LIMIT = 10**6
 
 # ``batch_run`` plays a shape's waiting games once their loss tensors reach this many bytes.
 BATCH_BYTES = 2 * 2**20
-
-# ``regret`` and the audits of ``diagnostics`` read a (T, n) history this many
-# rows at a time, so their scratch memory does not grow with T.
-AUDIT_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -429,19 +425,19 @@ def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     labels = [(k // 2 + 1, ("strategy", "loss")[k % 2], j + 1)
               for k, h in enumerate(histories) for j in range(h.shape[1])]
     write_csv(path, ("round", "player", "kind", "action", "value"),
-              _round_blocks(histories, len(labels)), labels)
+              _round_blocks(histories), labels)
 
 
 def regret_curves_to_csv(entries: Sequence[RegretEntry], path) -> None:
     """Write rows (round, player, regret), 1-indexed, LF-terminated."""
     write_csv(path, ("round", "player", "regret"),
-              _round_blocks([entry.curve[:, None] for entry in entries], len(entries)),
+              _round_blocks([entry.curve[:, None] for entry in entries]),
               [(entry.player + 1,) for entry in entries])
 
 
-def _round_blocks(histories, period):
-    """``write_csv`` blocks of whole rounds: (round, value) rows, ``period`` per round."""
-    step = max(1, CSV_BLOCK_ROWS // period)
+def _round_blocks(histories):
+    """``write_csv`` blocks of whole rounds: each round, then its values in ``histories``."""
+    step = max(1, AUDIT_BLOCK_ROWS // sum(h.shape[1] for h in histories))
     for start in range(0, len(histories[0]), step):
         values = np.concatenate([h[start:start + step] for h in histories], axis=1)
-        yield np.arange(start + 1, start + len(values) + 1).repeat(period), values.reshape(-1)
+        yield np.arange(start + 1, start + len(values) + 1), values.reshape(-1)

@@ -19,9 +19,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Most rows that ``write_csv`` formats at once, and the exact float formatter it falls back on.
-CSV_BLOCK_ROWS = 1024
+# ``write_csv`` formats rows, and ``regret`` and the audits of ``diagnostics`` read a (T, n)
+# history, this many at a time; ``_format_float`` is the exact formatter write_csv falls back on.
+AUDIT_BLOCK_ROWS = 4096
 _format_float = "%.17g".__mod__
+_ZEROS = np.uint64(0x3030303030303030)  # "0" in each byte of a uint64 word of text
 
 NAMED_GAMES = (
     "matching_pennies",
@@ -263,32 +265,40 @@ def write_csv(path, header: Sequence[str], blocks: Iterable[tuple],
               labels: Sequence[tuple] = ((),)) -> None:
     """Stream ``blocks`` of rows under ``header`` to an LF-terminated UTF-8 CSV file.
 
-    A block is a tuple of equal-length columns, each a NumPy array or a
-    sequence. Row r of a block holds its first column's cell, then the cells
-    of ``labels[r % len(labels)]``, then its other columns' cells, so a block
-    holds whole periods of ``labels``. Each cell of a float column (as
-    ``np.asarray`` reads it) is written exactly as ``'%.17g' % cell``, which
-    reads back as the same double in any locale, and every other cell and
-    label as ``str(cell)``. Rows are formatted ``CSV_BLOCK_ROWS`` (or one
-    period) at a time in NumPy; ``_float_text`` names the floats that it
-    formats one by one with ``_format_float`` instead.
+    A block is a tuple of columns, each a NumPy array or a sequence: a first
+    column of one cell per period of ``labels``, then columns of one cell per
+    row. Row r of a block holds cell r // len(labels) of the first column, then
+    the cells of ``labels[r % len(labels)]``, then cell r of each other column.
+    Each cell of a float column (as ``np.asarray`` reads it) is written exactly
+    as ``'%.17g' % cell``, which reads back as the same double in any locale,
+    and every other cell and label as ``str(cell)``. Rows are formatted
+    ``AUDIT_BLOCK_ROWS`` (or one period) at a time in NumPy, and the floats
+    that ``_float_digits`` finds inexact one by one with ``_format_float``.
     """
     period = len(labels)
     label_text = _text(",".join(["", *map(str, row)]) for row in labels)
-    step = max(1, CSV_BLOCK_ROWS // period) * period
+    step = max(1, AUDIT_BLOCK_ROWS // period)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for block in blocks:
-            for start in range(0, len(block[0]), step):
-                text = [{"f": _float_text, "i": _int_text}.get(c.dtype.kind, _text)(c)
-                        for c in (np.asarray(c[start:start + step]) for c in block)]
-                comma = np.full((len(text[0]), 1), ord(","), np.uint8)
-                # each stage replaces the last, so a chunk holds at most two copies of its text
-                text = np.concatenate([text[0], np.tile(label_text, (len(comma) // period, 1)),
-                                       *(part for cell in text[1:] for part in (comma, cell)), comma], 1)
-                text[:, -1] = ord("\n")
-                text = text.tobytes()
-                fh.write(text.translate(None, b"\0"))
+        for first, *rest in blocks:
+            for start in range(0, len(first), step):
+                cells = slice(start * period, (start + step) * period)
+                columns = [first[start:start + step], *(column[cells] for column in rest)]
+                fh.write(_rows(columns, label_text).translate(None, b"\0"))
+
+
+def _rows(columns, label_text: np.ndarray) -> bytes:
+    """One chunk of ``write_csv``'s rows (see there) as bytes, NUL padding and all."""
+    comma, newline = (np.full((1, 1, 1), ord(c), np.uint8) for c in ",\n")
+    parts = []
+    for column in map(np.asarray, columns):
+        text = {"f": _float_text, "i": _int_text}.get(column.dtype.kind, _text)(column)
+        # (rows, period, width); (rows, 1, width) for the first column, one cell for a period
+        text = text.reshape(len(columns[0]), -1, text.shape[1])
+        parts += [comma, text] if parts else [text, label_text]
+    shape = (len(columns[0]), len(label_text))
+    return np.concatenate([np.broadcast_to(p, (*shape, p.shape[-1])) for p in parts + [newline]],
+                          axis=2).tobytes()
 
 
 def _text(cells) -> np.ndarray:
@@ -306,67 +316,107 @@ def _split(values):
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """Digit pairs, float layouts and powers of ten, built on first use: a
+    """Byte masks, float layouts and powers of ten, built on first use: a
     process that writes no CSV file never runs the NumPy code that builds them.
 
-    Pair j < 100 spreads j's two ASCII digits over a uint32, each after a NUL,
-    so digit i of a number spread pair by pair sits in byte 2i + 1; pair 100 + j
-    is pair j less its leading "0"s. Layout (x + 27) * 17 + k - 1, XORed into the
-    ten pairs of a 17-digit integer and a NUL word, gives the text of a positive
-    number with exponent x in [-27, 15] and k significant digits: 0x30 turns a
-    dropped "0" into NUL, byte 6 + 2i holds the point if it precedes digit i,
-    bytes 1-5 the "0.000" of -4 <= x < 0 and bytes 40-43 the "e-XX" of x < -4.
-    Power row s holds 10**s as a double-double (high, tail), high's halves between.
+    Text is built in uint64 words, byte 0 first. ``low[w, c]`` keeps the first c
+    bytes of a text in word w's bytes 8w to 8w + 7; ``dots[:, c]`` is a "." at
+    byte c of two words, none at c = 16. Layout x + 27, for exponent x in [-27, 15],
+    holds the "0.000" of -4 <= x < 0 in bytes 1-5 and the "e-XX" of x < -4 in bytes
+    25-28; ``points[:, x + 27]`` counts the digits before the point (0 after "0.")
+    and those of them in the last 16 (16: no point there). Power row s holds 10**s
+    as a double-double (high, tail), high's halves between.
     """
-    pairs = np.zeros((200, 4), np.uint8)
-    pairs[:100, 1::2] = np.indices((10, 10), np.uint8).reshape(2, -1).T + ord("0")
-    pairs[100:] = pairs[:100]
-    pairs[100:110, 1], pairs[100, 3] = 0, 0
-    x, k = (axis.reshape(-1, 1) for axis in np.meshgrid(np.arange(-27, 16, dtype=np.int8),
-                                                          np.arange(1, 18, dtype=np.int8), indexing="ij"))
-    place, point = np.arange(17, dtype=np.int8), np.where(x < -4, 1, np.where(x < 0, 17, x + 1))
-    layouts = np.zeros((len(x), 44), np.uint8)
-    layouts[:, 1:6] = np.where((x <= [-1, -1, -2, -3, -4]) & (x >= -4),
-                               [0, ord("."), 0, ord("0"), 0], [0x30, 0, 0x30, 0, 0x30])
-    layouts[:, 6:40:2] = ((place == point) & (k > point)) * np.uint8(ord("."))
-    layouts[:, 7:40:2] = (place >= np.maximum(k, x + 1)) * np.uint8(0x30)
-    layouts[:, 40:44] = (x < -4) * np.concatenate([np.full((len(x), 2), [ord("e"), ord("-")], np.uint8),
-                                                   pairs[np.abs(x[:, 0]), 1::2]], axis=1)
+    low = np.array([[256**min(max(c - 8 * w, 0), 8) - 1 for c in range(25)] for w in range(3)],
+                   np.uint64)
+    x = np.arange(-27, 16)
+    layouts = np.zeros((len(x), 32), np.uint8)
+    prefix = np.where((x >= -4) & (x < 0), 1 - x, 0)
+    layouts[:, 1:6] = (np.arange(5) < prefix[:, None]) * np.array(list(b"0.000"))
+    layouts[:, 25:29] = [list(b"e-%02d" % -e) if e < -4 else [0] * 4 for e in x.tolist()]
+    point = np.where(x < -4, 1, np.where(x < 0, 0, x + 1))
     high = [float(10**s) for s in range(44)]
-    tens = np.stack([high, *_split(np.array(high)), [float(10**s - int(h)) for s, h in enumerate(high)]], 1)
-    return pairs.view(np.uint32).ravel(), layouts.view(np.uint32), tens
+    powers = np.stack([high, *_split(np.array(high)), [float(10**s - int(h)) for s, h in enumerate(high)]])
+    return (low, (low[:2, 1:] ^ low[:2, :-1]) & np.uint64(0x2E2E2E2E2E2E2E2E), layouts.view(np.uint64),
+            np.stack([point, np.where(point > 0, point - 1, 16)]).astype(np.int8), powers)
+
+
+def _digit_words(values: np.ndarray, count: int) -> np.ndarray:
+    """Each integer below 10**(8 * count) as ``count`` uint64 words of its
+    digits (0-9), eight a word, the first digit in byte 0 of word 0."""
+    words = np.empty((count, len(values)), np.uint64)
+    for word in range(count - 1, 0, -1):
+        quotient = values // 10**8  # NumPy divides by a scalar far faster than it takes %
+        words[word] = values - quotient * 10**8
+        values = quotient
+    words[0] = values
+    # halves, pairs, then digits: each step keeps w // d in the low half of a lane and the
+    # rest in its high half; (w * 5243) >> 19 is w // 100 and (w * 103) >> 10 is w // 10 here
+    words = (words << 32) - (words // 10000) * (10000 * 2**32 - 1)
+    words = (words << 16) - (((words * 5243) >> 19) & 0x0000007F0000007F) * (100 * 2**16 - 1)
+    return (words << 8) - (((words * 103) >> 10) & 0x000F000F000F000F) * (10 * 2**8 - 1)
 
 
 def _int_text(values: np.ndarray) -> np.ndarray:
-    """Each integer as ``str(value)``, in NUL-padded uint8 rows."""
+    """Each integer as ``str(value)``, right-aligned in NUL-padded uint8 rows."""
+    low = _tables()[0]
     values = np.asarray(values, dtype=np.int64)
     magnitudes = np.abs(values).view(np.uint64)  # abs(-2**63) wraps to 2**63 as uint64
-    pairs = np.empty((len(values), (len(str(int(magnitudes.max()))) + 1) // 2), np.int32)
-    for column in range(pairs.shape[1] - 1, -1, -1):
-        quotient = magnitudes // 100  # NumPy divides by a scalar far faster than it takes %
-        pairs[:, column] = magnitudes - quotient * 100
-        pairs[:, column] += (quotient == 0) * 100  # the leading pair, less its leading "0"s
-        magnitudes = quotient
-    text = np.take(_tables()[0], pairs).view(np.uint8)
-    text[:, 0] = (values < 0) * ord("-") + (values == 0) * ord("0")  # byte 0 precedes all digits
-    return text
+    width = len(str(int(magnitudes.max())))
+    count = (width + 8) // 8  # words enough for the digits and a sign
+    # the leading zeros of each row, bar the last digit of a 0, are NUL
+    blank = np.full(len(values), 8 * count - 1)
+    for power in range(1, width):
+        blank -= magnitudes >= 10**power
+    words = (_digit_words(magnitudes, count) + _ZEROS) & ~np.take(low[:count], blank, axis=1)
+    text = np.ascontiguousarray(words.T).view(np.uint8)
+    text[:, -width - 1] = (values < 0) * ord("-")
+    return text[:, -width - 1:]
 
 
 def _float_text(values: np.ndarray) -> np.ndarray:
-    """Each float as ``'%.17g' % value``, in NUL-padded uint8 rows.
-
-    A value with 1e-26 <= |v| < 1e15 gets its 17 digits from a double-double
-    product with a power of ten, exact for |v| >= 1e-6, else within 2**-47.
-    Zeros, non-finite values, the rest of the range and fractions within
-    1e-12 of a rounding tie go through ``_format_float``.
-    """
+    """Each float as ``'%.17g' % value``, in NUL-padded uint8 rows: the sign in
+    byte 0, the first of 17 digits in byte 7, the other 16 and the point in
+    bytes 8-24, and the rest from a layout (see ``_tables``)."""
+    low, dots, layouts, points, _ = _tables()
     values = np.asarray(values, dtype=np.float64)
+    first, digits, x, exact = _float_digits(values)
+    digits = _digit_words(digits, 2)
+    # k significant digits, from the float exponent of each word's last nonzero byte
+    # (k < 1 if only the first digit is nonzero); p before the point, q of them in the words
+    k = (((digits.astype(np.float64).view(np.int64) >> 52) - 1023 >> 3) + [[2], [10]]).max(axis=0)
+    p, q = np.take(points, x + 27, axis=1)
+    # trailing zeros go unless they precede the point; the digits after it move up a byte
+    digits = (digits + _ZEROS) & np.take(low[:2], np.maximum(k, p) - 1, axis=1, mode="clip")
+    moved = digits & ~np.take(low[:2], q, axis=1)
+    digits ^= moved
+    digits |= (moved << 8) | np.take(dots, np.where(k > p, q, 16), axis=1)
+    digits[1] |= moved[0] >> 56
+    text = np.take(layouts, x + 27, axis=0)
+    text[:, 0] |= ((first + ord("0")) << 56) | (values < 0) * np.uint64(ord("-"))
+    text[:, 1:3] = digits.T
+    text[:, 3] |= moved[1] >> 56
+    text = text.view(np.uint8)[:, :29]
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        fallback = _text(map(_format_float, values[slow].tolist()))
+        text[slow] = 0
+        text[slow, :fallback.shape[1]] = fallback
+    return text
+
+
+def _float_digits(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The first of each float's 17 significant digits and the other 16 (uint64),
+    its decimal exponent, and whether the digits are exact: a value with 1e-26 <=
+    |v| < 1e15 gets them from a double-double product with a power of ten, exact
+    for |v| >= 1e-6, else within 2**-47, unless a fraction lies within 1e-12 of
+    a rounding tie. Every other value gets the digits of 10**16."""
     magnitudes = np.abs(values)
     fast = (magnitudes >= 1e-26) & (magnitudes < 1e15)  # False for NaN
     a = np.where(fast, magnitudes, 1.0)
     # x is a guess at the decimal exponent; a wrong guess fails the range test below
-    x = np.floor(np.log10(a)).astype(np.int64)
-    ten, ten_high, ten_low, ten_tail = np.take(_tables()[2], 16 - x, axis=0).T
+    x = np.floor(np.log10(a)).astype(np.intp)
+    ten, ten_high, ten_low, ten_tail = np.take(_tables()[4], 16 - x, axis=1)
     # a * 10**(16 - x) == product + error + a * ten_tail, with error exact (Dekker)
     a_high, a_low = _split(a)
     product = a * ten
@@ -376,26 +426,14 @@ def _float_text(values: np.ndarray) -> np.ndarray:
     exact &= (ten_tail == 0) | (np.abs(error - np.floor(error) - 0.5) >= 1e-12)
     digits = product.astype(np.int64) + np.rint(error).astype(np.int64)  # ties to even
     exact &= digits < 10**17  # a carry to the next power of ten needs log10 to have come out low
-    pairs = np.full((len(values), 11), 100, np.int32)
-    for column in range(9, -1, -1):
-        quotient = digits // 100
-        pairs[:, column] = digits - quotient * 100
-        digits = quotient
-    text = np.take(_tables()[0], pairs)
-    significant = 17 - np.argmax(text.view(np.uint8)[:, 39:6:-2] != ord("0"), axis=1)
-    text ^= np.take(_tables()[1], (x + 27) * 17 + significant - 1, axis=0)
-    text = text.view(np.uint8)
-    text[:, 0] = (values < 0) * ord("-")
-    slow = np.flatnonzero(~exact)
-    if slow.size:
-        fallback = _text(map(_format_float, values[slow].tolist()))
-        text[slow] = 0
-        text[slow, :fallback.shape[1]] = fallback
-    return text
+    digits = np.where(exact, digits, 10**16).view(np.uint64)
+    first = digits // 10**16
+    return first, digits - first * 10**16, x, exact
 
 
 def write_json(data, path) -> None:
-    """Write ``data`` as indented, key-sorted, LF-terminated JSON."""
+    """Write ``data`` as indented, key-sorted, LF-terminated strict JSON: a NaN
+    or infinite float raises a ValueError."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -166,6 +166,18 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "summary.json").exists()
         assert (tmp_path / "out" / "trajectory.csv").exists()
 
+    def test_summary_records_switch_rounds(self, tmp_path, monkeypatch):
+        # the CLI sets no c', so a zero switch threshold is patched into the run
+        real_run = dynamics.run
+        monkeypatch.setattr(dynamics, "run", lambda game, configs, rounds, seed=None: real_run(
+            game, [dataclasses.replace(c, c_prime=0.0) for c in configs], rounds, seed=seed))
+        code = cli.main(["run", "--game", "random", "--actions", "2,2,2", "--game-seed", "20",
+                         "--learner", "adaptive_opt_hedge,opt_hedge,hedge", "--eta", "0.5",
+                         "--rounds", "48", "--out", str(tmp_path / "out")])
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["metadata"] == {"switch_rounds": [8, None, None]}
+
     def test_summary_deterministic_modulo_duration(self, tmp_path):
         argv = ["run", "--game", "random", "--actions", "2,2", "--game-seed", "5",
                 "--rounds", "64"]
@@ -390,6 +402,17 @@ class TestMainExitCodes:
         code = cli.main(["run", "--game", "matching_pennies", "--rounds", "4",
                          "--out", str(blocker)])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_non_finite_run_exits_3_and_writes_nothing(self, command, tmp_path, capsys):
+        # a step of 1e308 turns the strategies into NaN in round 3
+        out = tmp_path / "out"
+        code = cli.main([command, "--game", "random", "--actions", "3,3", "--game-seed", "2",
+                         "--rounds", "16", "--eta", "1e308", "--out", str(out)]
+                        + ["--learner", "opt_hedge,hedge"] * (command == "compare"))
+        assert code == 3
+        assert "round 3, player 1: strategy or loss not finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_unusable_out_exits_before_simulating(self, command, tmp_path, monkeypatch):

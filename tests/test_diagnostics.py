@@ -389,6 +389,7 @@ class TestConsecutiveCloseness:
     def test_zero_coordinate_infinite(self):
         report = consecutive_closeness(np.array([[1.0, 0.0], [0.5, 0.5]]))
         assert math.isinf(report.zeta_observed)
+        assert report.to_dict()["zeta_observed"] is None  # strict JSON has no infinity
 
     def test_opt_hedge_run_within_bound(self):
         eta = 0.05

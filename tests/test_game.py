@@ -19,7 +19,8 @@ from regretsim import (
     uniform_strategy,
     validate_game,
 )
-from regretsim.game import _profile_count, game_from_dict, game_to_dict, loss_matrix, write_csv
+from regretsim.game import (AUDIT_BLOCK_ROWS, _profile_count, game_from_dict, game_to_dict,
+                            loss_matrix, write_csv, write_json)
 
 
 def small_random_games():
@@ -365,7 +366,10 @@ class TestWriteCsv:
         write_csv(tmp_path / "u.csv", ("value",), [(values,)])
         assert (tmp_path / "u.csv").read_bytes() == per_row_csv(("value",), (values,)).encode()
 
-    @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
+    B = AUDIT_BLOCK_ROWS  # the rows write_csv formats at a time
+
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1],
+                             ids=["0", "1", "B-1", "B", "B+1", "2B+1"])
     def test_matches_per_row_formatting(self, rows, tmp_path):
         rng = np.random.default_rng(rows)
         floats = np.where(np.arange(rows) % 3 == 0, rng.random(rows),
@@ -384,7 +388,8 @@ class TestWriteCsv:
         for name in ("a.csv", "b.csv"):
             assert (tmp_path / name).read_bytes() == reference.encode()
 
-    @pytest.mark.parametrize("period, periods", [(1, 2049), (3, 700), (1100, 2)])
+    @pytest.mark.parametrize("period, periods", [(1, 2 * B + 1), (3, 700), (B + 76, 2)],
+                             ids=["1-2B+1", "3-700", "B+76-2"])
     def test_labels_match_per_row_formatting(self, period, periods, tmp_path):
         rows = period * periods
         floats = np.resize(np.array(self.SPECIAL), rows)
@@ -392,9 +397,42 @@ class TestWriteCsv:
         reference = "t,label,kind,value\n" + "".join(
             "%s,%s,%s,%.17g\n" % (r // period, *labels[r % period], v)
             for r, v in enumerate(floats.tolist()))
-        # blocks of whole periods, split at a period that is not a chunk boundary
-        cut = (periods // 2) * period
+        # blocks of whole periods, split at a period that is not a chunk boundary;
+        # the first column holds one cell per period
+        cut = periods // 2
         write_csv(tmp_path / "a.csv", ("t", "label", "kind", "value"),
-                  [(np.arange(a, b) // period, floats[a:b]) for a, b in ((0, cut), (cut, rows))],
-                  labels)
+                  [(np.arange(a, b), floats[a * period:b * period])
+                   for a, b in ((0, cut), (cut, periods))], labels)
         assert (tmp_path / "a.csv").read_bytes() == reference.encode()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, B + 50), st.integers(0, 4), st.integers(0, 2**32 - 1), st.data())
+    def test_periods_across_chunk_edges_match_per_row_formatting(self, tmp_path_factory, period,
+                                                                 edge, seed, data):
+        # write_csv formats B // period whole periods at a time, one if period > B
+        chunk = max(1, self.B // period)
+        periods = max(1, [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1][edge])
+        rng = np.random.default_rng(seed)
+        firsts = rng.integers(-2**63, 2**63 - 1, periods, dtype=np.int64)
+        firsts >>= rng.integers(0, 64, periods)  # every width, and negatives
+        firsts[seed % periods] = -2**63
+        rows = periods * period
+        floats = np.where(rng.random(rows) < 0.5,
+                          rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64),
+                          rng.random(rows) * 10.0 ** rng.integers(-28, 17, rows))
+        labels = [(k % 7, ("strategy", "100%s")[k % 2]) for k in range(period)]
+        cut = data.draw(st.integers(0, periods))
+        path = tmp_path_factory.mktemp("periods") / "a.csv"
+        header = ("t", "label", "kind", "value")
+        write_csv(path, header, [(firsts[a:b], floats[a * period:b * period])
+                                 for a, b in ((0, cut), (cut, periods))], labels)
+        label_columns = [[row[j] for row in labels] * periods for j in range(2)]
+        assert path.read_bytes() == per_row_csv(
+            header, (firsts.repeat(period), *label_columns, floats)).encode()
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_rejected(self, value, tmp_path):
+        with pytest.raises(ValueError):
+            write_json({"regret": [0.5, value]}, tmp_path / "a.json")

@@ -7,12 +7,13 @@ commands below twice, once against that export and once against the working
 tree's ``src``, each side in its own fresh directory with the same ``--out``
 names. Every file written is compared byte for byte, except that
 ``duration_seconds`` is dropped from each ``summary.json`` first. For a JSON
-file that differs, the differing fields are listed; for a CSV file, the
-number of differing lines and the largest absolute and relative difference
-between numeric cells. Then it prints each command's peak resident set size
-on both sides, as ``os.wait4`` reports it for that child process, and the
-total line count of ``src/regretsim/*.py`` at <rev> and in the working tree,
-and the difference.
+file that differs, the differing fields and those only one side has are
+listed; for a CSV file, the number of differing lines and the largest
+absolute and relative difference between numeric cells. Then it prints each
+command's peak resident set size and CPU seconds (user plus system) on both
+sides, as ``os.wait4`` reports them for that child process, and the total
+line count of ``src/regretsim/*.py`` at <rev> and in the working tree, and
+the difference.
 Exit status: 0 if every file agrees, 1 if any differs, 2 if the export or a
 command fails. Needs only the stdlib and the numpy that ``regretsim`` itself
 imports.
@@ -74,11 +75,12 @@ def export_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run_commands(src: Path, cwd: Path) -> list[float]:
-    """Run every golden command in ``cwd`` against ``src``; return each one's peak RSS in MiB."""
+def run_commands(src: Path, cwd: Path) -> list[tuple[float, float]]:
+    """Run every golden command in ``cwd`` against ``src``; return each one's
+    peak RSS in MiB and CPU seconds."""
     cwd.mkdir()
     env = {**os.environ, "PYTHONPATH": str(src)}
-    peaks = []
+    usages = []
     for argv in COMMANDS:
         with tempfile.TemporaryFile() as err:
             child = subprocess.Popen([sys.executable, "-m", "regretsim.cli", *argv], cwd=cwd,
@@ -90,8 +92,9 @@ def run_commands(src: Path, cwd: Path) -> list[float]:
                 err.seek(0)
                 fail(f"`regretsim {' '.join(argv)}` against {src} exited "
                      f"{child.returncode}:\n{err.read().decode()}")
-        peaks.append(usage.ru_maxrss / 1024)  # Linux reports kilobytes
-    return peaks
+        # Linux reports ru_maxrss in kilobytes
+        usages.append((usage.ru_maxrss / 1024, usage.ru_utime + usage.ru_stime))
+    return usages
 
 
 def parsed(path: Path):
@@ -108,10 +111,16 @@ def content(path: Path) -> bytes:
 
 
 def json_diffs(a, b, where: str = ""):
-    """Yield ``field: a != b`` for every leaf where two parsed JSON values differ."""
-    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        for key in a:
-            yield from json_diffs(a[key], b[key], f"{where}.{key}" if where else key)
+    """Yield ``field: a != b`` for every leaf where two parsed JSON values differ,
+    and ``field: only ...`` for a field that one side lacks."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            field = f"{where}.{key}" if where else key
+            if key in a and key in b:
+                yield from json_diffs(a[key], b[key], field)
+            else:
+                side, value = ("the working tree", b[key]) if key in b else ("the revision", a[key])
+                yield f"{field}: only in {side}: {value!r}"
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for k, (x, y) in enumerate(zip(a, b)):
             yield from json_diffs(x, y, f"{where}[{k}]")
@@ -176,12 +185,13 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         work = Path(tmp)
         base_src = export_src(rev, work / "export")
-        base_peaks = run_commands(base_src, work / "base")
-        head_peaks = run_commands(ROOT / "src", work / "head")
+        base_usages = run_commands(base_src, work / "base")
+        head_usages = run_commands(ROOT / "src", work / "head")
         status = compare(work / "base", work / "head", rev)
-        print(f"golden: peak RSS in MiB at {rev} and in the working tree:")
-        for argv, old, new in zip(COMMANDS, base_peaks, head_peaks):
-            print(f"  {old:7.1f} {new:7.1f}  regretsim {' '.join(argv)}")
+        print(f"golden: peak RSS in MiB and CPU seconds at {rev} and in the working tree:")
+        for argv, (old_rss, old_cpu), (new_rss, new_cpu) in zip(COMMANDS, base_usages, head_usages):
+            print(f"  {old_rss:7.1f} {new_rss:7.1f}  {old_cpu:6.2f} {new_cpu:6.2f}  "
+                  f"regretsim {' '.join(argv)}")
         old, new = source_lines(base_src), source_lines(ROOT / "src")
         print(f"golden: src/regretsim/*.py has {old} lines at {rev} and {new} in the working "
               f"tree ({new - old:+d})")
