@@ -324,9 +324,12 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _closeness_entry(trajectory: dynamics.Trajectory, i: int) -> dict:
     closeness = diagnostics.consecutive_closeness(trajectory.strategies[i])
-    bound = math.exp(6.0 * trajectory.metadata.etas[i]) - 1.0
+    try:
+        bound = math.exp(6.0 * trajectory.metadata.etas[i]) - 1.0
+    except OverflowError:  # eta above about 118.3: an infinite bound, null in JSON
+        bound = None
     return dict(closeness.to_dict(), player=i + 1, bound=bound,
-                within_bound=closeness.zeta_observed <= bound)
+                within_bound=bound is None or closeness.zeta_observed <= bound)
 
 
 # Per-player diagnostics: name -> (player i's diagnostics.json entry, the name of
@@ -365,8 +368,8 @@ def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory):
 
 def _check_finite(trajectory: dynamics.Trajectory) -> None:
     """Raise naming the first round and player with a non-finite strategy or loss."""
-    finite = np.stack([np.isfinite(np.hstack(pair)).all(axis=1)
-                       for pair in zip(trajectory.strategies, trajectory.losses)], axis=1)
+    finite = np.stack([np.isfinite(x).all(axis=1) & np.isfinite(losses).all(axis=1)
+                       for x, losses in zip(trajectory.strategies, trajectory.losses)], axis=1)
     if not finite.all():
         t, i = np.argwhere(~finite)[0]
         raise RuntimeError(f"round {t + 1}, player {i + 1}: strategy or loss not finite")

@@ -144,25 +144,21 @@ class FiniteDifferenceProfile:
         }
 
 
-def _fd_history(seq: np.ndarray, h_max: int) -> np.ndarray:
-    """``seq`` as a (T, n) float array, once ``h_max`` is checked against its length."""
-    base = np.asarray(seq, dtype=np.float64)
-    t = base.shape[0]
+def _fd_walk(seq: np.ndarray, h_max: int):
+    """(order h, first row, |Delta^h seq| on its rows as an (rows, n) block) for each
+    ``AUDIT_BLOCK_ROWS`` rows of orders 0..h_max, once the call has checked ``h_max``.
+
+    Each block is ``finite_difference`` of its rows of ``seq`` and the h after
+    them, so every row is computed as the whole-array form computes it, and no
+    full-length order is held. Consumers reduce each block: the sup over a
+    whole block is several times faster than the per-row sups over actions.
+    """
+    t = len(seq)
     if not 0 <= h_max <= t - 1:
         raise ValueError(f"h_max={h_max} out of range [0, {t - 1}]")
-    return base.reshape(t, -1)
-
-
-def _fd_blocks(base: np.ndarray, h: int):
-    """Yield (first row, |block|) for each ``AUDIT_BLOCK_ROWS`` rows of the
-    order-h finite difference of the (T, n) ``base``.
-
-    Each block is ``finite_difference`` of its rows of ``base`` and the h
-    after them, so every row is computed as the whole-array form computes it,
-    and no full-length order is held.
-    """
-    for start in range(0, len(base) - h, AUDIT_BLOCK_ROWS):
-        yield start, np.abs(finite_difference(base[start:start + AUDIT_BLOCK_ROWS + h], h))
+    base = np.asarray(seq, dtype=np.float64).reshape(t, -1)
+    return ((h, start, np.abs(finite_difference(base[start:start + AUDIT_BLOCK_ROWS + h], h)))
+            for h in range(h_max + 1) for start in range(0, t - h, AUDIT_BLOCK_ROWS))
 
 
 def fd_decay_profile(seq: np.ndarray, h_max: int) -> FiniteDifferenceProfile:
@@ -171,13 +167,12 @@ def fd_decay_profile(seq: np.ndarray, h_max: int) -> FiniteDifferenceProfile:
     Undefined ratios (zero denominator) are reported as NaN, which happens for
     constant sequences.
     """
-    base = _fd_history(seq, h_max)
-    sup_norms = np.array([np.max([block.max() for _, block in _fd_blocks(base, h)])
-                          for h in range(h_max + 1)])
+    block_sups = [(h, block.max()) for h, _, block in _fd_walk(seq, h_max)]
+    sup_norms = np.array([np.max([s for k, s in block_sups if k == h]) for h in range(h_max + 1)])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(sup_norms[:-1] > 0.0, sup_norms[1:] / sup_norms[:-1], np.nan)
     return FiniteDifferenceProfile(sup_norms=sup_norms, ratios=ratios, h_max=h_max,
-                                   length=len(base))
+                                   length=len(seq))
 
 
 def fd_profile_values_csv(seq: np.ndarray, h_max: int, path) -> None:
@@ -187,10 +182,9 @@ def fd_profile_values_csv(seq: np.ndarray, h_max: int, path) -> None:
     The rows are written a block of ``AUDIT_BLOCK_ROWS`` rounds at a time,
     straight from ``seq``, so no full-length order is held.
     """
-    base = _fd_history(seq, h_max)
     write_csv(path, ("order", "t", "value"),
               ((np.broadcast_to(h, len(block)), np.arange(start + 1, start + len(block) + 1),
-                block.max(1)) for h in range(h_max + 1) for start, block in _fd_blocks(base, h)))
+                block.max(1)) for h, start, block in _fd_walk(seq, h_max)))
 
 
 def fd_profile_norms_csv(profile: FiniteDifferenceProfile, path) -> None:
@@ -308,7 +302,6 @@ class ClosenessReport:
     """
 
     zeta_observed: float
-    per_step: np.ndarray
     worst_step: int
     worst_coordinate: int
 
@@ -323,29 +316,26 @@ class ClosenessReport:
         }
 
 
-def _worst_ratios(x: np.ndarray) -> np.ndarray:
-    """Coordinatewise larger of the forward and backward ratios of consecutive rows;
-    a 0/0 ratio counts as infinite."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        worst = np.maximum(x[1:] / x[:-1], x[:-1] / x[1:])
-    return np.nan_to_num(worst, nan=np.inf, posinf=np.inf)
-
-
 def consecutive_closeness(strategies: Sequence[np.ndarray] | np.ndarray) -> ClosenessReport:
-    """Measure the worst coordinatewise ratio between consecutive distributions."""
+    """Measure the worst coordinatewise ratio between consecutive distributions.
+
+    The rows are read ``AUDIT_BLOCK_ROWS`` steps at a time, and only the worst
+    step so far is kept; of equal steps the first is reported.
+    """
     x = np.asarray(strategies, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a (T, n) array of distributions, got shape {x.shape}")
-    t = x.shape[0]
-    if t < 2:
-        return ClosenessReport(0.0, np.zeros(0), -1, -1)
-    per_step = np.empty(t - 1)
-    for start in range(0, t - 1, AUDIT_BLOCK_ROWS):
-        block = _worst_ratios(x[start:start + AUDIT_BLOCK_ROWS + 1])
-        per_step[start:start + AUDIT_BLOCK_ROWS] = block.max(axis=1) - 1.0
-    step = int(np.argmax(per_step))
-    coord = int(np.argmax(_worst_ratios(x[step:step + 2])[0]))
-    return ClosenessReport(float(per_step.max()), per_step, step, coord)
+    zeta, step, coord = 0.0, -1, -1
+    for start in range(0, len(x) - 1, AUDIT_BLOCK_ROWS):
+        rows = x[start:start + AUDIT_BLOCK_ROWS + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = np.maximum(rows[1:] / rows[:-1], rows[:-1] / rows[1:])
+        np.nan_to_num(worst, copy=False, nan=np.inf, posinf=np.inf)  # 0/0 counts as infinite
+        steps = worst.max(axis=1) - 1.0
+        k = int(np.argmax(steps))
+        if step < 0 or steps[k] > zeta:
+            zeta, step, coord = float(steps[k]), start + k, int(np.argmax(worst[k]))
+    return ClosenessReport(zeta, step, coord)
 
 
 # ---------------------------------------------------------------------------

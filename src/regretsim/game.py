@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# ``write_csv`` formats rows, and ``regret`` and the audits of ``diagnostics`` read a (T, n)
+# The CSV exporters cut their rows, and ``regret`` and the diagnostics audits read a (T, n)
 # history, this many at a time; ``_format_float`` is the exact formatter write_csv falls back on.
 AUDIT_BLOCK_ROWS = 4096
 _format_float = "%.17g".__mod__
@@ -271,24 +271,21 @@ def write_csv(path, header: Sequence[str], blocks: Iterable[tuple],
     the cells of ``labels[r % len(labels)]``, then cell r of each other column.
     Each cell of a float column (as ``np.asarray`` reads it) is written exactly
     as ``'%.17g' % cell``, which reads back as the same double in any locale,
-    and every other cell and label as ``str(cell)``. Rows are formatted
-    ``AUDIT_BLOCK_ROWS`` (or one period) at a time in NumPy, and the floats
-    that ``_float_digits`` finds inexact one by one with ``_format_float``.
+    and every other cell and label as ``str(cell)``. Each nonempty block is
+    formatted at once in NumPy, and the floats that ``_float_digits`` finds
+    inexact one by one with ``_format_float``; callers cut the blocks, so that
+    a block's text stays small.
     """
-    period = len(labels)
     label_text = _text(",".join(["", *map(str, row)]) for row in labels)
-    step = max(1, AUDIT_BLOCK_ROWS // period)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for first, *rest in blocks:
-            for start in range(0, len(first), step):
-                cells = slice(start * period, (start + step) * period)
-                columns = [first[start:start + step], *(column[cells] for column in rest)]
-                fh.write(_rows(columns, label_text).translate(None, b"\0"))
+        for block in blocks:
+            if len(block[0]):
+                fh.write(_rows(block, label_text).translate(None, b"\0"))
 
 
 def _rows(columns, label_text: np.ndarray) -> bytes:
-    """One chunk of ``write_csv``'s rows (see there) as bytes, NUL padding and all."""
+    """One block of ``write_csv``'s rows (see there) as bytes, NUL padding and all."""
     comma, newline = (np.full((1, 1, 1), ord(c), np.uint8) for c in ",\n")
     parts = []
     for column in map(np.asarray, columns):

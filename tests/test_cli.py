@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from regretsim.cli import (
     run_experiment,
 )
 from regretsim.dynamics import EmpiricalPlay, cce_gap
-from regretsim.game import load_game_json, random_game
+from regretsim.game import AUDIT_BLOCK_ROWS, load_game_json, random_game
 from trajectory_csv import trajectory_from_csv
 
 
@@ -413,6 +414,38 @@ class TestMainExitCodes:
         assert code == 3
         assert "round 3, player 1: strategy or loss not finite" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_eta_1000_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # a legal step size whose strategies turn NaN in round 5
+        out = tmp_path / "out"
+        code = cli.main(["run", "--game", "random", "--actions", "3,3", "--game-seed", "6",
+                         "--rounds", "256", "--eta", "1000", "--learner", "opt_hedge",
+                         "--format", "json", "--out", str(out)])
+        assert code == 3
+        assert "round 5, player 1: strategy or loss not finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_closeness_bound_past_float_range_is_null(self, tmp_path):
+        # exp(6 * 200) overflows a double; the run itself stays finite
+        out = tmp_path / "out"
+        code = cli.main(["diagnose", "--game", "random", "--actions", "3,3", "--game-seed", "1",
+                         "--rounds", "64", "--eta", "200", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "diagnostics.json").read_text())
+        assert [(e["bound"], e["within_bound"]) for e in report["closeness"]] == [(None, True)] * 2
+
+    def test_finite_check_holds_less_than_a_history(self):
+        traj = dynamics.run(random_game(2, (3, 3), seed=1), [dynamics.LearnerConfig(eta=0.1)] * 2,
+                            4 * AUDIT_BLOCK_ROWS)
+        tracemalloc.start()
+        try:
+            cli._check_finite(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        history = traj.strategies[0].nbytes + traj.losses[0].nbytes
+        # a (T, 2n) copy of a player's strategies and losses would be a whole history
+        assert peak < history, (peak, history)
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_unusable_out_exits_before_simulating(self, command, tmp_path, monkeypatch):

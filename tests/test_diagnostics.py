@@ -625,9 +625,29 @@ class TestBlockedAudits:
         per_step = worst.max(axis=1) - 1.0
         step = int(np.argmax(per_step))
         report = consecutive_closeness(x)
-        np.testing.assert_array_equal(report.per_step, per_step)
+        assert report.zeta_observed == per_step.max()
         assert (report.worst_step, report.worst_coordinate) == (step, int(np.argmax(worst[step])))
         assert math.isinf(report.zeta_observed)
+
+    @pytest.mark.parametrize("t", [BLOCK + 20, 3 * BLOCK])
+    def test_closeness_equal_maxima_in_two_blocks_report_the_first(self, t):
+        # steps 9 (into the b rows) and BLOCK + 9 (out of them) share the ratio 2
+        a, b = [0.5, 0.5], [0.75, 0.25]
+        x = np.array([a] * 10 + [b] * BLOCK + [a] * (t - BLOCK - 10))
+        report = consecutive_closeness(x)
+        assert (report.zeta_observed, report.worst_step, report.worst_coordinate) == (1.0, 9, 1)
+
+    def test_closeness_memory_is_a_few_blocks(self):
+        x = np.random.default_rng(0).dirichlet(np.ones(8), 4 * BLOCK)
+        tracemalloc.start()
+        try:
+            consecutive_closeness(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * (BLOCK + 1) * x.shape[1]
+        # a (T - 1,) per-step vector would add half a block here
+        assert peak < 4.25 * block, (peak, block)
 
     @pytest.mark.parametrize("audit", ["profile", "values_csv"])
     def test_fd_profile_memory_is_a_few_blocks(self, audit, tmp_path):

@@ -366,7 +366,7 @@ class TestWriteCsv:
         write_csv(tmp_path / "u.csv", ("value",), [(values,)])
         assert (tmp_path / "u.csv").read_bytes() == per_row_csv(("value",), (values,)).encode()
 
-    B = AUDIT_BLOCK_ROWS  # the rows write_csv formats at a time
+    B = AUDIT_BLOCK_ROWS  # the most rows an exporter puts in one block
 
     @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1],
                              ids=["0", "1", "B-1", "B", "B+1", "2B+1"])
@@ -409,7 +409,7 @@ class TestWriteCsv:
     @given(st.integers(1, B + 50), st.integers(0, 4), st.integers(0, 2**32 - 1), st.data())
     def test_periods_across_chunk_edges_match_per_row_formatting(self, tmp_path_factory, period,
                                                                  edge, seed, data):
-        # write_csv formats B // period whole periods at a time, one if period > B
+        # exporters cut B // period whole periods into a block, one if period > B
         chunk = max(1, self.B // period)
         periods = max(1, [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1][edge])
         rng = np.random.default_rng(seed)
