@@ -345,8 +345,9 @@ PLAYER_DIAGNOSTICS = {
 }
 
 
-def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory):
-    """Diagnostics report, its summary verdicts and the per-player finite-difference profiles."""
+def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory, values_dir=None):
+    """Diagnostics report, verdicts and fd profiles. Given ``values_dir``, each profile
+    comes from the walk that writes fd_values_player*.csv there."""
     toggles, players = cfg.diagnostics, range(trajectory.game.num_players)
     report, verdicts = {}, {}
     for name, (entry, verdict, passes) in PLAYER_DIAGNOSTICS.items():
@@ -356,8 +357,11 @@ def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory):
     fd_profiles = []
     if toggles.fd_h_max is not None:
         h_max = min(toggles.fd_h_max, trajectory.rounds - 1)
-        fd_profiles = [diagnostics.fd_decay_profile(trajectory.losses[i], h_max)
-                       for i in players]
+        fd_profiles = [
+            diagnostics.fd_decay_profile(losses, h_max) if values_dir is None else
+            diagnostics.fd_profile_values_csv(
+                losses, h_max, Path(values_dir, f"fd_values_player{i + 1}.csv"))
+            for i, losses in enumerate(trajectory.losses)]
         report["fd_profile"] = [dict(player=i + 1, **p.to_dict())
                                 for i, p in enumerate(fd_profiles)]
         verdicts["fd_profile_max_ratio"] = max(
@@ -368,11 +372,12 @@ def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory):
 
 def _check_finite(trajectory: dynamics.Trajectory) -> None:
     """Raise naming the first round and player with a non-finite strategy or loss."""
+    if all(np.isfinite(h).all() for h in trajectory.strategies + trajectory.losses):
+        return  # the rows are searched only once a whole history fails
     finite = np.stack([np.isfinite(x).all(axis=1) & np.isfinite(losses).all(axis=1)
                        for x, losses in zip(trajectory.strategies, trajectory.losses)], axis=1)
-    if not finite.all():
-        t, i = np.argwhere(~finite)[0]
-        raise RuntimeError(f"round {t + 1}, player {i + 1}: strategy or loss not finite")
+    t, i = np.argwhere(~finite)[0]
+    raise RuntimeError(f"round {t + 1}, player {i + 1}: strategy or loss not finite")
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -382,12 +387,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     configs = build_learner_configs(cfg, game)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trajectory = dynamics.run(game, configs, cfg.rounds, seed=cfg.seed)
+    with np.errstate(all="ignore"):  # a run that leaves the finite floats is reported below
+        trajectory = dynamics.run(game, configs, cfg.rounds, seed=cfg.seed)
     _check_finite(trajectory)
     entries = dynamics.regret_report(trajectory)
     # Player i's CCE gap of the time-averaged product play is Reg_i(T) / T.
     gaps = [e.total_regret / cfg.rounds for e in entries]
-    diag_report, verdicts, fd_profiles = _run_diagnostics(cfg, trajectory)
+    # CSV output: fd_values_player*.csv here, the other CSV files below
+    diag_report, verdicts, fd_profiles = _run_diagnostics(
+        cfg, trajectory, out if "csv" in cfg.formats else None)
 
     if "csv" in cfg.formats:
         dynamics.regret_curves_to_csv(entries, out / "regret_curve.csv")
@@ -400,8 +408,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                       f"({rows} rows > {TRAJECTORY_ROW_LIMIT}); "
                       "use --force-trajectory to write it anyway", file=sys.stderr)
         for i, profile in enumerate(fd_profiles):
-            diagnostics.fd_profile_values_csv(trajectory.losses[i], profile.h_max,
-                                              out / f"fd_values_player{i + 1}.csv")
             diagnostics.fd_profile_norms_csv(profile, out / f"fd_norms_player{i + 1}.csv")
 
     summary = {
@@ -437,7 +443,8 @@ def compare_learners(cfg: ExperimentConfig) -> list[dict]:
     for spec in cfg.learner_specs:
         eta = spec.resolve_eta(game.num_players, cfg.rounds)
         configs = [dynamics.LearnerConfig(mode=spec.mode, eta=eta)] * game.num_players
-        trajectory = dynamics.run(game, configs, cfg.rounds, seed=cfg.seed)
+        with np.errstate(all="ignore"):
+            trajectory = dynamics.run(game, configs, cfg.rounds, seed=cfg.seed)
         _check_finite(trajectory)
         entries = dynamics.regret_report(trajectory)
         for checkpoint in checkpoints:

@@ -292,6 +292,7 @@ def regret(trajectory: Trajectory, player: int) -> RegretEntry:
     for start in range(0, len(losses), AUDIT_BLOCK_ROWS):
         sums = np.concatenate([last, losses[start:start + AUDIT_BLOCK_ROWS]])
         np.cumsum(sums, axis=0, out=sums)
+        # numpy's min: diagnostics._reduce_rows may break a tie of -0.0 losses the other way
         curve[start:start + AUDIT_BLOCK_ROWS] -= sums[len(last):].min(axis=1)
         last = sums[-1:].copy()  # a view would keep the whole block alive
     best_action = int(np.argmin(last[0]))

@@ -273,8 +273,9 @@ def write_csv(path, header: Sequence[str], blocks: Iterable[tuple],
     as ``'%.17g' % cell``, which reads back as the same double in any locale,
     and every other cell and label as ``str(cell)``. Each nonempty block is
     formatted at once in NumPy, and the floats that ``_float_digits`` finds
-    inexact one by one with ``_format_float``; callers cut the blocks, so that
-    a block's text stays small.
+    inexact one by one with ``_format_float``; callers cut the blocks, so that a
+    block's text stays small. A zero-stride column, such as ``np.broadcast_to(h,
+    rows)``, is formatted once.
     """
     label_text = _text(",".join(["", *map(str, row)]) for row in labels)
     with open(path, "wb") as fh:
@@ -289,9 +290,10 @@ def _rows(columns, label_text: np.ndarray) -> bytes:
     comma, newline = (np.full((1, 1, 1), ord(c), np.uint8) for c in ",\n")
     parts = []
     for column in map(np.asarray, columns):
+        column = column[:1] if column.strides == (0,) else column  # one cell, formatted once
         text = {"f": _float_text, "i": _int_text}.get(column.dtype.kind, _text)(column)
-        # (rows, period, width); (rows, 1, width) for the first column, one cell for a period
-        text = text.reshape(len(columns[0]), -1, text.shape[1])
+        # (rows, period, width): (rows, 1, width) for the first column, (1, 1, width) for one cell
+        text = text.reshape(min(len(text), len(columns[0])), -1, text.shape[1])
         parts += [comma, text] if parts else [text, label_text]
     shape = (len(columns[0]), len(label_text))
     return np.concatenate([np.broadcast_to(p, (*shape, p.shape[-1])) for p in parts + [newline]],

@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -191,6 +194,23 @@ class TestRunExperiment:
             data["config"].pop("out_dir")
             summaries.append(json.dumps(data, sort_keys=True))
         assert summaries[0] == summaries[1]
+
+    def test_second_diagnose_into_the_same_out_writes_the_same_artifacts(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["diagnose", "--game", "random", "--actions", "3,2", "--game-seed", "4",
+                "--rounds", "300", "--fd-h-max", "3", "--seed", "7", "--out", str(out)]
+
+        def artifacts():
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            summary = json.loads(files.pop("summary.json"))
+            summary.pop("duration_seconds")
+            return files, summary
+
+        assert cli.main(argv) == 0
+        first = artifacts()
+        assert len(first[0]) == 7  # diagnostics.json and six CSV files
+        assert cli.main(argv) == 0
+        assert artifacts() == first
 
     def test_diagnostics_json_has_finite_c_star(self, tmp_path):
         cfg = parse_flags(["run", "--game", "random", "--actions", "3,3",
@@ -412,7 +432,8 @@ class TestMainExitCodes:
                          "--rounds", "16", "--eta", "1e308", "--out", str(out)]
                         + ["--learner", "opt_hedge,hedge"] * (command == "compare"))
         assert code == 3
-        assert "round 3, player 1: strategy or loss not finite" in capsys.readouterr().err
+        # only the CLI's message: no numpy warning from inside the engine
+        assert capsys.readouterr().err == "error: round 3, player 1: strategy or loss not finite\n"
         assert list(out.iterdir()) == []
 
     def test_eta_1000_exits_3_and_writes_nothing(self, tmp_path, capsys):
@@ -422,7 +443,7 @@ class TestMainExitCodes:
                          "--rounds", "256", "--eta", "1000", "--learner", "opt_hedge",
                          "--format", "json", "--out", str(out)])
         assert code == 3
-        assert "round 5, player 1: strategy or loss not finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: round 5, player 1: strategy or loss not finite\n"
         assert list(out.iterdir()) == []
 
     def test_closeness_bound_past_float_range_is_null(self, tmp_path):
@@ -555,6 +576,16 @@ class TestMainExitCodes:
         out = tmp_path / "a" / "b" / "game.json"
         assert cli.main(["gen-game", "--actions", "2,2", "--out", str(out)]) == 0
         assert load_game_json(out).action_counts == (2, 2)
+
+    def test_gen_game_writes_into_a_fifo_and_keeps_it(self, tmp_path):
+        fifo, read = tmp_path / "game.fifo", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert cli.main(["gen-game", "--actions", "2,2", "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert json.loads(read[0])["actions"] == [2, 2]
 
     def test_gen_game_out_directory_is_runtime_error(self, tmp_path, capsys):
         assert cli.main(["gen-game", "--actions", "2,2", "--out", str(tmp_path)]) == 3

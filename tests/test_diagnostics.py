@@ -6,6 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from regretsim import (
     LearnerConfig,
@@ -36,6 +39,7 @@ from regretsim.diagnostics import (
     check_audit_learners,
     fd_profile_norms_csv,
     fd_profile_values_csv,
+    _reduce_rows,
     _variance_sums,
 )
 from regretsim.learners import BoundConstants, ceil_log2, row_variances
@@ -587,6 +591,30 @@ class TestFdDecayProfile:
 BLOCK = AUDIT_BLOCK_ROWS
 
 
+class TestReduceRows:
+    """``_reduce_rows`` against numpy's reduction, on both sides of its 32-column threshold."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 9), st.sampled_from([0.0, -0.0]), st.data())
+    def test_matches_numpy_bit_for_bit(self, n, rows, zero, data):
+        # one sign of zero a block: which zero wins a +0/-0 tie is left to numpy's SIMD width
+        special = st.sampled_from([zero, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310])
+        cells = st.one_of(special, st.floats(allow_nan=False).filter(bool))
+        block = data.draw(arrays(np.float64, (rows, n), elements=cells))
+        for ufunc in (np.maximum, np.minimum):
+            got, want = _reduce_rows(ufunc, block), ufunc.reduce(block, axis=1)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 9), st.data())
+    def test_zero_ties_and_nan_bits_may_differ_and_nothing_else(self, n, rows, data):
+        nans = np.array([0xFFF8000000000000, 0x7FF8000000000001], np.uint64).view(np.float64)
+        cells = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, *nans.tolist()])
+        block = data.draw(arrays(np.float64, (rows, n), elements=cells))
+        for ufunc in (np.maximum, np.minimum):
+            # equal as values: NaN where numpy has NaN, and 0.0 == -0.0
+            np.testing.assert_array_equal(_reduce_rows(ufunc, block), ufunc.reduce(block, axis=1))
+
 class TestBlockedAudits:
     """The audits read histories in row blocks; every value must match the whole-array form."""
 
@@ -602,6 +630,26 @@ class TestBlockedAudits:
             assert values == [f"{h},{k + 1},{float(v):.17g}"
                               for h, whole in enumerate(wholes) for k, v in enumerate(whole)]
             assert profile.sup_norms.tolist() == [whole.max() for whole in wholes]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 40, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]),
+           st.integers(1, 5), st.integers(0, 8), st.integers(0, 2**32 - 1), st.booleans())
+    def test_values_csv_walk_returns_the_profile(self, tmp_path_factory, t, n, h_max, seed, coarse):
+        rng = np.random.default_rng(seed)
+        seq = rng.random((t, n))
+        if coarse:  # exact zeros among the differences, and NaN ratios
+            seq = np.round(seq * 2) / 2
+        h_max = min(h_max, t - 1)
+        path = tmp_path_factory.mktemp("fd") / "fd_values.csv"
+        profile, expected = fd_profile_values_csv(seq, h_max, path), fd_decay_profile(seq, h_max)
+        for field in ("sup_norms", "ratios"):
+            got, want = getattr(profile, field), getattr(expected, field)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert (profile.h_max, profile.length) == (expected.h_max, expected.length)
+        wholes = [np.abs(finite_difference(seq, h)).max(1) for h in range(h_max + 1)]
+        assert path.read_bytes() == ("order,t,value\n" + "".join(
+            f"{h},{k + 1},{v:.17g}\n" for h, whole in enumerate(wholes)
+            for k, v in enumerate(whole.tolist()))).encode()
 
     @pytest.mark.parametrize("t", [1, 2, BLOCK - 1, BLOCK, 2 * BLOCK + 7])
     def test_variance_sums_match_whole_array(self, t):

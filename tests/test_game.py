@@ -430,6 +430,15 @@ class TestWriteCsv:
         assert path.read_bytes() == per_row_csv(
             header, (firsts.repeat(period), *label_columns, floats)).encode()
 
+    def test_zero_stride_column_matches_a_full_one(self, tmp_path):
+        t = np.arange(1, 2 * self.B + 2)
+        values = np.random.default_rng(5).random(len(t))
+        write_csv(tmp_path / "a.csv", ("order", "t", "value"),
+                  [(np.broadcast_to(h, len(t)), t, values) for h in (0, -12)])
+        write_csv(tmp_path / "b.csv", ("order", "t", "value"),
+                  [(np.full(len(t), h), t, values) for h in (0, -12)])
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
 
 class TestWriteJson:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
