@@ -345,39 +345,45 @@ PLAYER_DIAGNOSTICS = {
 }
 
 
-def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory, values_dir=None):
-    """Diagnostics report, verdicts and fd profiles. Given ``values_dir``, each profile
-    comes from the walk that writes fd_values_player*.csv there."""
+def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory, csv_dir):
+    """Diagnostics report and verdicts. Given ``csv_dir``, each fd profile comes from the
+    walk that writes fd_values_player*.csv there, and fd_norms_player*.csv follows it."""
     toggles, players = cfg.diagnostics, range(trajectory.game.num_players)
     report, verdicts = {}, {}
     for name, (entry, verdict, passes) in PLAYER_DIAGNOSTICS.items():
         if getattr(toggles, name):
             report[name] = [entry(trajectory, i) for i in players]
             verdicts[verdict] = all(passes(e) for e in report[name])
-    fd_profiles = []
     if toggles.fd_h_max is not None:
         h_max = min(toggles.fd_h_max, trajectory.rounds - 1)
-        fd_profiles = [
-            diagnostics.fd_decay_profile(losses, h_max) if values_dir is None else
-            diagnostics.fd_profile_values_csv(
-                losses, h_max, Path(values_dir, f"fd_values_player{i + 1}.csv"))
-            for i, losses in enumerate(trajectory.losses)]
-        report["fd_profile"] = [dict(player=i + 1, **p.to_dict())
-                                for i, p in enumerate(fd_profiles)]
+        report["fd_profile"] = []
+        for i, losses in enumerate(trajectory.losses):
+            if csv_dir is None:
+                profile = diagnostics.fd_decay_profile(losses, h_max)
+            else:
+                profile = diagnostics.fd_profile_values_csv(
+                    losses, h_max, Path(csv_dir, f"fd_values_player{i + 1}.csv"))
+                diagnostics.fd_profile_norms_csv(profile, Path(csv_dir, f"fd_norms_player{i + 1}.csv"))
+            report["fd_profile"].append(dict(player=i + 1, **profile.to_dict()))
         verdicts["fd_profile_max_ratio"] = max(
             (r for e in report["fd_profile"] for r in e["ratios"] if r is not None),
             default=None)
-    return report, verdicts, fd_profiles
+    return report, verdicts
 
 
-def _check_finite(trajectory: dynamics.Trajectory) -> None:
-    """Raise naming the first round and player with a non-finite strategy or loss."""
-    if all(np.isfinite(h).all() for h in trajectory.strategies + trajectory.losses):
-        return  # the rows are searched only once a whole history fails
-    finite = np.stack([np.isfinite(x).all(axis=1) & np.isfinite(losses).all(axis=1)
-                       for x, losses in zip(trajectory.strategies, trajectory.losses)], axis=1)
-    t, i = np.argwhere(~finite)[0]
-    raise RuntimeError(f"round {t + 1}, player {i + 1}: strategy or loss not finite")
+def _score(game: Game, configs: list[dynamics.LearnerConfig], cfg: ExperimentConfig):
+    """Play ``configs`` on ``game``; return the trajectory and its regret report. Raise naming
+    the first round and player with a non-finite strategy or loss: such an entry makes that
+    round's x . l, and so that player's regret curve from that round on, not finite."""
+    with np.errstate(all="ignore"):  # a run that leaves the finite floats is reported below
+        trajectory = dynamics.run(game, configs, cfg.rounds, seed=cfg.seed)
+        entries = dynamics.regret_report(trajectory)
+    failed = [(int(np.isfinite(e.curve).argmin()), e.player)
+              for e in entries if not math.isfinite(e.total_regret)]
+    if failed:
+        t, i = min(failed)
+        raise RuntimeError(f"round {t + 1}, player {i + 1}: strategy or loss not finite")
+    return trajectory, entries
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -387,15 +393,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     configs = build_learner_configs(cfg, game)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with np.errstate(all="ignore"):  # a run that leaves the finite floats is reported below
-        trajectory = dynamics.run(game, configs, cfg.rounds, seed=cfg.seed)
-    _check_finite(trajectory)
-    entries = dynamics.regret_report(trajectory)
+    trajectory, entries = _score(game, configs, cfg)
     # Player i's CCE gap of the time-averaged product play is Reg_i(T) / T.
     gaps = [e.total_regret / cfg.rounds for e in entries]
-    # CSV output: fd_values_player*.csv here, the other CSV files below
-    diag_report, verdicts, fd_profiles = _run_diagnostics(
-        cfg, trajectory, out if "csv" in cfg.formats else None)
+    # CSV output: the fd files here, the other CSV files below
+    diag_report, verdicts = _run_diagnostics(cfg, trajectory, out if "csv" in cfg.formats else None)
 
     if "csv" in cfg.formats:
         dynamics.regret_curves_to_csv(entries, out / "regret_curve.csv")
@@ -407,8 +409,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 print("warning: skipping trajectory.csv "
                       f"({rows} rows > {TRAJECTORY_ROW_LIMIT}); "
                       "use --force-trajectory to write it anyway", file=sys.stderr)
-        for i, profile in enumerate(fd_profiles):
-            diagnostics.fd_profile_norms_csv(profile, out / f"fd_norms_player{i + 1}.csv")
 
     summary = {
         "config": cfg.to_dict(),
@@ -443,10 +443,7 @@ def compare_learners(cfg: ExperimentConfig) -> list[dict]:
     for spec in cfg.learner_specs:
         eta = spec.resolve_eta(game.num_players, cfg.rounds)
         configs = [dynamics.LearnerConfig(mode=spec.mode, eta=eta)] * game.num_players
-        with np.errstate(all="ignore"):
-            trajectory = dynamics.run(game, configs, cfg.rounds, seed=cfg.seed)
-        _check_finite(trajectory)
-        entries = dynamics.regret_report(trajectory)
+        entries = _score(game, configs, cfg)[1]
         for checkpoint in checkpoints:
             for e in entries:
                 rows.append({

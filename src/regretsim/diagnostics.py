@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import AUDIT_BLOCK_ROWS, Trajectory, regret
-from .game import write_csv
+from .dynamics import Trajectory, regret
+from .game import AUDIT_BLOCK_ROWS, _reduce_rows, write_csv
 from .learners import OPT_HEDGE, BoundConstants, row_variances
 
 # When the C-coefficient of the linear bound audit is below this, the
@@ -143,15 +142,6 @@ class FiniteDifferenceProfile:
             "sup_norms": self.sup_norms.tolist(),
             "ratios": [None if math.isnan(r) else r for r in self.ratios.tolist()],
         }
-
-
-def _reduce_rows(ufunc, block: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(block, axis=1)`` for ``np.maximum`` or ``np.minimum``, by one pass per
-    column up to n = 32 (strided passes lose from n = 64 at 4,096 rows). Bit for bit equal bar
-    a +0/-0 tie's winner and a NaN's bits, which numpy leaves to the CPU's vector width."""
-    if not 0 < block.shape[1] <= 32:
-        return ufunc.reduce(block, axis=1)
-    return reduce(lambda out, column: ufunc(out, column, out=out), block.T[1:], block[:, 0].copy())
 
 
 def _fd_walk(seq: np.ndarray, h_max: int):

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import learners
-from .game import AUDIT_BLOCK_ROWS, Game, loss_matrix, validate_game, write_csv
+from .game import AUDIT_BLOCK_ROWS, Game, _reduce_rows, loss_matrix, validate_game, write_csv
 
 __version__ = "0.1.0"
 
@@ -292,8 +292,7 @@ def regret(trajectory: Trajectory, player: int) -> RegretEntry:
     for start in range(0, len(losses), AUDIT_BLOCK_ROWS):
         sums = np.concatenate([last, losses[start:start + AUDIT_BLOCK_ROWS]])
         np.cumsum(sums, axis=0, out=sums)
-        # numpy's min: diagnostics._reduce_rows may break a tie of -0.0 losses the other way
-        curve[start:start + AUDIT_BLOCK_ROWS] -= sums[len(last):].min(axis=1)
+        curve[start:start + AUDIT_BLOCK_ROWS] -= _reduce_rows(np.minimum, sums[len(last):])
         last = sums[-1:].copy()  # a view would keep the whole block alive
     best_action = int(np.argmin(last[0]))
     return RegretEntry(

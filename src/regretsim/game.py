@@ -39,7 +39,9 @@ class Game:
 
     ``loss_tensors[i]`` holds player i's loss for every joint action profile;
     for a well-formed game it has shape ``action_counts`` and values in
-    [0, 1]. Instances are immutable and safe to share across threads.
+    [0, 1]. Instances are immutable and safe to share across threads: a tensor
+    is copied unless it is a read-only array that owns its buffer, and a -0.0
+    loss becomes +0.0, so no history the engine computes holds a -0.0.
     """
 
     num_players: int
@@ -53,6 +55,8 @@ class Game:
         expected = _profile_count(self.action_counts)
         for raw in self.loss_tensors:
             arr = np.asarray(raw, dtype=np.float64)
+            if arr.flags.writeable or arr.base is not None or np.signbit(arr).any():
+                arr = arr + 0.0  # a copy, in which -0.0 + 0.0 is +0.0
             if arr.size == expected and min(self.action_counts, default=0) > 0:
                 arr = arr.reshape(self.action_counts)
             arr = np.ascontiguousarray(arr)
@@ -67,6 +71,15 @@ class Game:
 
 def _profile_count(action_counts: Sequence[int]) -> int:
     return math.prod(int(n) for n in action_counts) if action_counts else 0
+
+
+def _reduce_rows(ufunc, block: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(block, axis=1)`` for ``np.maximum`` or ``np.minimum``, by one pass per
+    column up to n = 32 (strided passes lose from n = 64 at 4,096 rows). Bit for bit equal bar
+    a +0/-0 tie's winner and a NaN's bits, which numpy leaves to the CPU's vector width."""
+    if not 0 < block.shape[1] <= 32:
+        return ufunc.reduce(block, axis=1)
+    return reduce(lambda out, column: ufunc(out, column, out=out), block.T[1:], block[:, 0].copy())
 
 
 def uniform_strategy(n: int) -> np.ndarray:
@@ -188,6 +201,8 @@ def random_game(m: int, action_counts: Sequence[int], seed: int,
         raise ValueError(f"all action counts must be >= 1, got {action_counts}")
     rng = np.random.default_rng(seed)
     tensors = tuple(rng.random(action_counts) for _ in range(m))
+    for tensor in tensors:  # fresh and read-only, so Game keeps them without a copy
+        tensor.setflags(write=False)
     return Game(m, action_counts, tensors, name=name or f"random_{seed}")
 
 
@@ -231,11 +246,13 @@ def game_from_dict(data: dict, name: str | None = None) -> Game:
     try:
         m = json_int(data["players"], "players")
         actions = tuple(json_int(n, "actions") for n in data["actions"])
-        tensors = tuple(np.asarray(flat, dtype=np.float64) for flat in data["losses"])
+        tensors = tuple(np.array(flat, dtype=np.float64) for flat in data["losses"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"game JSON: bad players, actions or losses: {exc}") from exc
     if any(t.ndim != 1 for t in tensors):
         raise ValueError("game JSON: each loss tensor must be a flat list")
+    for tensor in tensors:  # fresh and read-only, so Game keeps them without a copy
+        tensor.setflags(write=False)
     game = Game(m, actions, tensors, name=name)
     violations = validate_game(game)
     if violations:

@@ -7,12 +7,13 @@ import math
 import os
 import stat
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regretsim import cli, dynamics
+from regretsim import cli, dynamics, learners
 from regretsim.cli import (
     ConfigError,
     DiagnosticsToggles,
@@ -21,7 +22,7 @@ from regretsim.cli import (
     run_experiment,
 )
 from regretsim.dynamics import EmpiricalPlay, cce_gap
-from regretsim.game import AUDIT_BLOCK_ROWS, load_game_json, random_game
+from regretsim.game import load_game_json, random_game
 from trajectory_csv import trajectory_from_csv
 
 
@@ -81,15 +82,21 @@ class TestParseConfig:
         assert summary["config"]["game_name"] == "matching_pennies"
         assert "T=64 " in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag, eta", [("practical", None), ("theorem", None),
-                                           ("explicit", 0.5)])
-    def test_eta_policy_flag_over_config_eta(self, flag, eta, tmp_path):
+    @pytest.mark.parametrize("flag, eta, played", [
+        ("practical", None, learners.practical_eta(2, 64)),
+        ("theorem", None, learners.recommended_eta(2, 64)), ("explicit", 0.5, 0.5)],
+        ids=["practical-None", "theorem-None", "explicit-0.5"])
+    def test_eta_policy_flag_over_config_eta(self, flag, eta, played, tmp_path):
         # a computed policy drops the config's eta; --eta-policy explicit keeps it
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"game_name": "matching_pennies", "learner_specs": [
             {"mode": "hedge", "eta_policy": "explicit", "eta": 0.5}]}))
-        cfg = parse_flags(["run", "--config", str(path), "--eta-policy", flag])
+        out = tmp_path / "out"
+        cfg = parse_flags(["run", "--config", str(path), "--eta-policy", flag, "--rounds", "64",
+                           "--format", "json", "--out", str(out)])
         assert cfg.learner_specs == (cli.LearnerSpec("hedge", flag, eta),)
+        run_experiment(cfg)
+        assert json.loads((out / "summary.json").read_text())["etas"] == [played] * 2
 
     @pytest.mark.parametrize("flags", [["--eta", "0.5"],
                                        ["--eta-policy", "explicit", "--eta", "0.5"]],
@@ -303,6 +310,11 @@ class TestRunExperiment:
         run_experiment(cfg)
         lines = (tmp_path / "out4" / "trajectory.csv").read_text().splitlines()
         assert len(lines) == 1 + 24
+        # --no-trajectory skips it below the limit too, and writes the other CSV files
+        cfg = parse_flags(["run", "--game", "matching_pennies", "--rounds", "3", "--no-trajectory",
+                           "--format", "csv", "--out", str(tmp_path / "out5")])
+        run_experiment(cfg)
+        assert [f.name for f in (tmp_path / "out5").iterdir()] == ["regret_curve.csv"]
 
 
 class TestCompare:
@@ -455,18 +467,29 @@ class TestMainExitCodes:
         report = json.loads((out / "diagnostics.json").read_text())
         assert [(e["bound"], e["within_bound"]) for e in report["closeness"]] == [(None, True)] * 2
 
-    def test_finite_check_holds_less_than_a_history(self):
-        traj = dynamics.run(random_game(2, (3, 3), seed=1), [dynamics.LearnerConfig(eta=0.1)] * 2,
-                            4 * AUDIT_BLOCK_ROWS)
-        tracemalloc.start()
-        try:
-            cli._check_finite(traj)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        history = traj.strategies[0].nbytes + traj.losses[0].nbytes
-        # a (T, 2n) copy of a player's strategies and losses would be a whole history
-        assert peak < history, (peak, history)
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=2, max_size=3), st.sampled_from(learners.MODES),
+           st.sampled_from([0.1, 10.0, 1e3, 1e5, 1e308]), st.integers(1, 64),
+           st.integers(0, 2**32 - 1))
+    def test_scoring_names_the_first_non_finite_round_and_player(self, actions, mode, eta,
+                                                                   rounds, game_seed):
+        game = random_game(len(actions), actions, game_seed)
+        configs = [dynamics.LearnerConfig(mode=mode, eta=eta)] * len(actions)
+        with np.errstate(all="ignore"):
+            traj = dynamics.run(game, configs, rounds)
+        # the first round, then the first player, with a non-finite strategy or loss entry
+        finite = np.stack([np.isfinite(x).all(axis=1) & np.isfinite(losses).all(axis=1)
+                           for x, losses in zip(traj.strategies, traj.losses)], axis=1)
+        cfg = ExperimentConfig(rounds=rounds)
+        if finite.all():
+            entries = cli._score(game, configs, cfg)[1]
+            assert [e.total_regret for e in entries] == [
+                e.total_regret for e in dynamics.regret_report(traj)]
+        else:
+            t, i = np.argwhere(~finite)[0]
+            with pytest.raises(RuntimeError) as info:
+                cli._score(game, configs, cfg)
+            assert str(info.value) == f"round {t + 1}, player {i + 1}: strategy or loss not finite"
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_unusable_out_exits_before_simulating(self, command, tmp_path, monkeypatch):
@@ -613,8 +636,15 @@ class TestMainExitCodes:
         ["run", "--game", "matching_pennies", "--rounds", "8", "--format", ","],
         ["compare", "--game", "matching_pennies", "--learner", "hedge,opt_hedge", "--rounds", "8",
          "--format", ","],
+        ["run", "--game", "matching_pennies", "--learner", "bogus"],
+        ["run", "--game", "matching_pennies", "--format", "xml"],
+        ["run", "--game", "matching_pennies", "--learner", "hedge,opt_hedge,hedge"],
+        ["run", "--game", "random", "--actions", "3,x"],
+        ["run", "--game", "matching_pennies", "--diagnostics", "nope"],
     ], ids=["fd_h_max_negative", "one_player", "zero_actions", "diagnose_hedge",
-            "gen_game_zero_actions", "run_no_formats", "compare_no_formats"])
+            "gen_game_zero_actions", "run_no_formats", "compare_no_formats", "learner_unknown",
+            "format_unknown", "more_learners_than_players", "actions_not_integers_flag",
+            "diagnostic_unknown"])
     def test_bad_input_exits_before_simulating(self, argv, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("dynamics.run called on a rejected config")
@@ -656,13 +686,19 @@ class TestMainExitCodes:
                       "learner_specs": [{"eta_policy": "theorem", "eta": 0.5}]}),
         ("--config", {"game_name": "matching_pennies", "formats": []}),
         ("--config", {"game_name": "matching_pennies", "formats": "json"}),
+        ("--config", {"game_name": "matching_pennies", "roundz": 10}),
+        ("--config", {"game_name": "matching_pennies", "learner_specs": [{"eta_policy": "bogus"}]}),
+        ("--eta 0.1 --config", {"game_name": "matching_pennies", "learner_specs": ["hedge"]}),
+        ("--config", {"game_name": "matching_pennies", "diagnostics": ["closeness"]}),
     ], ids=["rounds_string", "eta_string", "fd_h_max_string", "actions_not_integers",
             "players_not_integer", "config_array", "game_path_not_string",
             "game_actions_scalar", "game_losses_scalar", "rounds_true", "eta_true",
             "fd_h_max_true", "seed_string", "random_one_player", "out_dir_not_string",
             "random_actions_bool_and_fraction", "game_actions_fraction",
             "emit_trajectory_string", "closeness_string", "variance_inequality_mixed_eta",
-            "eta_under_practical", "eta_under_theorem", "formats_empty", "formats_string"])
+            "eta_under_practical", "eta_under_theorem", "formats_empty", "formats_string",
+            "unknown_key", "eta_policy_unknown", "learner_spec_string_under_eta_flag",
+            "diagnostics_list"])
     def test_bad_file_exits_before_simulating(self, flag, body, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("dynamics.run called on a rejected config")
@@ -672,7 +708,7 @@ class TestMainExitCodes:
         monkeypatch.setattr(dynamics, "run", no_run)
         # no --out flag, so a file's out_dir is read; the default is ./out
         monkeypatch.chdir(tmp_path)
-        code = cli.main(["run", flag, str(path)])
+        code = cli.main(["run", *flag.split(), str(path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

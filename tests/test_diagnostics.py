@@ -39,11 +39,10 @@ from regretsim.diagnostics import (
     check_audit_learners,
     fd_profile_norms_csv,
     fd_profile_values_csv,
-    _reduce_rows,
     _variance_sums,
 )
 from regretsim.learners import BoundConstants, ceil_log2, row_variances
-from regretsim.game import Game
+from regretsim.game import Game, _reduce_rows
 
 
 def dft_matrix(s):

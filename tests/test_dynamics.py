@@ -178,13 +178,14 @@ class TestRegret:
                                game=random_game(2, (n, 2), seed=0))
 
     @staticmethod
-    def assert_whole_array_form(traj, entry):
-        """``entry`` is player 1's regret by whole-array ``cumsum``s, bit for bit."""
-        losses = traj.losses[0]
-        play_cum = np.cumsum(np.einsum("tj,tj->t", traj.strategies[0], losses))
+    def assert_whole_array_form(traj, entry, player=0):
+        """``entry`` is ``player``'s regret by whole-array ``cumsum``s, bit for bit."""
+        losses = traj.losses[player]
+        play_cum = np.cumsum(np.einsum("tj,tj->t", traj.strategies[player], losses))
         action_cum = np.cumsum(losses, axis=0)
         best = int(np.argmin(action_cum[-1]))
-        np.testing.assert_array_equal(entry.curve, play_cum - action_cum.min(axis=1))
+        whole = play_cum - np.minimum.reduce(action_cum, axis=1)
+        assert entry.curve.view(np.int64).tolist() == whole.view(np.int64).tolist()
         assert (entry.best_action, entry.cumulative_loss, entry.best_fixed_loss) == (
             best, play_cum[-1], action_cum[-1, best])
 
@@ -193,6 +194,28 @@ class TestRegret:
     def test_blocked_sums_match_whole_array(self, t):
         traj = self.blocked_case(t, 3)
         self.assert_whole_array_form(traj, regret(traj, 0))
+
+    def test_blocked_sums_match_whole_array_on_signed_zero_losses(self, tmp_path):
+        # half the losses exactly zero, and ten actions of each player at zero loss whatever
+        # the opponent plays, so each running best is a tie of ten zero sums: from 9 columns
+        # on, numpy's row min and a column pass may pick different zeros of a +0/-0 tie
+        rng = np.random.default_rng(5)
+        losses = rng.random((2, 12, 12))
+        losses[rng.random(losses.shape) < 0.5] = 0.0
+        losses[0, :10, :] = losses[1, :, :10] = 0.0
+        written = []
+        for zero in (0.0, -0.0):
+            game = Game(2, (12, 12), tuple(np.where(t == 0.0, zero, t) for t in losses))
+            assert not any(np.signbit(t).any() for t in game.loss_tensors)
+            traj = run(game, [LearnerConfig(eta=0.1)] * 2, AUDIT_BLOCK_ROWS + 7)
+            entries = regret_report(traj)
+            for i, entry in enumerate(entries):
+                self.assert_whole_array_form(traj, entry, i)
+            trajectory_to_csv(traj, tmp_path / "trajectory.csv")
+            regret_curves_to_csv(entries, tmp_path / "regret_curve.csv")
+            written.append([(tmp_path / name).read_bytes()
+                            for name in ("trajectory.csv", "regret_curve.csv")])
+        assert written[0] == written[1]
 
     def test_blocked_sums_memory_below_one_history(self):
         traj = self.blocked_case(4 * AUDIT_BLOCK_ROWS, 8)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ class TestValidateGame:
             game = Game(3, (2, 3, 2), (np.zeros((2, 3, 2)), l2, np.ones((2, 3, 2))))
             assert validate_game(game) == [
                 f"loss outside [0, 1] at player 2, profile (2, 1, 2): {value!r}"]
+
+    def test_game_keeps_no_view_of_the_callers_losses(self):
+        a, b = np.full((3, 3), 0.5), np.full((3, 3), 0.5)
+        read_only = a.view()
+        read_only.setflags(write=False)  # read-only, but a view of the writeable a
+        games = [Game(2, (3, 3), (a, b)), Game(2, (3, 3), (read_only, b))]
+        a[0, 0] = 7.0
+        for game in games:
+            assert game.loss_tensors[0][0, 0] == 0.5
+            assert validate_game(game) == []
 
     def test_profile_count_exact_past_int64(self):
         assert _profile_count((10**10, 10**10)) == 10**20
@@ -231,6 +242,17 @@ class TestRandomGame:
         with pytest.raises(ValueError):
             random_game(3, (2, 2), seed=0)
 
+    def test_random_game_tensors_are_not_copied_again(self):
+        tracemalloc.start()
+        try:
+            game = random_game(2, (256, 256), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tensors = sum(t.nbytes for t in game.loss_tensors)
+        # a second copy of each fresh tensor would double the peak
+        assert peak < 1.5 * tensors, (peak, tensors)
+
 
 class TestNamedGames:
     def test_matching_pennies_tensor(self):
@@ -274,6 +296,18 @@ class TestGameJson:
         assert loaded.action_counts == game.action_counts
         for t1, t2 in zip(loaded.loss_tensors, game.loss_tensors):
             assert np.array_equal(t1, t2)
+
+    def test_game_from_dict_tensors_are_not_copied_again(self):
+        data = game_to_dict(random_game(2, (256, 256), seed=0))
+        tracemalloc.start()
+        try:
+            game = game_from_dict(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tensors = sum(t.nbytes for t in game.loss_tensors)
+        # a second copy of each fresh tensor would double the peak
+        assert peak < 1.5 * tensors, (peak, tensors)
 
     def test_dict_keys(self):
         data = game_to_dict(named_game("matching_pennies"))
