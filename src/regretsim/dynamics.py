@@ -74,16 +74,19 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
           full_history: bool):
     """The self-play loop behind every runner, over B checked games of one shape.
 
-    Players that share an action count n and an update kind (Hedge, or the
-    optimistic rule of the other modes) form a group, held as (m_g, B, n)
-    stacks of strategies, of the two latest losses, which swap each round, of
-    -eta and of work arrays made once (the exponent and x * loss), beside one
-    (m_g, B, 1) reduction buffer, so the update allocates nothing and
-    broadcasts only that buffer. An adaptive player whose threshold is below
-    2T (see ``init_state``) keeps its two (B,) variance sums, extended each round
-    by ``learners.row_variances``, and takes the switch test on them. Each
-    round, each cell (every player if one group holds them all, else one
-    player) builds its players' opponent joints as right folds,
+    Players that share an action count n, an update kind (Hedge, or the
+    optimistic rule of the other modes) and ``LearnerState.shift`` form a
+    group, held as (m_g, B, n) stacks of strategies, of the two latest
+    losses, which swap each round, of -eta and of work arrays made once (the
+    exponent and x * loss), beside one (m_g, B, 1) reduction buffer, so the
+    update allocates nothing and broadcasts only that buffer. An adaptive
+    player whose threshold is below 2T (see ``init_state``) keeps its two (B,)
+    variance sums, extended each round by ``learners.row_variances``, and
+    takes the switch test on them. A group
+    whose players never use a step size above 1 skips the max shift of the
+    exponent, two of its calls per round, since exp cannot overflow there (see
+    ``learners``). Each round, each cell (every player if one group holds them
+    all, else one player) builds its players' opponent joints as right folds,
     x_j1 * (x_j2 * (... * x_jk)), and computes their expected losses into
     their rows of the group's loss stack in one contraction; then each group
     records and updates at once, repeating ``learners.step`` row by row, bit
@@ -99,7 +102,7 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
               for n, cfg in zip(counts, configs)]
     var_sums = {i: np.zeros((2, batch)) for i, s in enumerate(states)
                 if s.mode == learners.ADAPTIVE_OPT_HEDGE and s.switch_threshold < 2 * rounds}
-    kinds = [(n, s.mode == learners.HEDGE) for n, s in zip(counts, states)]
+    kinds = [(n, s.mode == learners.HEDGE, s.shift) for n, s in zip(counts, states)]
     groups = [[i for i in players if kinds[i] == kind] for kind in dict.fromkeys(kinds)]
     place = [(g, members.index(i)) for i in players
              for g, members in enumerate(groups) if i in members]
@@ -115,13 +118,14 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     # Strategies are updated in place, so views of them stay valid. Each round
     # a cell of c rows takes its opponents' strategies from its group's stack
     # in one ``take`` into a (c, m - 1, B, n) buffer (a one-player cell views
-    # them in place, with c = 1), folds them from the right into preallocated
-    # buffers, each earlier opponent multiplied in as the new outer axis of
-    # the product so far, as ``expected_loss_vector`` does, so the inner loop
-    # runs over that product and the (c, B, N) joint comes out in
-    # ``loss_matrix``'s row-major opponent order. It ``matmul``s that column
-    # with its (c, B, n_i, N) array of ``loss_matrix`` results into its rows
-    # of a loss stack.
+    # them in place, with c = 1, and a cell of two players views its stack
+    # reversed, which holds each one's opponent), folds them from the right
+    # into preallocated buffers, each earlier opponent multiplied in as the
+    # new outer axis of the product so far, as ``expected_loss_vector`` does,
+    # so the inner loop runs over that product and the (c, B, N) joint comes
+    # out in ``loss_matrix``'s row-major opponent order. It ``matmul``s that
+    # column with its (c, B, n_i, N) array of ``loss_matrix`` results into its
+    # rows of a loss stack.
     contractions = []
     for cell in cells:
         (g, k), c, n = place[cell[0]], len(cell), counts[cell[0]]
@@ -135,6 +139,8 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
         opponents = [[j for j in players if j != i] for i in cell]
         if c == 1:
             gather, sources = None, [rows[j][None] for j in opponents[0]]
+        elif c == 2:
+            gather, sources = None, [strategies[g][::-1]]
         else:
             gathered = np.empty((c, len(counts) - 1) + shapes[g][1:])
             gather = partial(strategies[g].take, np.array(opponents), 0, gathered, "clip")
@@ -149,9 +155,9 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
                              [stacks[g][k:k + c].reshape(lead + (-1, 1)) for stacks in loss_stacks]))
     played, seen = ([np.zeros(shape[:1] + ((rounds,) if full_history else ()) + shape[1:])
                      for shape in shapes] for _ in range(2))
-    # Per group: strategies, (loss, prev) by parity, -eta, work arrays, kind, record.
+    # Per group: strategies, (loss, prev) by parity, -eta, work arrays, kind, shift, record.
     updates = [(strategies[g], ((l0, l1), (l1, l0)), neg_etas[g], np.empty(shape),
-                np.empty(shape[:2] + (1,)), np.empty(shape), kinds[members[0]][1], play, see)
+                np.empty(shape[:2] + (1,)), np.empty(shape), *kinds[members[0]][1:], play, see)
                for g, (members, shape, l0, l1, play, see)
                in enumerate(zip(groups, shapes, *loss_stacks, played, seen))]
     # Local names for the ufuncs the loop calls T times per group.
@@ -174,7 +180,7 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
                 fire = (fired == 0) & (sums[0] > 0.5 * sums[1] + states[i].switch_threshold)
                 fired[fire] = t + 1
                 neg_etas[g][k][fire] = -states[i].eta_post
-        for x, pairs, neg_eta, e, red, product, is_hedge, play, see in updates:
+        for x, pairs, neg_eta, e, red, product, is_hedge, shift, play, see in updates:
             loss, prev = pairs[parity]
             if full_history:
                 play[:, t] = x
@@ -190,8 +196,9 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
                 add(loss, loss, e)
                 subtract(e, prev, e)
                 multiply(e, neg_eta, e)
-            maximum(e, -1, None, red, True)
-            subtract(e, red, e)
+            if shift:
+                maximum(e, -1, None, red, True)
+                subtract(e, red, e)
             exp(e, e)
             multiply(e, x, e)
             total(e, -1, None, red, True)

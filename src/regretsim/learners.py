@@ -7,7 +7,14 @@ sqrt-horizon step size the first time a variance-sum inequality, which holds
 under benign self-play, is violated by the observed loss stream.
 
 All updates are functional: a step returns a new state and never mutates its
-input. The step functions are the reference that the self-play engine,
+input. The new weights are x * exp(e), normalized, where the exponent e is
+shifted by its max if the learner may use a step size above 1
+(``LearnerState.shift``). With losses in [0, 1], e lies in [-2 eta, eta], so
+for eta <= 1 each unshifted weight is within a factor e^2 of its shifted
+value: exp cannot overflow, and the weights cannot all round to zero. The
+step functions also shift an exponent outside [-2, 1], which only a loss
+outside [0, 1] can produce; the engine plays only validated games and never
+meets one. The step functions are the reference that the self-play engine,
 ``dynamics._play``, is tested against. The module also holds the variance
 helpers and constants that the switch test and the step-size policy share
 with the diagnostics.
@@ -99,7 +106,10 @@ class LearnerState:
     ``strategy`` is the current mixed strategy, ``prev_loss`` the loss vector
     observed in the previous round (zeros at round 1). Adaptive bookkeeping
     tracks the two running variance sums, whether the step-size switch has
-    fired, and the post-switch step size.
+    fired, and the post-switch step size. ``shift`` is fixed at construction:
+    it is set iff a step size the learner can use, ``eta`` or ``eta_post``,
+    exceeds 1, and then every step shifts the exponent by its max, so an
+    adaptive learner keeps shifting after a switch that lowers its step size.
     """
 
     strategy: np.ndarray
@@ -113,6 +123,7 @@ class LearnerState:
     var_prev_sum: float = 0.0
     eta_post: float | None = None
     switch_threshold: float = math.inf
+    shift: bool = True
 
 
 def init_state(n: int, eta: float, mode: str, horizon: int | None = None,
@@ -151,6 +162,7 @@ def init_state(n: int, eta: float, mode: str, horizon: int | None = None,
         mode=mode,
         eta_post=eta_post,
         switch_threshold=threshold,
+        shift=max(eta, eta_post or 0.0) > 1.0,
     )
 
 
@@ -163,24 +175,30 @@ def _checked_loss(state: LearnerState, loss: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _exp_weights(strategy: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    # Subtracting the max exponent avoids overflow without changing the
-    # normalized result.
-    w = strategy * np.exp(exponent - exponent.max())
+def _exp_weights(strategy: np.ndarray, exponent: np.ndarray, shift: bool) -> np.ndarray:
+    """strategy * exp(exponent), normalized. With ``shift``, or if the exponent
+    leaves [-2, 1], the max exponent is subtracted first, which keeps exp from
+    overflowing and changes the result only by rounding. Unshifted is safe in
+    [-2, 1], where a step size of at most 1 and losses in [0, 1] keep it (see
+    the module docstring); only a loss outside [0, 1] can leave it."""
+    if shift or exponent.min() < -2.0 or exponent.max() > 1.0:
+        exponent = exponent - exponent.max()
+    w = strategy * np.exp(exponent)
     return w / w.sum()
 
 
 def hedge_step(state: LearnerState, loss: np.ndarray) -> LearnerState:
     """Multiply weights by exp(-eta * loss) and renormalize."""
     arr = _checked_loss(state, loss)
-    strategy = _exp_weights(state.strategy, -state.eta * arr)
+    strategy = _exp_weights(state.strategy, -state.eta * arr, state.shift)
     return replace(state, strategy=strategy, prev_loss=arr.copy(), round=state.round + 1)
 
 
 def opt_hedge_step(state: LearnerState, loss: np.ndarray) -> LearnerState:
     """Multiply weights by exp(-eta * (2 * loss - prev_loss)) and renormalize."""
     arr = _checked_loss(state, loss)
-    strategy = _exp_weights(state.strategy, -state.eta * (2.0 * arr - state.prev_loss))
+    strategy = _exp_weights(state.strategy, -state.eta * (2.0 * arr - state.prev_loss),
+                            state.shift)
     return replace(state, strategy=strategy, prev_loss=arr.copy(), round=state.round + 1)
 
 
@@ -191,7 +209,7 @@ def intermediate_iterate(state: LearnerState, loss: np.ndarray) -> np.ndarray:
     strategy * exp(-eta * (loss - prev_loss)) without touching the state.
     """
     arr = _checked_loss(state, loss)
-    return _exp_weights(state.strategy, -state.eta * (arr - state.prev_loss))
+    return _exp_weights(state.strategy, -state.eta * (arr - state.prev_loss), state.shift)
 
 
 def adaptive_opt_hedge_step(state: LearnerState, loss: np.ndarray) -> LearnerState:
@@ -215,7 +233,7 @@ def adaptive_opt_hedge_step(state: LearnerState, loss: np.ndarray) -> LearnerSta
         switched = True
         switch_round = state.round
         eta = state.eta_post if state.eta_post is not None else eta
-    strategy = _exp_weights(state.strategy, -eta * (2.0 * arr - state.prev_loss))
+    strategy = _exp_weights(state.strategy, -eta * (2.0 * arr - state.prev_loss), state.shift)
     return replace(
         state, strategy=strategy, prev_loss=arr.copy(), round=state.round + 1,
         eta=eta, switched=switched, switch_round=switch_round,

@@ -36,6 +36,9 @@ from regretsim.dynamics import (
 from regretsim.game import Game
 from trajectory_csv import trajectory_from_csv
 
+# the least step size above 1: the smallest at which a learner shifts its exponent
+ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+
 
 def make_trajectory(strategies, losses, game=None, mode="opt_hedge", eta=0.05):
     """Hand-built trajectory for unit-level regret checks."""
@@ -399,8 +402,9 @@ class TestBatchRun:
     @example(counts=[(2, 2, 2), (3, 2, 2)], seeds=[20, 3, 7, 4, 10],
              modes=["adaptive_opt_hedge", "opt_hedge", "hedge"], etas=[0.5] * 3,
              c_prime=0.0, rounds=48)
-    # a Hedge and an optimistic group of three actions in the 3x3x3 games, and
-    # a 1-action player in the 1x3x2 games; the adaptive player switches at
+    # in the 3x3x3 games a Hedge group, an optimistic one at eta = 0.8 and the
+    # adaptive player at eta = 2 alone, since it shifts the exponent, and a
+    # 1-action player in the 1x3x2 games; the adaptive player switches at
     # round 4 in the games of seeds 6, 13 and 14, and not in those of 0 and 5
     @example(counts=[(3, 3, 3), (1, 3, 2)], seeds=[6, 5, 0, 13, 14],
              modes=["hedge", "opt_hedge", "adaptive_opt_hedge"], etas=[0.3, 0.8, 2.0],
@@ -414,12 +418,25 @@ class TestBatchRun:
     @example(counts=[(3, 3, 3), (2, 3, 3)], seeds=[0, 2, 4, 8, 12, 3],
              modes=["adaptive_opt_hedge", "opt_hedge", "adaptive_opt_hedge"], etas=[1.0] * 3,
              c_prime=0.0, rounds=48)
-    # five 3x3 games, whose one optimistic group forms one cell of both players;
-    # the adaptive last player switches at round 4 in the games of seeds 2, 4
-    # and 6, and not in those of 0 and 14
+    # five 3x3 games; the adaptive last player, alone in its group since its
+    # step size of 2 shifts the exponent, switches at round 4 in the games of
+    # seeds 2, 4 and 6, and not in those of 0 and 14
     @example(counts=[(3, 3), (2, 2)], seeds=[2, 0, 4, 14, 6],
              modes=["opt_hedge", "adaptive_opt_hedge", "hedge"], etas=[0.8, 2.0, 0.1],
              c_prime=0.0, rounds=48)
+    # two-player games whose one group forms one cell, which views its stack
+    # reversed: unshifted at eta = 1, and shifted one ulp above
+    @example(counts=[(3, 3), (2, 2)], seeds=[1, 2, 3, 4, 5],
+             modes=["opt_hedge", "opt_hedge", "hedge"], etas=[1.0, 0.5, 0.1],
+             c_prime=0.0, rounds=48)
+    @example(counts=[(3, 3), (1, 1)], seeds=[1, 2, 3, 4, 5],
+             modes=["hedge", "hedge", "hedge"], etas=[ABOVE_ONE, 3.0, 0.1],
+             c_prime=0.0, rounds=48)
+    # the same cell of two adaptive players at eta = 2, shifted; at round 4 both
+    # switch in the games of seeds 0 and 4, only the first in those of 1 and 9,
+    # and only the second in that of 2
+    @example(counts=[(3, 3), (2, 2)], seeds=[0, 1, 2, 4, 9],
+             modes=["adaptive_opt_hedge"] * 3, etas=[2.0] * 3, c_prime=0.0, rounds=48)
     def test_matches_per_game_run(self, counts, seeds, modes, etas, c_prime, rounds):
         m = len(counts[0])
         source = lambda s: random_game(m, counts[s % len(counts)], seed=s)
@@ -539,6 +556,28 @@ class TestEngineMatchesReference:
     @example(counts=[3, 1, 2], game_seed=2,
              modes=["adaptive_opt_hedge", "hedge", "opt_hedge", "hedge"],
              etas=[2.0, 0.4, 0.9, 0.1], c_prime=0.0, rounds=48)
+    # step sizes of exactly 1, which leave the exponent unshifted, and one ulp
+    # above, which shift it, in each mode: players of one n and kind split into
+    # two groups by the shift; in the third game the first and third players,
+    # adaptive, switch at round 4
+    @example(counts=[3, 3, 3], game_seed=1, modes=["hedge"] * 4,
+             etas=[1.0, ABOVE_ONE, 1.0, 1.0], c_prime=0.0, rounds=48)
+    @example(counts=[3, 3, 3], game_seed=1, modes=["opt_hedge"] * 4,
+             etas=[ABOVE_ONE, 1.0, ABOVE_ONE, 1.0], c_prime=0.0, rounds=48)
+    @example(counts=[2, 2, 2], game_seed=0, modes=["adaptive_opt_hedge"] * 4,
+             etas=[1.0, ABOVE_ONE, ABOVE_ONE, 1.0], c_prime=0.0, rounds=48)
+    # two optimistic players at eta = 0.5 and two at eta = 2: two groups of two
+    @example(counts=[2, 2, 2, 2], game_seed=1, modes=["opt_hedge"] * 4,
+             etas=[0.5, 2.0, 0.5, 2.0], c_prime=0.0, rounds=48)
+    # the one cell of two adaptive players at eta = 2, viewing its stack
+    # reversed; both switch at round 4 and keep shifting at eta_post < 1
+    @example(counts=[3, 3], game_seed=0, modes=["adaptive_opt_hedge"] * 4,
+             etas=[2.0] * 4, c_prime=0.0, rounds=48)
+    # the one cell of two players at eta = 1, unshifted, and one ulp above, shifted
+    @example(counts=[3, 3], game_seed=4, modes=["opt_hedge"] * 4,
+             etas=[1.0] * 4, c_prime=0.0, rounds=48)
+    @example(counts=[2, 2], game_seed=4, modes=["hedge"] * 4,
+             etas=[ABOVE_ONE] * 4, c_prime=0.0, rounds=48)
     def test_run_and_streaming_match_step_loop(self, counts, game_seed, modes, etas,
                                                c_prime, rounds):
         game = random_game(len(counts), counts, seed=game_seed)

@@ -92,6 +92,35 @@ class TestValidateGame:
             assert game.loss_tensors[0][0, 0] == 0.5
             assert validate_game(game) == []
 
+    def test_no_input_form_lets_the_caller_change_the_game(self):
+        class Sub(np.ndarray):
+            pass
+
+        class Wrapper:
+            def __init__(self, data):
+                self.data = data
+
+            def __array__(self, dtype=None, copy=None):
+                return self.data
+
+        base = np.full((3, 3), -0.0)
+        inputs = {
+            "float64": (base.copy(), lambda a: a),
+            "float32": (base.astype(np.float32), lambda a: a),
+            "view": (base.copy(), lambda a: a[::-1][::-1]),
+            "subclass": (base.copy(), lambda a: a.view(Sub)),
+            "float32 subclass": (base.astype(np.float32), lambda a: a.view(Sub)),
+            "__array__": (base.copy(), Wrapper),
+        }
+        for name, (owned, wrap) in inputs.items():
+            game = Game(2, (3, 3), (wrap(owned), np.zeros((3, 3))))
+            owned[:] = 7.0
+            tensor = game.loss_tensors[0]
+            assert not np.shares_memory(tensor, owned), name
+            assert np.array_equal(tensor, np.zeros((3, 3))), name
+            assert not np.signbit(tensor).any() and not tensor.flags.writeable, name
+            assert validate_game(game) == [], name
+
     def test_profile_count_exact_past_int64(self):
         assert _profile_count((10**10, 10**10)) == 10**20
 

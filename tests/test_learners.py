@@ -16,7 +16,7 @@ from regretsim import (
     recommended_eta,
 )
 from regretsim.learners import (ADAPTIVE_OPT_HEDGE, HEDGE, MIN_SWITCH_ROUND, OPT_HEDGE,
-                                BoundConstants)
+                                BoundConstants, step)
 
 
 def two_action_state(eta=0.1, mode=OPT_HEDGE, **kwargs):
@@ -154,6 +154,69 @@ class TestOptHedgeStep:
         new = opt_hedge_step(state, np.array([1.0, 0.0, 0.5]))
         assert np.all(np.isfinite(new.strategy))
         assert new.strategy.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestExponentShift:
+    """The max shift of the exponent is taken iff a usable step size exceeds 1."""
+
+    def states(self, eta):
+        rng = np.random.default_rng(8)
+        strategy = rng.dirichlet(np.ones(4))
+        prev, loss = rng.random(4), rng.random(4)
+        for mode in (HEDGE, OPT_HEDGE, ADAPTIVE_OPT_HEDGE):
+            state = replace(init_state(4, eta, mode, horizon=64, c_prime=math.inf),
+                            strategy=strategy, prev_loss=prev)
+            exponent = -eta * (loss if mode == HEDGE else 2.0 * loss - prev)
+            yield state, loss, exponent
+
+    def test_flag_fixed_at_construction(self):
+        assert not init_state(3, 1.0, OPT_HEDGE).shift
+        assert init_state(3, np.nextafter(1.0, 2.0), HEDGE).shift
+        # sqrt(ln 3 / 1) > 1: the post-switch step size alone asks for the shift
+        assert init_state(3, 0.5, ADAPTIVE_OPT_HEDGE, horizon=1).shift
+        assert not init_state(3, 0.5, ADAPTIVE_OPT_HEDGE, horizon=64).shift
+        # a step size above 1 keeps the shift after a switch to sqrt(ln 2 / T) < 1
+        state = init_state(2, 2.0, ADAPTIVE_OPT_HEDGE, horizon=64, c_prime=0.0)
+        for t in range(16):
+            state = adaptive_opt_hedge_step(state, np.array([float(t % 2), 0.0]))
+        assert state.switched and state.eta < 1.0 and state.shift
+
+    def test_unshifted_at_most_one(self):
+        for eta in (0.3, 1.0):
+            for state, loss, exponent in self.states(eta):
+                w = state.strategy * np.exp(exponent)
+                assert np.array_equal(step(state, loss).strategy, w / w.sum()), state.mode
+
+    def test_shifted_above_one(self):
+        for eta in (np.nextafter(1.0, 2.0), 3.0):
+            for state, loss, exponent in self.states(eta):
+                w = state.strategy * np.exp(exponent - exponent.max())
+                assert np.array_equal(step(state, loss).strategy, w / w.sum()), state.mode
+
+    def test_losses_outside_the_unit_interval_are_shifted(self):
+        # at eta = 1 a loss of +-800 puts the exponent far outside [-2, 1], where
+        # exp alone would overflow or round every weight to zero
+        loss = np.array([0.5, 0.2])
+        for big in (800.0, -800.0):
+            for mode in (HEDGE, OPT_HEDGE, ADAPTIVE_OPT_HEDGE):
+                state = step(init_state(2, 1.0, mode, horizon=64), np.array([big, big]))
+                assert np.array_equal(state.strategy, [0.5, 0.5]), (mode, big)
+                if mode == HEDGE:
+                    continue
+                # the next exponents hold the previous loss of +-800
+                for exponent, new in ((-(2.0 * loss - big), step(state, loss).strategy),
+                                      (-(loss - big), intermediate_iterate(state, loss))):
+                    w = state.strategy * np.exp(exponent - exponent.max())
+                    assert np.array_equal(new, w / w.sum()), (mode, big)
+                    assert np.all(np.isfinite(new)), (mode, big)
+
+    def test_alternating_losses_stay_finite_at_one(self):
+        for mode in (HEDGE, OPT_HEDGE):
+            state = init_state(2, 1.0, mode)
+            for t in range(10**4):
+                state = step(state, np.array([float(t % 2), float(1 - t % 2)]))
+            assert np.all(np.isfinite(state.strategy)) and np.all(state.strategy > 0.0)
+            assert state.strategy.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestIntermediateIterate:

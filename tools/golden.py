@@ -2,7 +2,7 @@
 
 Usage: python tools/golden.py <rev>
 
-Exports ``src`` at <rev> with ``git archive``, then runs the twelve golden
+Exports ``src`` at <rev> with ``git archive``, then runs the thirteen golden
 commands below twice, once against that export and once against the working
 tree's ``src``, each side in its own fresh directory with the same ``--out``
 names. Every file written is compared byte for byte, except that
@@ -59,6 +59,10 @@ COMMANDS = (
     # writer's exact fallback rows
     ["run", "--game", "prisoners_dilemma_rescaled", "--learner", "opt_hedge", "--eta", "4",
      "--rounds", "2048", "--out", "pd"],
+    # a step size above 1: the engine shifts the exponent by its max, on a game
+    # whose strategies do not collapse as the prisoner's dilemma's do
+    ["run", "--game", "random", "--actions", "3,3", "--game-seed", "1", "--eta", "2",
+     "--rounds", "4096", "--out", "shifted"],
     # Hedge's own trajectory, and a two-group run: one cell per player
     ["run", "--game", "random", "--actions", "3,3", "--game-seed", "1", "--learner", "hedge",
      "--rounds", "4096", "--out", "hedge"],
