@@ -322,48 +322,45 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
 # Experiment execution
 # ---------------------------------------------------------------------------
 
-def _closeness_entry(trajectory: dynamics.Trajectory, i: int) -> dict:
+def _closeness_entry(trajectory: dynamics.Trajectory, i: int, _terms) -> dict:
     closeness = diagnostics.consecutive_closeness(trajectory.strategies[i])
-    try:
-        bound = math.exp(6.0 * trajectory.metadata.etas[i]) - 1.0
-    except OverflowError:  # eta above about 118.3: an infinite bound, null in JSON
-        bound = None
+    bound = diagnostics.closeness_bound(trajectory.metadata.etas[i])
     return dict(closeness.to_dict(), player=i + 1, bound=bound,
                 within_bound=bound is None or closeness.zeta_observed <= bound)
 
 
-# Per-player diagnostics: name -> (player i's diagnostics.json entry, the name of
-# its summary.json verdict, the test every entry must pass for that verdict to
-# hold). Audits are looked up on ``diagnostics`` per call, so tracers can wrap them.
+# Per-player diagnostics: name -> (player i's diagnostics.json entry from the trajectory, i
+# and i's bound terms bt; its summary.json verdict's name; the test all entries pass for it).
+# Audits are looked up on ``diagnostics`` per call, so tracers can wrap them.
 PLAYER_DIAGNOSTICS = {
-    "bound_terms": (lambda traj, i: diagnostics.regret_bound_terms(traj, i).to_dict(),
-                    "bound_terms_all_c_star_finite",
+    "bound_terms": (lambda traj, i, bt: bt.to_dict(), "bound_terms_all_c_star_finite",
                     lambda e: e["c_star"] is not None and math.isfinite(e["c_star"])),
-    "variance_inequality": (lambda traj, i: diagnostics.check_variance_inequality(traj, i).to_dict(),
+    "variance_inequality": (lambda traj, i, bt: diagnostics.check_variance_inequality(traj, bt).to_dict(),
                             "variance_inequality_all_hold", lambda e: e["holds"]),
     "closeness": (_closeness_entry, "closeness_all_within_bound", lambda e: e["within_bound"]),
 }
 
 
-def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory, csv_dir):
-    """Diagnostics report and verdicts. Given ``csv_dir``, each fd profile comes from the
-    walk that writes fd_values_player*.csv there, and fd_norms_player*.csv follows it."""
-    toggles, players = cfg.diagnostics, range(trajectory.game.num_players)
-    report, verdicts = {}, {}
+def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory, entries, out):
+    """Report and verdicts; the bound audits take Reg_i(T) from ``entries``. With CSV output,
+    each fd profile comes from the walk writing fd_values_player*.csv in ``out``, then fd_norms."""
+    toggles, report, verdicts = cfg.diagnostics, {}, {}
+    audited = toggles.bound_terms or toggles.variance_inequality  # both read the bound terms
+    terms = [diagnostics.regret_bound_terms(trajectory, e) if audited else None for e in entries]
     for name, (entry, verdict, passes) in PLAYER_DIAGNOSTICS.items():
         if getattr(toggles, name):
-            report[name] = [entry(trajectory, i) for i in players]
+            report[name] = [entry(trajectory, i, t) for i, t in enumerate(terms)]
             verdicts[verdict] = all(passes(e) for e in report[name])
     if toggles.fd_h_max is not None:
         h_max = min(toggles.fd_h_max, trajectory.rounds - 1)
         report["fd_profile"] = []
         for i, losses in enumerate(trajectory.losses):
-            if csv_dir is None:
+            if "csv" not in cfg.formats:
                 profile = diagnostics.fd_decay_profile(losses, h_max)
             else:
                 profile = diagnostics.fd_profile_values_csv(
-                    losses, h_max, Path(csv_dir, f"fd_values_player{i + 1}.csv"))
-                diagnostics.fd_profile_norms_csv(profile, Path(csv_dir, f"fd_norms_player{i + 1}.csv"))
+                    losses, h_max, out / f"fd_values_player{i + 1}.csv")
+                diagnostics.fd_profile_norms_csv(profile, out / f"fd_norms_player{i + 1}.csv")
             report["fd_profile"].append(dict(player=i + 1, **profile.to_dict()))
         verdicts["fd_profile_max_ratio"] = max(
             (r for e in report["fd_profile"] for r in e["ratios"] if r is not None),
@@ -397,7 +394,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     # Player i's CCE gap of the time-averaged product play is Reg_i(T) / T.
     gaps = [e.total_regret / cfg.rounds for e in entries]
     # CSV output: the fd files here, the other CSV files below
-    diag_report, verdicts = _run_diagnostics(cfg, trajectory, out if "csv" in cfg.formats else None)
+    diag_report, verdicts = _run_diagnostics(cfg, trajectory, entries, out)
 
     if "csv" in cfg.formats:
         dynamics.regret_curves_to_csv(entries, out / "regret_curve.csv")

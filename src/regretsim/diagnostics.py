@@ -1,9 +1,9 @@
 """Numerical diagnostics for learning-dynamics trajectories.
 
 Divergences, local norms, plain and circular finite differences, discrete
-Fourier identities, and the inequality checkers used to audit regret bounds
-on recorded runs. Everything here is a pure function of its inputs, except
-the ``fd_profile_*_csv`` writers, which write a file.
+Fourier identities, the closeness bound, and the regret-bound audits, which
+take Reg_i(T) from the regret report and share one walk's variance sums. All
+of it is pure except the ``fd_profile_*_csv`` writers, which write a file.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import Trajectory, regret
+from .dynamics import RegretEntry, Trajectory
 from .game import AUDIT_BLOCK_ROWS, _reduce_rows, write_csv
 from .learners import OPT_HEDGE, BoundConstants, row_variances
 
@@ -347,6 +347,14 @@ def consecutive_closeness(strategies: Sequence[np.ndarray] | np.ndarray) -> Clos
     return ClosenessReport(zeta, step, coord)
 
 
+def closeness_bound(eta: float) -> float | None:
+    """exp(6 eta) - 1, the paper's bound on consecutive closeness; None where exp overflows."""
+    try:
+        return math.exp(6.0 * eta) - 1.0
+    except OverflowError:  # eta above about 118.3
+        return None
+
+
 # ---------------------------------------------------------------------------
 # Trajectory-level bound audits
 # ---------------------------------------------------------------------------
@@ -417,11 +425,11 @@ class BoundTermBreakdown:
         }
 
 
-def regret_bound_terms(trajectory: Trajectory, player: int) -> BoundTermBreakdown:
-    """Audit the variance-form adversarial regret bound for one player.
+def regret_bound_terms(trajectory: Trajectory, entry: RegretEntry) -> BoundTermBreakdown:
+    """Audit the variance-form adversarial regret bound for ``entry``'s player.
 
-    Evaluates regret, the entropy term, and both variance sums, then solves
-    for the boundary constant C* of
+    Takes Reg_i(T) from ``entry``, the regret report's value, evaluates the
+    entropy term and both variance sums, then solves for the constant C* of
 
         regret <= log(n)/eta + sum (eta/2 + C eta^2) Var[loss diff]
                               - sum ((1 - C eta) eta / 2) Var[prev loss]
@@ -429,18 +437,18 @@ def regret_bound_terms(trajectory: Trajectory, player: int) -> BoundTermBreakdow
     which is linear in C. The player must have followed the optimistic
     update rule.
     """
-    eta = trajectory.metadata.etas[player]
-    check_audit_learners(["bound_terms"], trajectory.metadata.modes[player:player + 1], [eta])
-    n = trajectory.game.action_counts[player]
-    sum_var_delta, sum_var_prev = _variance_sums(trajectory, player)
-    lhs = regret(trajectory, player).total_regret
+    eta = trajectory.metadata.etas[entry.player]
+    check_audit_learners(["bound_terms"], [trajectory.metadata.modes[entry.player]], [eta])
+    n = trajectory.game.action_counts[entry.player]
+    sum_var_delta, sum_var_prev = _variance_sums(trajectory, entry.player)
+    lhs = entry.total_regret
     term_log = math.log(n) / eta
     base = term_log + (eta / 2.0) * (sum_var_delta - sum_var_prev)
     coeff = eta * eta * (sum_var_delta + sum_var_prev / 2.0)
     holds_at_zero = lhs <= base
     c_star = 0.0 if holds_at_zero else None if coeff < _C_COEFF_EPS else (lhs - base) / coeff
     return BoundTermBreakdown(
-        player=player, lhs=lhs, term_log=term_log,
+        player=entry.player, lhs=lhs, term_log=term_log,
         term_log_base2=math.log2(n) / eta,
         sum_var_delta=sum_var_delta, sum_var_prev=sum_var_prev,
         c_star=c_star, holds_at_zero=holds_at_zero, eta=eta)
@@ -472,23 +480,22 @@ class VarianceInequalityReport:
         }
 
 
-def check_variance_inequality(trajectory: Trajectory, player: int,
+def check_variance_inequality(trajectory: Trajectory, terms: BoundTermBreakdown,
                               constants: BoundConstants | None = None) -> VarianceInequalityReport:
     """Check sum Var[loss diff] <= 1/2 sum Var[prev loss] + C' * ceil(log2 T)^5.
 
-    Requires that every player followed the optimistic update with a common
-    step size. The additive constant dominates at desk scale, so the
-    constant-free ratio is the informative output.
+    Both sums and the player come from ``terms``, the player's ``regret_bound_terms``.
+    Every player must follow the optimistic update with one step size. The additive
+    constant dominates at desk scale, so the constant-free ratio is the informative output.
     """
     check_audit_learners(["variance_inequality"], trajectory.metadata.modes,
                          trajectory.metadata.etas)
     if constants is None:
         constants = BoundConstants.for_horizon(trajectory.rounds)
-    lhs, denom = _variance_sums(trajectory, player)
+    lhs, denom = terms.sum_var_delta, terms.sum_var_prev
     rhs = 0.5 * denom + constants.c_prime * float(constants.h) ** 5
-    degenerate = lhs == 0.0 and denom == 0.0
     ratio = None if denom == 0.0 else lhs / denom
     return VarianceInequalityReport(
-        player=player, lhs=lhs, rhs=rhs, ratio=ratio,
-        holds=lhs <= rhs, degenerate=degenerate,
+        player=terms.player, lhs=lhs, rhs=rhs, ratio=ratio,
+        holds=lhs <= rhs, degenerate=lhs == denom == 0.0,
         c_prime=constants.c_prime, h=constants.h)

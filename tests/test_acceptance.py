@@ -50,6 +50,7 @@ from regretsim import (
     opt_hedge_step,
     random_game,
     recommended_eta,
+    regret,
     regret_report,
     run,
     variance,
@@ -302,7 +303,7 @@ def test_criterion_06_bound_term_audit(crit6_runs):
     started = time.perf_counter()
     for seed, trajectory in crit6_runs.runs.items():
         for i in range(2):
-            breakdown = regret_bound_terms(trajectory, i)
+            breakdown = regret_bound_terms(trajectory, regret(trajectory, i))
             if breakdown.c_star is None or not math.isfinite(breakdown.c_star):
                 failures.append(f"seed {seed} player {i}: no finite boundary constant")
                 continue
@@ -331,7 +332,8 @@ def test_criterion_07_variance_ratio_monotonicity(crit7_runs):
     failures: list[str] = []
     ratios = []
     for eta in (0.08, 0.04, 0.02, 0.01):
-        result = check_variance_inequality(crit7_runs.runs[eta], 0)
+        result = check_variance_inequality(crit7_runs.runs[eta], regret_bound_terms(
+            crit7_runs.runs[eta], regret(crit7_runs.runs[eta], 0)))
         ratios.append((eta, result.ratio, result.degenerate))
     degenerate = [eta for eta, _, deg in ratios if deg]
     if degenerate:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretsim import cli, dynamics, learners
+from regretsim import cli, diagnostics, dynamics, learners
 from regretsim.cli import (
     ConfigError,
     DiagnosticsToggles,
@@ -188,6 +188,23 @@ class TestRunExperiment:
         assert code == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["metadata"] == {"switch_rounds": [8, None, None]}
+
+    def test_diagnose_scores_and_sums_each_player_once(self, tmp_path, monkeypatch):
+        # the bound audits take Reg_i(T) from the regret report, and the variance
+        # inequality its sums from the bound terms: one of each per player
+        calls = []
+        targets = [(m, "regret") for m in (dynamics, diagnostics) if hasattr(m, "regret")]
+        for module, name in targets + [(diagnostics, "_variance_sums")]:
+            def counted(trajectory, player, real=getattr(module, name), name=name):
+                calls.append((name, player))
+                return real(trajectory, player)
+            monkeypatch.setattr(module, name, counted)
+        code = cli.main(["diagnose", "--game", "random", "--actions", "3,2", "--game-seed", "1",
+                         "--rounds", "64", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert sorted(calls) == [("_variance_sums", 0), ("_variance_sums", 1),
+                                 ("regret", 0), ("regret", 1)]
+        assert not hasattr(diagnostics, "regret")  # the audits do not rescore
 
     def test_summary_deterministic_modulo_duration(self, tmp_path):
         argv = ["run", "--game", "random", "--actions", "2,2", "--game-seed", "5",

@@ -37,10 +37,12 @@ from regretsim import (
 from regretsim.diagnostics import (
     AUDIT_BLOCK_ROWS,
     check_audit_learners,
+    closeness_bound,
     fd_profile_norms_csv,
     fd_profile_values_csv,
     _variance_sums,
 )
+from regretsim.dynamics import RunMetadata, Trajectory, __version__
 from regretsim.learners import BoundConstants, ceil_log2, row_variances
 from regretsim.game import Game, _reduce_rows
 
@@ -54,6 +56,11 @@ def dft_matrix(s):
 def brute_variance(p, v):
     mean = sum(pi * vi for pi, vi in zip(p, v))
     return sum(pi * (vi - mean) ** 2 for pi, vi in zip(p, v))
+
+
+def bound_terms(traj, i):
+    """Player i's bound terms, with Reg_i(T) from the regret report as the CLI passes it."""
+    return regret_bound_terms(traj, regret(traj, i))
 
 
 class TestCeilLog2:
@@ -402,6 +409,13 @@ class TestConsecutiveCloseness:
             report = consecutive_closeness(traj.strategies[i])
             assert report.zeta_observed <= math.exp(6.0 * eta) - 1.0
 
+    def test_bound_hand_values(self):
+        assert closeness_bound(0.5) == math.exp(3.0) - 1.0
+        # 6 * 0.1 rounds to 0.6000000000000001, one ulp above 0.6
+        assert closeness_bound(0.1) == pytest.approx(math.exp(0.6) - 1.0, rel=1e-15)
+        assert math.isfinite(closeness_bound(118.29))  # exp(709.74), just inside the doubles
+        assert closeness_bound(200.0) is None
+
 
 def constant_game(c=0.4):
     tensors = tuple(np.full((2, 2), c) for _ in range(2))
@@ -411,7 +425,7 @@ def constant_game(c=0.4):
 class TestBoundTerms:
     def test_constant_losses(self):
         traj = run(constant_game(), [LearnerConfig(eta=0.05)] * 2, 64)
-        breakdown = regret_bound_terms(traj, 0)
+        breakdown = bound_terms(traj, 0)
         assert breakdown.lhs == pytest.approx(0.0, abs=1e-12)
         assert breakdown.sum_var_delta == 0.0
         assert breakdown.sum_var_prev == 0.0
@@ -419,20 +433,20 @@ class TestBoundTerms:
 
     def test_log_term_conventions(self):
         traj = run(random_game(2, (3, 3), seed=5), [LearnerConfig(eta=0.05)] * 2, 32)
-        breakdown = regret_bound_terms(traj, 0)
+        breakdown = bound_terms(traj, 0)
         assert breakdown.term_log == pytest.approx(math.log(3) / 0.05, rel=1e-12)
         assert breakdown.term_log_base2 == pytest.approx(math.log2(3) / 0.05, rel=1e-12)
 
     def test_matching_pennies_finite_c_star_and_brute_force_sums(self):
         traj = run(named_game("matching_pennies"), [LearnerConfig(eta=0.05)] * 2, 2**10)
-        breakdown = regret_bound_terms(traj, 0)
+        breakdown = bound_terms(traj, 0)
         assert breakdown.c_star is not None and math.isfinite(breakdown.c_star)
         self._check_sums_against_brute_force(traj, 0, breakdown)
 
     def test_random_game_brute_force_sums(self):
         traj = run(random_game(2, (3, 4), seed=6), [LearnerConfig(eta=0.05)] * 2, 256)
         for i in range(2):
-            breakdown = regret_bound_terms(traj, i)
+            breakdown = bound_terms(traj, i)
             assert breakdown.c_star is not None and math.isfinite(breakdown.c_star)
             self._check_sums_against_brute_force(traj, i, breakdown)
 
@@ -454,21 +468,48 @@ class TestBoundTerms:
         # game with genuine motion (a symmetric fixed-point game keeps both
         # sums at exactly zero, where the comparison is vacuous)
         game = random_game(2, (2, 2), seed=7)
-        hi = regret_bound_terms(run(game, [LearnerConfig(eta=0.05)] * 2, 2**10), 0)
-        lo = regret_bound_terms(run(game, [LearnerConfig(eta=0.025)] * 2, 2**10), 0)
+        hi = bound_terms(run(game, [LearnerConfig(eta=0.05)] * 2, 2**10), 0)
+        lo = bound_terms(run(game, [LearnerConfig(eta=0.025)] * 2, 2**10), 0)
         assert lo.sum_var_delta < hi.sum_var_delta
 
     def test_regret_matches_dynamics_module(self):
         traj = run(random_game(2, (2, 3), seed=8), [LearnerConfig(eta=0.05)] * 2, 128)
         for i in range(2):
-            assert regret_bound_terms(traj, i).lhs == pytest.approx(
-                regret(traj, i).total_regret, rel=1e-12, abs=1e-12)
+            entry = regret(traj, i)
+            breakdown = regret_bound_terms(traj, entry)
+            assert (breakdown.player, breakdown.lhs) == (i, entry.total_regret)
+
+    def test_hand_computed_three_rounds(self):
+        # Player 0 (two actions; player 1 has one) at eta = 1/2, with x_t = (1/2, 1/2)
+        # and loss (1, 0) in each of 3 rounds; the round-0 previous loss is 0. Under x,
+        # Var[(a, b)] = (a - b)^2 / 4, so
+        #   sum Var[loss diff] = 1/4 (round 1 only), sum Var[prev loss] = 2 * 1/4,
+        #   regret = 3 * 1/2 - 0 = 3/2, entropy term log(2) / eta = 2 log 2,
+        #   base = 2 log 2 + (eta / 2)(1/4 - 1/2) = 2 log 2 - 1/16 < 3/2,
+        #   coeff = eta^2 (1/4 + (1/2) / 2) = 1/8, C* = (3/2 - base) / coeff.
+        game = Game(2, (2, 1), (np.array([[1.0], [0.0]]), np.zeros((2, 1))))
+        traj = Trajectory(game=game, rounds=3, strategies=[np.full((3, 2), 0.5), np.ones((3, 1))],
+                          losses=[np.tile([1.0, 0.0], (3, 1)), np.zeros((3, 1))],
+                          metadata=RunMetadata(modes=("opt_hedge",) * 2, etas=(0.5, 0.5),
+                                               seed=None, version=__version__))
+        entry = regret(traj, 0)
+        assert entry.total_regret == 1.5
+        terms = regret_bound_terms(traj, entry)
+        base = 2.0 * math.log(2.0) - 1.0 / 16.0
+        assert (terms.sum_var_delta, terms.sum_var_prev) == (0.25, 0.5)
+        assert terms.term_log == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+        assert terms.term_log_base2 == pytest.approx(2.0, abs=1e-12)
+        assert not terms.holds_at_zero
+        assert terms.c_star == pytest.approx((1.5 - base) * 8.0, abs=1e-12)
+        # the variance inequality reads the same sums: 1/4 <= 1/2 * 1/2 + C' * 1^5
+        report = check_variance_inequality(traj, terms, BoundConstants(c_prime=1.0, h=1))
+        assert (report.player, report.lhs, report.rhs, report.ratio) == (0, 0.25, 1.25, 0.5)
 
     def test_mode_mismatch(self):
         traj = run(named_game("matching_pennies"),
                    [LearnerConfig(mode="hedge", eta=0.05)] * 2, 16)
         with pytest.raises(ValueError):
-            regret_bound_terms(traj, 0)
+            bound_terms(traj, 0)
 
 
 class TestAuditLearners:
@@ -479,7 +520,7 @@ class TestAuditLearners:
         assert str(rule.value) == "bound_terms needs opt_hedge learners, got ['hedge']"
         hedge = run(game, [LearnerConfig(mode="hedge", eta=0.05)] * 2, 16)
         with pytest.raises(ValueError) as raised:
-            regret_bound_terms(hedge, 0)
+            bound_terms(hedge, 0)
         assert str(raised.value) == str(rule.value)
 
         with pytest.raises(ValueError) as rule:
@@ -487,8 +528,9 @@ class TestAuditLearners:
         assert str(rule.value) == ("variance_inequality needs one step size for all players, "
                                    "got [0.1, 0.2]")
         uneven = run(game, [LearnerConfig(eta=0.1), LearnerConfig(eta=0.2)], 16)
+        terms = bound_terms(uneven, 0)  # player 0's own rule holds
         with pytest.raises(ValueError) as raised:
-            check_variance_inequality(uneven, 0)
+            check_variance_inequality(uneven, terms)
         assert str(raised.value) == str(rule.value)
 
     def test_rules_bind_only_their_audits(self):
@@ -497,19 +539,19 @@ class TestAuditLearners:
         # bound_terms audits one player, so only that player's rule applies
         mixed = run(named_game("matching_pennies"),
                     [LearnerConfig(mode="hedge", eta=0.05), LearnerConfig(eta=0.05)], 16)
-        assert regret_bound_terms(mixed, 1).eta == 0.05
+        assert bound_terms(mixed, 1).eta == 0.05
 
 
 class TestVarianceInequality:
     def test_holds_vacuously_at_default_constant(self):
         traj = run(random_game(2, (2, 2), seed=9), [LearnerConfig(eta=0.05)] * 2, 2**10)
-        report = check_variance_inequality(traj, 0)
+        report = check_variance_inequality(traj, bound_terms(traj, 0))
         assert report.holds
         assert report.rhs >= 165262.0
 
     def test_constant_losses_degenerate(self):
         traj = run(constant_game(), [LearnerConfig(eta=0.05)] * 2, 64)
-        report = check_variance_inequality(traj, 0)
+        report = check_variance_inequality(traj, bound_terms(traj, 0))
         assert report.degenerate
         assert report.ratio is None
 
@@ -518,29 +560,32 @@ class TestVarianceInequality:
         # variance sums vanish and no ratio ordering across eta exists
         for eta in (0.01, 0.04):
             traj = run(named_game("matching_pennies"), [LearnerConfig(eta=eta)] * 2, 2**10)
-            assert check_variance_inequality(traj, 0).degenerate
+            assert check_variance_inequality(traj, bound_terms(traj, 0)).degenerate
 
     def test_ratio_increases_with_eta_on_moving_game(self):
         game = random_game(2, (2, 2), seed=10)
         ratios = []
         for eta in (0.01, 0.04):
             traj = run(game, [LearnerConfig(eta=eta)] * 2, 2**12)
-            ratios.append(check_variance_inequality(traj, 0).ratio)
+            ratios.append(check_variance_inequality(traj, bound_terms(traj, 0)).ratio)
         assert ratios[0] < ratios[1]
 
     def test_requires_common_opt_hedge(self):
         mixed = [LearnerConfig(mode="hedge", eta=0.05), LearnerConfig(eta=0.05)]
         traj = run(named_game("matching_pennies"), mixed, 16)
+        terms = bound_terms(traj, 1)  # the optimistic player's terms
         with pytest.raises(ValueError):
-            check_variance_inequality(traj, 0)
+            check_variance_inequality(traj, terms)
         uneven = [LearnerConfig(eta=0.05), LearnerConfig(eta=0.02)]
         traj = run(named_game("matching_pennies"), uneven, 16)
+        terms = bound_terms(traj, 0)
         with pytest.raises(ValueError):
-            check_variance_inequality(traj, 0)
+            check_variance_inequality(traj, terms)
 
     def test_custom_constants(self):
         traj = run(random_game(2, (2, 2), seed=11), [LearnerConfig(eta=0.05)] * 2, 64)
-        report = check_variance_inequality(traj, 0, BoundConstants(c_prime=1.0, h=1))
+        report = check_variance_inequality(traj, bound_terms(traj, 0),
+                                           BoundConstants(c_prime=1.0, h=1))
         assert report.rhs == pytest.approx(0.5 * report.lhs / report.ratio + 1.0, rel=1e-9)
 
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from regretsim import (
+    Game,
+    LearnerConfig,
     adaptive_opt_hedge_step,
     hedge_step,
     init_state,
@@ -14,9 +16,9 @@ from regretsim import (
     opt_hedge_step,
     practical_eta,
     recommended_eta,
+    run,
 )
-from regretsim.learners import (ADAPTIVE_OPT_HEDGE, HEDGE, MIN_SWITCH_ROUND, OPT_HEDGE,
-                                BoundConstants, step)
+from regretsim.learners import ADAPTIVE_OPT_HEDGE, HEDGE, OPT_HEDGE, BoundConstants, step
 
 
 def two_action_state(eta=0.1, mode=OPT_HEDGE, **kwargs):
@@ -270,7 +272,27 @@ class TestAdaptiveOptHedge:
             state = adaptive_opt_hedge_step(state, loss)
             if state.switched and not rounds_seen:
                 rounds_seen.append(state.switch_round)
-        assert rounds_seen == [MIN_SWITCH_ROUND]
+        assert rounds_seen == [4]
+
+    def test_engine_switches_at_round_four(self):
+        # Player 0's loss is (1, 0) whatever player 1 (one action) plays. At eta = 1/2
+        # the loss-difference variance sum is Var[loss_1] = 1/4 from round 1 on, and
+        # half the previous-loss sum stays below it, so a zero threshold fires the
+        # test at the first eligible round, in the engine and in the step functions.
+        game = Game(2, (2, 1), (np.array([[1.0], [0.0]]), np.zeros((2, 1))))
+        configs = [LearnerConfig(mode=ADAPTIVE_OPT_HEDGE, eta=0.5, c_prime=0.0),
+                   LearnerConfig(eta=0.5)]
+        traj = run(game, configs, 16)
+        assert traj.metadata.switch_rounds == (4, None)
+        state = init_state(2, 0.5, ADAPTIVE_OPT_HEDGE, horizon=16, c_prime=0.0)
+        for loss in traj.losses[0]:
+            state = adaptive_opt_hedge_step(state, loss)
+        assert state.switch_round == 4
+
+    def test_switch_threshold_hand_value(self):
+        # c' * ceil(log2 T)^5 with c' = 2 and T = 2^10
+        state = init_state(2, 0.1, ADAPTIVE_OPT_HEDGE, horizon=1024, c_prime=2.0)
+        assert state.switch_threshold == 2.0 * 10**5
 
     def test_forced_switch_at_constructed_round(self):
         # constant losses keep both variance sums at zero; the first

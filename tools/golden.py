@@ -2,7 +2,7 @@
 
 Usage: python tools/golden.py <rev>
 
-Exports ``src`` at <rev> with ``git archive``, then runs the thirteen golden
+Exports ``src`` at <rev> with ``git archive``, then runs the fourteen golden
 commands below twice, once against that export and once against the working
 tree's ``src``, each side in its own fresh directory with the same ``--out``
 names. Every file written is compared byte for byte, except that
@@ -55,6 +55,9 @@ COMMANDS = (
     # every diagnostic with JSON only: the fd profiles from fd_decay_profile, no CSV file
     ["diagnose", "--game", "random", "--actions", "3,3", "--game-seed", "1", "--rounds", "4096",
      "--format", "json", "--out", "diagnose_json"],
+    # the variance inequality alone: the bound terms are computed for it but not written
+    ["run", "--game", "random", "--actions", "3,3", "--game-seed", "1", "--rounds", "4096",
+     "--diagnostics", "variance_inequality", "--format", "json", "--out", "variance_only"],
     # a trajectory with exact zeros, subnormals and values below 1e-26: the CSV
     # writer's exact fallback rows
     ["run", "--game", "prisoners_dilemma_rescaled", "--learner", "opt_hedge", "--eta", "4",
