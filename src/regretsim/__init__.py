@@ -58,7 +58,6 @@ from .learners import (
     ADAPTIVE_OPT_HEDGE,
     HEDGE,
     OPT_HEDGE,
-    BoundConstants,
     LearnerState,
     adaptive_opt_hedge_step,
     hedge_step,

@@ -16,7 +16,8 @@ import numpy as np
 
 from .dynamics import RegretEntry, Trajectory
 from .game import AUDIT_BLOCK_ROWS, _reduce_rows, write_csv
-from .learners import OPT_HEDGE, BoundConstants, row_variances
+from .learners import (DEFAULT_C_PRIME, OPT_HEDGE, ceil_log2, row_variances, variance_budget,
+                       variance_threshold)
 
 # When the C-coefficient of the linear bound audit is below this, the
 # inequality is effectively C-free and no boundary constant is reported.
@@ -480,22 +481,21 @@ class VarianceInequalityReport:
         }
 
 
-def check_variance_inequality(trajectory: Trajectory, terms: BoundTermBreakdown,
-                              constants: BoundConstants | None = None) -> VarianceInequalityReport:
+def check_variance_inequality(trajectory: Trajectory,
+                              terms: BoundTermBreakdown) -> VarianceInequalityReport:
     """Check sum Var[loss diff] <= 1/2 sum Var[prev loss] + C' * ceil(log2 T)^5.
 
+    This is the adaptive switch's test (``learners.variance_budget``) at the default C'.
     Both sums and the player come from ``terms``, the player's ``regret_bound_terms``.
     Every player must follow the optimistic update with one step size. The additive
     constant dominates at desk scale, so the constant-free ratio is the informative output.
     """
     check_audit_learners(["variance_inequality"], trajectory.metadata.modes,
                          trajectory.metadata.etas)
-    if constants is None:
-        constants = BoundConstants.for_horizon(trajectory.rounds)
     lhs, denom = terms.sum_var_delta, terms.sum_var_prev
-    rhs = 0.5 * denom + constants.c_prime * float(constants.h) ** 5
+    rhs = variance_budget(denom, variance_threshold(DEFAULT_C_PRIME, trajectory.rounds))
     ratio = None if denom == 0.0 else lhs / denom
     return VarianceInequalityReport(
         player=terms.player, lhs=lhs, rhs=rhs, ratio=ratio,
         holds=lhs <= rhs, degenerate=lhs == denom == 0.0,
-        c_prime=constants.c_prime, h=constants.h)
+        c_prime=DEFAULT_C_PRIME, h=ceil_log2(trajectory.rounds))

@@ -82,7 +82,7 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     update allocates nothing and broadcasts only that buffer. An adaptive
     player whose threshold is below 2T (see ``init_state``) keeps its two (B,)
     variance sums, extended each round by ``learners.row_variances``, and
-    takes the switch test on them. A group
+    tests them against ``learners.variance_budget``. A group
     whose players never use a step size above 1 skips the max shift of the
     exponent, two of its calls per round, since exp cannot overflow there (see
     ``learners``). Each round, each cell (every player if one group holds them
@@ -177,7 +177,8 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
             sums[0] += learners.row_variances(x, loss - prev)
             sums[1] += learners.row_variances(x, prev)
             if t + 1 >= learners.MIN_SWITCH_ROUND:
-                fire = (fired == 0) & (sums[0] > 0.5 * sums[1] + states[i].switch_threshold)
+                budget = learners.variance_budget(sums[1], states[i].switch_threshold)
+                fire = (fired == 0) & (sums[0] > budget)
                 fired[fire] = t + 1
                 neg_etas[g][k][fire] = -states[i].eta_post
         for x, pairs, neg_eta, e, red, product, is_hedge, shift, play, see in updates:

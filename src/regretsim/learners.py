@@ -16,8 +16,8 @@ step functions also shift an exponent outside [-2, 1], which only a loss
 outside [0, 1] can produce; the engine plays only validated games and never
 meets one. The step functions are the reference that the self-play engine,
 ``dynamics._play``, is tested against. The module also holds the variance
-helpers and constants that the switch test and the step-size policy share
-with the diagnostics.
+helpers, the step-size constants, and the one home of the variance-sum
+inequality that the switch test and ``diagnostics`` share.
 """
 
 from __future__ import annotations
@@ -74,29 +74,14 @@ def row_variances(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (p @ (dev * dev)[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True)
-class BoundConstants:
-    """Constants of the step-size policy and the variance-sum inequality.
+def variance_threshold(c_prime: float, horizon: int) -> float:
+    """The additive term c' * ceil(log2 T)^5 of the variance-sum inequality."""
+    return c_prime * float(ceil_log2(horizon)) ** 5
 
-    ``h`` is the horizon exponent ceil(log2 T) of the run being audited.
-    """
 
-    c_thm: float = DEFAULT_C_THM
-    c_prime: float = DEFAULT_C_PRIME
-    h: int = 1
-
-    def __post_init__(self):
-        if self.c_thm < 1:
-            raise ValueError(f"c_thm must be >= 1, got {self.c_thm}")
-        if self.c_prime < 1:
-            raise ValueError(f"c_prime must be >= 1, got {self.c_prime}")
-        if self.h < 1:
-            raise ValueError(f"h must be >= 1, got {self.h}")
-
-    @classmethod
-    def for_horizon(cls, t: int, c_thm: float = DEFAULT_C_THM,
-                    c_prime: float = DEFAULT_C_PRIME) -> "BoundConstants":
-        return cls(c_thm=c_thm, c_prime=c_prime, h=ceil_log2(t))
+def variance_budget(var_prev_sum, threshold):
+    """1/2 sum Var[prev loss] + threshold, the bound on sum Var[loss diff]; floats or arrays."""
+    return 0.5 * var_prev_sum + threshold
 
 
 @dataclass(frozen=True)
@@ -105,8 +90,9 @@ class LearnerState:
 
     ``strategy`` is the current mixed strategy, ``prev_loss`` the loss vector
     observed in the previous round (zeros at round 1). Adaptive bookkeeping
-    tracks the two running variance sums, whether the step-size switch has
-    fired, and the post-switch step size. ``shift`` is fixed at construction:
+    tracks the two running variance sums, the round at which the step-size
+    switch fired (None before), the post-switch step size and the threshold
+    of the switch test. ``shift`` is fixed at construction:
     it is set iff a step size the learner can use, ``eta`` or ``eta_post``,
     exceeds 1, and then every step shifts the exponent by its max, so an
     adaptive learner keeps shifting after a switch that lowers its step size.
@@ -117,7 +103,6 @@ class LearnerState:
     eta: float
     mode: str
     round: int = 1
-    switched: bool = False
     switch_round: int | None = None
     var_delta_sum: float = 0.0
     var_prev_sum: float = 0.0
@@ -131,9 +116,9 @@ def init_state(n: int, eta: float, mode: str, horizon: int | None = None,
     """Fresh learner on n actions: uniform strategy, zero previous loss.
 
     ``horizon`` (the total number of rounds T) is required for the adaptive
-    mode, which needs it for both the switch threshold c_prime * ceil(log2 T)^5
-    and the post-switch step size sqrt(ln n / T). ``c_prime`` of 0 only
-    removes the additive threshold: the switch still needs the summed
+    mode, which needs it for both the switch threshold ``variance_threshold``
+    and the post-switch step size sqrt(ln n / T). ``c_prime`` must be >= 0 (not
+    NaN); 0 only removes the additive threshold: the switch still needs the summed
     loss-difference variance to exceed half the summed previous-loss variance,
     which may never happen. ``c_prime`` of inf disables the switch. With
     losses in [0, 1], each round adds at most 1 to the loss-difference
@@ -151,10 +136,10 @@ def init_state(n: int, eta: float, mode: str, horizon: int | None = None,
     if mode == ADAPTIVE_OPT_HEDGE:
         if horizon is None or horizon < 1:
             raise ValueError("adaptive mode needs the run horizon T at construction")
-        if c_prime < 0.0:
+        if not c_prime >= 0.0:
             raise ValueError(f"switch constant must be >= 0, got {c_prime}")
         eta_post = math.sqrt(math.log(n) / horizon) if n > 1 else eta
-        threshold = c_prime * float(ceil_log2(horizon)) ** 5
+        threshold = variance_threshold(c_prime, horizon)
     return LearnerState(
         strategy=np.full(n, 1.0 / n),
         prev_loss=np.zeros(n),
@@ -217,27 +202,19 @@ def adaptive_opt_hedge_step(state: LearnerState, loss: np.ndarray) -> LearnerSta
 
     Before stepping, both variance sums are extended at the current iterate.
     If the switch has not fired, the round is at least 4, and the running
-    loss-difference variance exceeds half the previous-loss variance plus the
-    threshold, the step size drops to sqrt(ln n / T) for all later rounds.
+    loss-difference variance exceeds ``variance_budget``, the step size drops
+    to sqrt(ln n / T) for all later rounds; ``opt_hedge_step`` then updates.
     """
     if state.mode != ADAPTIVE_OPT_HEDGE:
         raise ValueError(f"state mode is {state.mode!r}, expected {ADAPTIVE_OPT_HEDGE!r}")
     arr = _checked_loss(state, loss)
     var_delta_sum = state.var_delta_sum + variance(state.strategy, arr - state.prev_loss)
     var_prev_sum = state.var_prev_sum + variance(state.strategy, state.prev_loss)
-    eta = state.eta
-    switched = state.switched
-    switch_round = state.switch_round
-    if (not switched and state.round >= MIN_SWITCH_ROUND
-            and var_delta_sum > 0.5 * var_prev_sum + state.switch_threshold):
-        switched = True
-        switch_round = state.round
-        eta = state.eta_post if state.eta_post is not None else eta
-    strategy = _exp_weights(state.strategy, -eta * (2.0 * arr - state.prev_loss), state.shift)
-    return replace(
-        state, strategy=strategy, prev_loss=arr.copy(), round=state.round + 1,
-        eta=eta, switched=switched, switch_round=switch_round,
-        var_delta_sum=var_delta_sum, var_prev_sum=var_prev_sum)
+    state = replace(state, var_delta_sum=var_delta_sum, var_prev_sum=var_prev_sum)
+    if (state.switch_round is None and state.round >= MIN_SWITCH_ROUND
+            and var_delta_sum > variance_budget(var_prev_sum, state.switch_threshold)):
+        state = replace(state, switch_round=state.round, eta=state.eta_post)
+    return opt_hedge_step(state, arr)
 
 
 _STEPS = {
@@ -252,7 +229,7 @@ def step(state: LearnerState, loss: np.ndarray) -> LearnerState:
     return _STEPS[state.mode](state, loss)
 
 
-def recommended_eta(m: int, t: int, constants: BoundConstants | None = None) -> float:
+def recommended_eta(m: int, t: int) -> float:
     """Step size 1 / (C * m * log2(T)^4) backed by the polylog regret bound.
 
     The constant makes this astronomically small at desk scale; see
@@ -262,8 +239,7 @@ def recommended_eta(m: int, t: int, constants: BoundConstants | None = None) -> 
         raise ValueError(f"need at least 2 players, got {m}")
     if t < 2:
         raise ValueError(f"need horizon >= 2, got {t}")
-    c_thm = (constants or BoundConstants()).c_thm
-    return 1.0 / (c_thm * m * math.log2(t) ** 4)
+    return 1.0 / (DEFAULT_C_THM * m * math.log2(t) ** 4)
 
 
 def practical_eta(m: int, t: int) -> float:

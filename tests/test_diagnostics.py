@@ -43,7 +43,7 @@ from regretsim.diagnostics import (
     _variance_sums,
 )
 from regretsim.dynamics import RunMetadata, Trajectory, __version__
-from regretsim.learners import BoundConstants, ceil_log2, row_variances
+from regretsim.learners import ceil_log2, row_variances
 from regretsim.game import Game, _reduce_rows
 
 
@@ -501,9 +501,12 @@ class TestBoundTerms:
         assert terms.term_log_base2 == pytest.approx(2.0, abs=1e-12)
         assert not terms.holds_at_zero
         assert terms.c_star == pytest.approx((1.5 - base) * 8.0, abs=1e-12)
-        # the variance inequality reads the same sums: 1/4 <= 1/2 * 1/2 + C' * 1^5
-        report = check_variance_inequality(traj, terms, BoundConstants(c_prime=1.0, h=1))
-        assert (report.player, report.lhs, report.rhs, report.ratio) == (0, 0.25, 1.25, 0.5)
+        # the variance inequality reads the same sums at the default C' = 165262 and
+        # ceil(log2 3) = 2: 1/4 <= 1/2 * 1/2 + 165262 * 2^5
+        report = check_variance_inequality(traj, terms)
+        assert (report.player, report.lhs, report.ratio) == (0, 0.25, 0.5)
+        assert report.rhs == 0.25 + 165262 * 32.0
+        assert (report.c_prime, report.h, report.holds) == (165262, 2, True)
 
     def test_mode_mismatch(self):
         traj = run(named_game("matching_pennies"),
@@ -582,11 +585,14 @@ class TestVarianceInequality:
         with pytest.raises(ValueError):
             check_variance_inequality(traj, terms)
 
-    def test_custom_constants(self):
+    def test_default_constants_exact(self):
+        # T = 64: ceil(log2 T) = 6, so the threshold is 165262 * 6^5
         traj = run(random_game(2, (2, 2), seed=11), [LearnerConfig(eta=0.05)] * 2, 64)
-        report = check_variance_inequality(traj, bound_terms(traj, 0),
-                                           BoundConstants(c_prime=1.0, h=1))
-        assert report.rhs == pytest.approx(0.5 * report.lhs / report.ratio + 1.0, rel=1e-9)
+        terms = bound_terms(traj, 0)
+        report = check_variance_inequality(traj, terms)
+        assert report.rhs == 0.5 * terms.sum_var_prev + 165262 * 6.0**5
+        assert report.ratio == terms.sum_var_delta / terms.sum_var_prev
+        assert report.to_dict()["c_prime"] == 165262 and report.to_dict()["h"] == 6
 
 
 class TestFdDecayProfile:

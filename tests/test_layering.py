@@ -52,3 +52,26 @@ def test_module_imports_only_lower_layers(module):
 def test_collector_sees_the_imports():
     assert package_imports("diagnostics") == {"game", "learners", "dynamics"}
     assert package_imports("cli") == {"diagnostics", "dynamics", "learners", "game"}
+
+
+# The package's public names. A removal or addition is a deliberate edit of this list.
+PUBLIC = [
+    "ADAPTIVE_OPT_HEDGE", "BatchResult", "BoundTermBreakdown", "CceReport", "ClosenessReport",
+    "DivergenceValues", "EmpiricalPlay", "FiniteDifferenceProfile", "FreqCauchyReport", "Game",
+    "HEDGE", "LearnerConfig", "LearnerState", "OPT_HEDGE", "RegretEntry", "Trajectory",
+    "VarianceInequalityReport", "__version__", "adaptive_opt_hedge_step", "batch_run", "cce_gap",
+    "check_circular_fourier_identity", "check_freq_cauchy", "check_variance_inequality",
+    "circular_finite_difference", "consecutive_closeness", "dft", "diagnostics", "divergences",
+    "dynamics", "empirical_joint_distribution", "expected_loss_vector", "fd_decay_profile",
+    "finite_difference", "finite_difference_binomial", "game", "hedge_step", "idft", "init_state",
+    "intermediate_iterate", "joint_action_loss", "learners", "load_game_json", "local_norms",
+    "named_game", "opt_hedge_step", "practical_eta", "random_game", "recommended_eta", "regret",
+    "regret_bound_terms", "regret_report", "run", "run_streaming", "save_game_json",
+    "uniform_strategy", "validate_game", "variance",
+]
+
+
+def test_public_surface_is_pinned():
+    import regretsim
+
+    assert sorted(regretsim.__all__) == PUBLIC

@@ -13,12 +13,14 @@ from regretsim import (
     hedge_step,
     init_state,
     intermediate_iterate,
+    named_game,
     opt_hedge_step,
     practical_eta,
     recommended_eta,
     run,
 )
-from regretsim.learners import ADAPTIVE_OPT_HEDGE, HEDGE, OPT_HEDGE, BoundConstants, step
+from regretsim.learners import (ADAPTIVE_OPT_HEDGE, DEFAULT_C_PRIME, HEDGE, OPT_HEDGE, step,
+                                variance_budget, variance_threshold)
 
 
 def two_action_state(eta=0.1, mode=OPT_HEDGE, **kwargs):
@@ -31,7 +33,7 @@ class TestInitState:
         np.testing.assert_array_equal(state.strategy, [0.25, 0.25, 0.25, 0.25])
         np.testing.assert_array_equal(state.prev_loss, [0.0] * 4)
         assert state.round == 1
-        assert not state.switched and state.var_delta_sum == 0.0
+        assert state.switch_round is None and state.var_delta_sum == 0.0
 
     def test_degenerate_simplex(self):
         state = init_state(1, 0.1, HEDGE)
@@ -181,7 +183,7 @@ class TestExponentShift:
         state = init_state(2, 2.0, ADAPTIVE_OPT_HEDGE, horizon=64, c_prime=0.0)
         for t in range(16):
             state = adaptive_opt_hedge_step(state, np.array([float(t % 2), 0.0]))
-        assert state.switched and state.eta < 1.0 and state.shift
+        assert state.switch_round is not None and state.eta < 1.0 and state.shift
 
     def test_unshifted_at_most_one(self):
         for eta in (0.3, 1.0):
@@ -259,7 +261,7 @@ class TestAdaptiveOptHedge:
         state = init_state(2, 0.1, ADAPTIVE_OPT_HEDGE, horizon=256)
         for _ in range(256):
             state = adaptive_opt_hedge_step(state, np.zeros(2))
-        assert not state.switched
+        assert state.switch_round is None
         assert state.var_delta_sum == 0.0 and state.var_prev_sum == 0.0
 
     def test_no_switch_before_round_four(self):
@@ -270,7 +272,7 @@ class TestAdaptiveOptHedge:
         rounds_seen = []
         for loss in losses:
             state = adaptive_opt_hedge_step(state, loss)
-            if state.switched and not rounds_seen:
+            if state.switch_round is not None and not rounds_seen:
                 rounds_seen.append(state.switch_round)
         assert rounds_seen == [4]
 
@@ -313,7 +315,6 @@ class TestAdaptiveOptHedge:
             state = adaptive_opt_hedge_step(state, loss)
             assert state.var_delta_sum == pytest.approx(vd, rel=1e-12, abs=1e-15)
             assert state.var_prev_sum == pytest.approx(vp, rel=1e-12, abs=1e-15)
-        assert state.switched
         assert state.switch_round == 100
         assert state.eta == pytest.approx(math.sqrt(math.log(2) / horizon))
 
@@ -323,9 +324,9 @@ class TestAdaptiveOptHedge:
         first = None
         for _ in range(128):
             state = adaptive_opt_hedge_step(state, rng.random(2))
-            if state.switched and first is None:
+            if state.switch_round is not None and first is None:
                 first = state.switch_round
-        assert state.switched and state.switch_round == first
+        assert first is not None and state.switch_round == first
 
     def test_disabled_switch_matches_opt_hedge_bitwise(self):
         rng = np.random.default_rng(9)
@@ -374,17 +375,35 @@ class TestStepSizePolicies:
         with pytest.raises(ValueError):
             practical_eta(1, 1024)
 
-    def test_custom_constants(self):
-        constants = BoundConstants(c_thm=100.0)
-        assert recommended_eta(2, 4) == pytest.approx(1.0 / (14794752 * 2 * 16), rel=1e-12)
-        assert recommended_eta(2, 4, constants) == pytest.approx(1.0 / (100 * 2 * 16), rel=1e-12)
+    def test_theorem_value_uses_the_default_constant(self):
+        # log2(4)^4 = 16, exactly
+        assert recommended_eta(2, 4) == 1.0 / (14794752 * 2 * 16.0)
 
-    def test_bound_constants_invariants(self):
+
+class TestVarianceInequality:
+    """The one formula behind the adaptive switch and the diagnostics audit."""
+
+    def test_threshold_hand_values(self):
+        assert variance_threshold(1.0, 2**12) == 12.0**5
+        assert variance_threshold(1.0, 5) == 3.0**5
+        assert variance_threshold(1.0, 1) == 1.0
+        assert variance_threshold(DEFAULT_C_PRIME, 2**10) == 165262 * 10.0**5
+        assert variance_threshold(0.0, 2**10) == 0.0
+        assert variance_threshold(math.inf, 2**10) == math.inf
+
+    def test_budget_hand_values(self):
+        assert variance_budget(0.5, 2.0) == 2.25
+        assert variance_budget(0.0, 0.0) == 0.0
+        budget = variance_budget(np.array([0.0, 0.5, 3.0]), 2.0)
+        np.testing.assert_array_equal(budget, [2.0, 2.25, 3.5])
+
+    def test_nan_switch_constant_rejected(self):
+        # NaN fails every comparison, so a "< 0" guard would let it through and the
+        # NaN threshold would silently keep the switch from ever firing
         with pytest.raises(ValueError):
-            BoundConstants(c_thm=0.5)
+            init_state(2, 0.5, ADAPTIVE_OPT_HEDGE, horizon=16, c_prime=math.nan)
         with pytest.raises(ValueError):
-            BoundConstants(c_prime=0.0)
+            run(named_game("rock_paper_scissors"),
+                [LearnerConfig(ADAPTIVE_OPT_HEDGE, 0.5, math.nan)] * 2, 16)
         with pytest.raises(ValueError):
-            BoundConstants(h=0)
-        assert BoundConstants.for_horizon(2**12).h == 12
-        assert BoundConstants.for_horizon(5).h == 3
+            init_state(2, 0.5, ADAPTIVE_OPT_HEDGE, horizon=16, c_prime=-1.0)
