@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +68,7 @@ class ExperimentConfig:
     game_random: dict | None = None  # {"players": m, "actions": [...], "seed": s}
     learner_specs: tuple[LearnerSpec, ...] = (LearnerSpec(),)
     rounds: int = 1024
-    seed: int | None = None
+    seed: int | None = None  # a label echoed in summary.json; self-play does not read it
     out_dir: str = "out"
     formats: tuple[str, ...] = ("json", "csv")
     diagnostics: DiagnosticsToggles = field(default_factory=DiagnosticsToggles)
@@ -187,7 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="explicit step size (sets --eta-policy explicit; no other policy takes one)")
         p.add_argument("--eta-policy", choices=ETA_POLICIES, help="step-size policy")
         p.add_argument("--learner", help="learner mode, or comma-separated list (one per player)")
-        p.add_argument("--seed", type=int, help="run seed recorded in metadata")
+        p.add_argument("--seed", type=int,
+                       help="a label echoed in summary.json's config; the dynamics do not read it")
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", help="comma-separated output formats (json,csv)")
         if name == "compare":
@@ -201,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-trajectory", action="store_true", help="skip trajectory.csv")
 
     for name, text in (("run", "run one experiment"),
-                       ("compare", "run several learners on the same game and seed"),
+                       ("compare", "run several learners on the same game"),
                        ("diagnose", "run with every diagnostic enabled")):
         add_common(sub.add_parser(name, help=text), name)
     p_gen = sub.add_parser("gen-game", help="generate a random game JSON")
@@ -373,7 +374,7 @@ def _score(game: Game, configs: list[dynamics.LearnerConfig], cfg: ExperimentCon
     the first round and player with a non-finite strategy or loss: such an entry makes that
     round's x . l, and so that player's regret curve from that round on, not finite."""
     with np.errstate(all="ignore"):  # a run that leaves the finite floats is reported below
-        trajectory = dynamics.run(game, configs, cfg.rounds, seed=cfg.seed)
+        trajectory = dynamics.run(game, configs, cfg.rounds)
         entries = dynamics.regret_report(trajectory)
     failed = [(int(np.isfinite(e.curve).argmin()), e.player)
               for e in entries if not math.isfinite(e.total_regret)]
@@ -426,7 +427,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def compare_learners(cfg: ExperimentConfig) -> list[dict]:
-    """Run each learner spec on the identical game and seed; emit a comparison CSV.
+    """Run each learner spec on the same game; emit a comparison CSV.
 
     Rows report regret per player at the checkpoints T/4, T/2, and T.
     """
@@ -438,13 +439,12 @@ def compare_learners(cfg: ExperimentConfig) -> list[dict]:
     checkpoints = sorted({max(1, cfg.rounds // 4), max(1, cfg.rounds // 2), cfg.rounds})
     rows: list[dict] = []
     for spec in cfg.learner_specs:
-        eta = spec.resolve_eta(game.num_players, cfg.rounds)
-        configs = [dynamics.LearnerConfig(mode=spec.mode, eta=eta)] * game.num_players
+        configs = build_learner_configs(replace(cfg, learner_specs=(spec,)), game)
         entries = _score(game, configs, cfg)[1]
         for checkpoint in checkpoints:
             for e in entries:
                 rows.append({
-                    "learner": spec.mode, "eta": eta, "round": checkpoint,
+                    "learner": spec.mode, "eta": configs[0].eta, "round": checkpoint,
                     "player": e.player + 1,
                     "regret": float(e.curve[checkpoint - 1]),
                 })

@@ -2,8 +2,7 @@
 
 All round-t loss vectors are computed from round-t strategies before any
 learner advances, so updates are synchronous. Runs are deterministic given
-(game, configs, T, seed); the seed is carried as metadata for generators
-upstream.
+(game, configs, T).
 """
 
 from __future__ import annotations
@@ -39,9 +38,7 @@ class LearnerConfig:
 class RunMetadata:
     modes: tuple[str, ...]
     etas: tuple[float, ...]
-    seed: int | None
-    version: str
-    switch_rounds: tuple[int | None, ...] = ()
+    switch_rounds: tuple[int | None, ...]
 
 
 @dataclass
@@ -209,9 +206,9 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     return [[arrays[g][k] for g, k in place] for arrays in (played, seen)] + [rows, switch_rounds]
 
 
-def _metadata(configs: Sequence[LearnerConfig], seed: int | None, switch_rounds) -> RunMetadata:
+def _metadata(configs: Sequence[LearnerConfig], switch_rounds) -> RunMetadata:
     return RunMetadata(modes=tuple(cfg.mode for cfg in configs),
-                       etas=tuple(cfg.eta for cfg in configs), seed=seed, version=__version__,
+                       etas=tuple(cfg.eta for cfg in configs),
                        switch_rounds=tuple(int(r[0]) or None for r in switch_rounds))
 
 
@@ -222,14 +219,13 @@ def _regrets(cumulative, action_cumulative):
     return np.stack(cumulative, axis=1) - np.stack(fixed, axis=1), best
 
 
-def run(game: Game, configs: Sequence[LearnerConfig], rounds: int,
-        seed: int | None = None) -> Trajectory:
+def run(game: Game, configs: Sequence[LearnerConfig], rounds: int) -> Trajectory:
     """Play ``rounds`` rounds of simultaneous self-play and record everything."""
     _check(game, configs, rounds)
     strategies, losses, _, switch_rounds = _play([game], configs, rounds, full_history=True)
     return Trajectory(game=game, rounds=rounds, strategies=[s[:, 0] for s in strategies],
                       losses=[l[:, 0] for l in losses],
-                      metadata=_metadata(configs, seed, switch_rounds))
+                      metadata=_metadata(configs, switch_rounds))
 
 
 @dataclass
@@ -245,8 +241,7 @@ class StreamingSummary:
     metadata: RunMetadata
 
 
-def run_streaming(game: Game, configs: Sequence[LearnerConfig], rounds: int,
-                  seed: int | None = None) -> StreamingSummary:
+def run_streaming(game: Game, configs: Sequence[LearnerConfig], rounds: int) -> StreamingSummary:
     """Like ``run`` but stores only regret-relevant running sums (O(sum n_i))."""
     _check(game, configs, rounds)
     cumulative, action_cumulative, final, switch_rounds = _play(
@@ -256,7 +251,7 @@ def run_streaming(game: Game, configs: Sequence[LearnerConfig], rounds: int,
         rounds=rounds, cumulative_loss=np.array([c[0] for c in cumulative]),
         action_cumulative=[a[0] for a in action_cumulative], total_regret=total_regret[0],
         best_actions=best_actions[0], final_strategies=[x[0] for x in final],
-        metadata=_metadata(configs, seed, switch_rounds))
+        metadata=_metadata(configs, switch_rounds))
 
 
 @dataclass
@@ -386,12 +381,12 @@ class BatchResult:
     best_actions: list[int]
 
 
-def batch_run(game_source: Game | Callable[[int], Game], seeds: Sequence[int],
+def batch_run(game_source: Callable[[int], Game], seeds: Sequence[int],
               configs: Sequence[LearnerConfig], rounds: int) -> list[BatchResult]:
-    """One streaming run per seed; results follow ``seeds``.
+    """One streaming run of ``game_source(seed)`` per seed; results follow ``seeds``.
 
-    ``game_source`` is either a fixed game or a callable mapping a seed to a
-    game. Each game is checked as it is built, then waits with the games of
+    Self-play is deterministic, so seeds that map to one game give equal
+    results. Each game is checked as it is built, then waits with the games of
     its ``action_counts``; they are played in one ``_play`` batch, and
     dropped, once they hold ``BATCH_BYTES`` of loss tensors, or at the end.
     A game's result does not depend on the other games of its batch. It
@@ -412,7 +407,7 @@ def batch_run(game_source: Game | Callable[[int], Game], seeds: Sequence[int],
 
     waiting: dict[tuple[int, ...], list[tuple[int, Game]]] = {}
     for k, seed in enumerate(seeds):
-        game = game_source(seed) if callable(game_source) else game_source
+        game = game_source(seed)
         _check(game, configs, rounds)
         members = waiting.setdefault(game.action_counts, [])
         members.append((k, game))

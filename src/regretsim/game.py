@@ -247,10 +247,14 @@ def game_from_dict(data: dict, name: str | None = None) -> Game:
         m = json_int(data["players"], "players")
         actions = tuple(json_int(n, "actions") for n in data["actions"])
         tensors = tuple(np.array(flat, dtype=np.float64) for flat in data["losses"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past 1e308
         raise ValueError(f"game JSON: bad players, actions or losses: {exc}") from exc
     if any(t.ndim != 1 for t in tensors):
         raise ValueError("game JSON: each loss tensor must be a flat list")
+    for flat in data["losses"]:  # np.array reads true and "0.5" as numbers
+        for cell in flat:
+            if type(cell) not in (int, float):
+                raise ValueError(f"game JSON: loss {cell!r} is not a number")
     for tensor in tensors:  # fresh and read-only, so Game keeps them without a copy
         tensor.setflags(write=False)
     game = Game(m, actions, tensors, name=name)

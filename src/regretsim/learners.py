@@ -51,22 +51,21 @@ def ceil_log2(t: int) -> int:
 
 
 def variance(probs: np.ndarray, values: np.ndarray) -> float:
-    """Variance of ``values`` under the distribution ``probs``.
-
-    Residuals are anchored at the first coordinate, so a constant vector has
-    exactly zero variance.
-    """
+    """Variance of ``values`` under the distribution ``probs``: ``row_variances`` of one row."""
     p = np.asarray(probs, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
     if p.shape != v.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {v.shape}")
-    r = v - v[0]
-    mean = float(p @ r)
-    return float(p @ (r - mean) ** 2)
+    return float(row_variances(p[None], v[None])[0])
 
 
 def row_variances(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row-wise ``variance`` of (T, n) arrays, bit for bit per row: (1, n) @ (n, 1) products."""
+    """Variance of each row of (T, n) ``values`` under the same row of ``probs``.
+
+    Residuals are anchored at the first coordinate, so a constant row has
+    exactly zero variance. Each row is reduced in (1, n) @ (n, 1) products,
+    so its result does not depend on the other rows.
+    """
     p = np.asarray(probs, dtype=np.float64)[:, None, :]
     v = np.asarray(values, dtype=np.float64)
     r = v - v[:, :1]

@@ -22,7 +22,8 @@ from regretsim.cli import (
     run_experiment,
 )
 from regretsim.dynamics import EmpiricalPlay, cce_gap
-from regretsim.game import load_game_json, random_game
+from regretsim.game import (game_from_dict, game_to_dict, load_game_json, named_game,
+                            random_game)
 from trajectory_csv import trajectory_from_csv
 
 
@@ -180,8 +181,8 @@ class TestRunExperiment:
     def test_summary_records_switch_rounds(self, tmp_path, monkeypatch):
         # the CLI sets no c', so a zero switch threshold is patched into the run
         real_run = dynamics.run
-        monkeypatch.setattr(dynamics, "run", lambda game, configs, rounds, seed=None: real_run(
-            game, [dataclasses.replace(c, c_prime=0.0) for c in configs], rounds, seed=seed))
+        monkeypatch.setattr(dynamics, "run", lambda game, configs, rounds: real_run(
+            game, [dataclasses.replace(c, c_prime=0.0) for c in configs], rounds))
         code = cli.main(["run", "--game", "random", "--actions", "2,2,2", "--game-seed", "20",
                          "--learner", "adaptive_opt_hedge,opt_hedge,hedge", "--eta", "0.5",
                          "--rounds", "48", "--out", str(tmp_path / "out")])
@@ -218,6 +219,22 @@ class TestRunExperiment:
             data["config"].pop("out_dir")
             summaries.append(json.dumps(data, sort_keys=True))
         assert summaries[0] == summaries[1]
+
+    def test_seed_is_only_a_label(self, tmp_path):
+        # self-play is deterministic: --seed reaches summary.json's config and nothing else
+        artifacts = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert cli.main(["run", "--game", "random", "--actions", "3,2", "--game-seed", "4",
+                             "--rounds", "64", "--seed", seed, "--out", str(out)]) == 0
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            summary = json.loads(files.pop("summary.json"))
+            assert summary["config"].pop("seed") == int(seed)
+            summary["config"].pop("out_dir")
+            summary.pop("duration_seconds")
+            artifacts.append((files, summary))
+        assert sorted(artifacts[0][0]) == ["regret_curve.csv", "trajectory.csv"]
+        assert artifacts[0] == artifacts[1]
 
     def test_second_diagnose_into_the_same_out_writes_the_same_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -445,6 +462,25 @@ class TestMainExitCodes:
         code = cli.main(["run", "--game", str(path), "--rounds", "4",
                          "--out", str(tmp_path / "out")])
         assert code == 2
+
+    # a 401-digit integer is past the double range: converting it overflows
+    @pytest.mark.parametrize("cell", [True, "0.5", 10**400], ids=["true", "string", "huge_int"])
+    def test_non_number_loss_cell_is_config_error(self, cell, tmp_path, capsys, monkeypatch):
+        data = game_to_dict(named_game("matching_pennies"))
+        data["losses"][0][1] = cell
+        with pytest.raises(ValueError, match="game JSON"):
+            game_from_dict(data)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("dynamics.run called on a rejected game")
+
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.setattr(dynamics, "run", no_run)
+        code = cli.main(["run", "--game", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -42,7 +42,7 @@ from regretsim.diagnostics import (
     fd_profile_values_csv,
     _variance_sums,
 )
-from regretsim.dynamics import RunMetadata, Trajectory, __version__
+from regretsim.dynamics import RunMetadata, Trajectory
 from regretsim.learners import ceil_log2, row_variances
 from regretsim.game import Game, _reduce_rows
 
@@ -491,7 +491,7 @@ class TestBoundTerms:
         traj = Trajectory(game=game, rounds=3, strategies=[np.full((3, 2), 0.5), np.ones((3, 1))],
                           losses=[np.tile([1.0, 0.0], (3, 1)), np.zeros((3, 1))],
                           metadata=RunMetadata(modes=("opt_hedge",) * 2, etas=(0.5, 0.5),
-                                               seed=None, version=__version__))
+                                               switch_rounds=(None, None)))
         entry = regret(traj, 0)
         assert entry.total_regret == 1.5
         terms = regret_bound_terms(traj, entry)

@@ -29,7 +29,6 @@ from regretsim import (
 from regretsim.dynamics import (
     AUDIT_BLOCK_ROWS,
     RunMetadata,
-    __version__,
     regret_curves_to_csv,
     trajectory_to_csv,
 )
@@ -44,8 +43,7 @@ def make_trajectory(strategies, losses, game=None, mode="opt_hedge", eta=0.05):
     """Hand-built trajectory for unit-level regret checks."""
     game = game or named_game("matching_pennies")
     m = game.num_players
-    metadata = RunMetadata(modes=(mode,) * m, etas=(eta,) * m, seed=None,
-                           version=__version__, switch_rounds=(None,) * m)
+    metadata = RunMetadata(modes=(mode,) * m, etas=(eta,) * m, switch_rounds=(None,) * m)
     return Trajectory(game=game, rounds=strategies[0].shape[0],
                       strategies=strategies, losses=losses, metadata=metadata)
 
@@ -66,8 +64,8 @@ class TestRun:
     def test_determinism(self):
         game = random_game(2, (2, 2), seed=3)
         cfg = [LearnerConfig(eta=0.05)] * 2
-        t1 = run(game, cfg, 200, seed=1)
-        t2 = run(game, cfg, 200, seed=1)
+        t1 = run(game, cfg, 200)
+        t2 = run(game, cfg, 200)
         for i in range(2):
             assert np.array_equal(t1.strategies[i], t2.strategies[i])
             assert np.array_equal(t1.losses[i], t2.losses[i])
@@ -83,11 +81,9 @@ class TestRun:
 
     def test_metadata(self):
         cfg = [LearnerConfig(mode="hedge", eta=0.1), LearnerConfig(eta=0.2)]
-        traj = run(named_game("matching_pennies"), cfg, 3, seed=42)
+        traj = run(named_game("matching_pennies"), cfg, 3)
         assert traj.metadata.modes == ("hedge", "opt_hedge")
         assert traj.metadata.etas == (0.1, 0.2)
-        assert traj.metadata.seed == 42
-        assert traj.metadata.version == __version__
 
     def test_rejects_invalid_inputs(self):
         game = named_game("matching_pennies")
@@ -352,14 +348,17 @@ class TestBatchRun:
                 assert math.isfinite(value)
                 assert value <= 2**12
 
-    def test_fixed_game_source(self):
-        results = batch_run(named_game("matching_pennies"), [1, 2],
-                            [LearnerConfig(eta=0.05)] * 2, 16)
-        assert results[0].total_regrets == results[1].total_regrets
+    def test_seeds_mapped_to_one_game(self):
+        game, configs = random_game(2, (2, 3), seed=5), [LearnerConfig(eta=0.05)] * 2
+        alone = run_streaming(game, configs, 16)
+        results = batch_run(lambda s: game, [1, 2], configs, 16)
+        for r in results:
+            assert r.total_regrets == alone.total_regret.tolist()
+            assert r.best_actions == alone.best_actions.tolist()
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            batch_run(named_game("matching_pennies"), [], [LearnerConfig()] * 2, 4)
+            batch_run(lambda s: named_game("matching_pennies"), [], [LearnerConfig()] * 2, 4)
 
     def test_invalid_game_rejected(self):
         bad = Game(2, (2, 2), (np.full((2, 2), 1.5), np.zeros((2, 2))))
