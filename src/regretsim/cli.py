@@ -104,8 +104,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"config.rounds: must be an integer >= 1, got {cfg.rounds!r}")
     if cfg.seed is not None and type(cfg.seed) is not int:
         raise ConfigError(f"config.seed: must be an integer or null, got {cfg.seed!r}")
-    if not isinstance(cfg.out_dir, str):
-        raise ConfigError(f"config.out_dir: must be a path string, got {cfg.out_dir!r}")
+    if not isinstance(cfg.out_dir, str) or not cfg.out_dir:
+        raise ConfigError(f"config.out_dir: must be a non-empty path string, got {cfg.out_dir!r}")
     flags = {f"diagnostics.{name}": getattr(cfg.diagnostics, name) for name in PLAYER_DIAGNOSTICS}
     flags.update(emit_trajectory=cfg.emit_trajectory, force_trajectory=cfg.force_trajectory)
     for name, value in flags.items():
@@ -227,6 +227,8 @@ def _diag_from_flags(text: str | None, fd_h_max: int | None, configured: dict) -
     if text is None:
         return configured if fd_h_max is None else dict(configured, fd_h_max=fd_h_max)
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not names:
+        raise ConfigError(f"--diagnostics: names no diagnostic, got {text!r}; 'none' runs none")
     if names == ["none"]:
         names = []
     if names == ["all"]:
@@ -258,7 +260,7 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
                 f"config.{dropped[0]}: compare runs no diagnostic and writes no trajectory")
 
     actions, game_seed = getattr(args, "actions", None), getattr(args, "game_seed", None)
-    if getattr(args, "game", None):
+    if getattr(args, "game", None) is not None:
         data.update(game_name=None, game_path=None, game_random=None)
         if args.game == "random":
             if not actions:
@@ -283,9 +285,9 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
         data["rounds"] = args.rounds
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         data["out_dir"] = args.out
-    if getattr(args, "format", None):
+    if getattr(args, "format", None) is not None:
         data["formats"] = [tok.strip() for tok in args.format.split(",") if tok.strip()]
     if getattr(args, "force_trajectory", False):
         data["force_trajectory"] = True
@@ -293,8 +295,10 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
         data["emit_trajectory"] = False
 
     modes = None
-    if getattr(args, "learner", None):
+    if getattr(args, "learner", None) is not None:
         modes = [tok.strip() for tok in args.learner.split(",") if tok.strip()]
+        if not modes:
+            raise ConfigError(f"--learner: names no learner mode, got {args.learner!r}")
     eta, policy = getattr(args, "eta", None), getattr(args, "eta_policy", None)
     if eta is not None and policy not in (None, "explicit"):
         raise ConfigError(f"--eta: sets an explicit step size, but --eta-policy is {policy!r}")
@@ -342,10 +346,10 @@ PLAYER_DIAGNOSTICS = {
 }
 
 
-def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory, entries, out):
-    """Report and verdicts; the bound audits take Reg_i(T) from ``entries``. With CSV output,
-    each fd profile comes from the walk writing fd_values_player*.csv in ``out``, then fd_norms."""
-    toggles, report, verdicts = cfg.diagnostics, {}, {}
+def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory, entries):
+    """Report, verdicts and each player's fd profile, if asked for; the bound audits take
+    Reg_i(T) from ``entries``."""
+    toggles, report, verdicts, profiles = cfg.diagnostics, {}, {}, []
     audited = toggles.bound_terms or toggles.variance_inequality  # both read the bound terms
     terms = [diagnostics.regret_bound_terms(trajectory, e) if audited else None for e in entries]
     for name, (entry, verdict, passes) in PLAYER_DIAGNOSTICS.items():
@@ -354,19 +358,12 @@ def _run_diagnostics(cfg: ExperimentConfig, trajectory: dynamics.Trajectory, ent
             verdicts[verdict] = all(passes(e) for e in report[name])
     if toggles.fd_h_max is not None:
         h_max = min(toggles.fd_h_max, trajectory.rounds - 1)
-        report["fd_profile"] = []
-        for i, losses in enumerate(trajectory.losses):
-            if "csv" not in cfg.formats:
-                profile = diagnostics.fd_decay_profile(losses, h_max)
-            else:
-                profile = diagnostics.fd_profile_values_csv(
-                    losses, h_max, out / f"fd_values_player{i + 1}.csv")
-                diagnostics.fd_profile_norms_csv(profile, out / f"fd_norms_player{i + 1}.csv")
-            report["fd_profile"].append(dict(player=i + 1, **profile.to_dict()))
+        profiles = [diagnostics.fd_decay_profile(losses, h_max) for losses in trajectory.losses]
+        report["fd_profile"] = [dict(player=i + 1, **p.to_dict()) for i, p in enumerate(profiles)]
         verdicts["fd_profile_max_ratio"] = max(
             (r for e in report["fd_profile"] for r in e["ratios"] if r is not None),
             default=None)
-    return report, verdicts
+    return report, verdicts, profiles
 
 
 def _score(game: Game, configs: list[dynamics.LearnerConfig], cfg: ExperimentConfig):
@@ -394,10 +391,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     trajectory, entries = _score(game, configs, cfg)
     # Player i's CCE gap of the time-averaged product play is Reg_i(T) / T.
     gaps = [e.total_regret / cfg.rounds for e in entries]
-    # CSV output: the fd files here, the other CSV files below
-    diag_report, verdicts = _run_diagnostics(cfg, trajectory, entries, out)
+    diag_report, verdicts, profiles = _run_diagnostics(cfg, trajectory, entries)
 
     if "csv" in cfg.formats:
+        for i, (losses, profile) in enumerate(zip(trajectory.losses, profiles), 1):
+            diagnostics.fd_profile_values_csv(losses, profile.h_max,
+                                              out / f"fd_values_player{i}.csv")
+            diagnostics.fd_profile_norms_csv(profile, out / f"fd_norms_player{i}.csv")
         dynamics.regret_curves_to_csv(entries, out / "regret_curve.csv")
         rows = 2 * cfg.rounds * sum(game.action_counts)  # strategy and loss per (round, action)
         if cfg.emit_trajectory:

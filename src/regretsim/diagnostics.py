@@ -162,39 +162,27 @@ def _fd_walk(seq: np.ndarray, h_max: int):
             for h in range(h_max + 1) for start in range(0, t - h, AUDIT_BLOCK_ROWS))
 
 
-def _fd_profile(block_sups, h_max: int, length: int) -> FiniteDifferenceProfile:
-    """The profile from each walked block's (order, sup)."""
-    norms = np.array([np.max([s for k, s in block_sups if k == h]) for h in range(h_max + 1)])
-    ratios = np.divide(norms[1:], norms[:-1], out=np.full(h_max, np.nan), where=norms[:-1] > 0.0)
-    return FiniteDifferenceProfile(sup_norms=norms, ratios=ratios, h_max=h_max, length=length)
-
-
 def fd_decay_profile(seq: np.ndarray, h_max: int) -> FiniteDifferenceProfile:
     """Sup norms of the finite differences of orders 0..h_max, and decay ratios.
 
-    Undefined ratios (zero denominator, as for constant sequences) are NaN;
-    ``fd_profile_values_csv`` returns the same profile from the walk that writes its file.
+    Undefined ratios (zero denominator, as for constant sequences) are NaN.
     """
-    return _fd_profile([(h, block.max()) for h, _, block in _fd_walk(seq, h_max)], h_max, len(seq))
+    block_sups = [(h, block.max()) for h, _, block in _fd_walk(seq, h_max)]
+    norms = np.array([np.max([s for k, s in block_sups if k == h]) for h in range(h_max + 1)])
+    ratios = np.divide(norms[1:], norms[:-1], out=np.full(h_max, np.nan), where=norms[:-1] > 0.0)
+    return FiniteDifferenceProfile(sup_norms=norms, ratios=ratios, h_max=h_max, length=len(seq))
 
 
-def fd_profile_values_csv(seq: np.ndarray, h_max: int, path) -> FiniteDifferenceProfile:
+def fd_profile_values_csv(seq: np.ndarray, h_max: int, path) -> None:
     """CSV rows (order, t, value) for orders 0..h_max of ``seq``; value is the sup
-    over actions of the order's entry at round t. Returns ``fd_decay_profile(seq, h_max)``.
+    over actions of the order's entry at round t.
 
     The rows are written a block of ``AUDIT_BLOCK_ROWS`` rounds at a time, straight from
-    ``seq``, so no full-length order is held; a block's max is the max of its rows' sups.
+    ``seq``, so no full-length order is held.
     """
-    walk, block_sups = _fd_walk(seq, h_max), []
-
-    def blocks():
-        for h, start, block in walk:
-            sups = _reduce_rows(np.maximum, block)
-            block_sups.append((h, sups.max()))
-            yield np.broadcast_to(h, len(sups)), np.arange(start + 1, start + len(sups) + 1), sups
-
-    write_csv(path, ("order", "t", "value"), blocks())
-    return _fd_profile(block_sups, h_max, len(seq))
+    write_csv(path, ("order", "t", "value"), (
+        (np.broadcast_to(h, len(block)), np.arange(start + 1, start + len(block) + 1),
+         _reduce_rows(np.maximum, block)) for h, start, block in _fd_walk(seq, h_max)))
 
 
 def fd_profile_norms_csv(profile: FiniteDifferenceProfile, path) -> None:
@@ -399,7 +387,8 @@ class BoundTermBreakdown:
 
     ``c_star`` is the smallest constant making the bound hold (None when the
     inequality fails and its constant coefficient vanishes). The entropy term
-    is reported in both natural-log and base-2 conventions.
+    is reported in both natural-log and base-2 conventions; ``to_dict`` writes
+    null for one past the double range, as a subnormal eta gives.
     """
 
     player: int
@@ -416,8 +405,8 @@ class BoundTermBreakdown:
         return {
             "player": self.player + 1,
             "regret": self.lhs,
-            "term_log_nats": self.term_log,
-            "term_log_base2": self.term_log_base2,
+            "term_log_nats": self.term_log if math.isfinite(self.term_log) else None,
+            "term_log_base2": self.term_log_base2 if math.isfinite(self.term_log_base2) else None,
             "sum_var_delta": self.sum_var_delta,
             "sum_var_prev": self.sum_var_prev,
             "c_star": self.c_star,

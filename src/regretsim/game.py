@@ -10,6 +10,7 @@ every file the package writes.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -453,7 +454,9 @@ def _float_digits(values: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def write_json(data, path) -> None:
     """Write ``data`` as indented, key-sorted, LF-terminated strict JSON: a NaN
-    or infinite float raises a ValueError."""
+    or infinite float raises a ValueError before ``path`` is opened."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(data)
+    # joined 2^16 chunks at a time: json.dumps would hold every chunk as a str object first
+    text = list(iter(lambda: "".join(itertools.islice(chunks, 1 << 16)), ""))
     with open(path, "w", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.writelines(text + ["\n"])

@@ -253,6 +253,40 @@ class TestRunExperiment:
         assert cli.main(argv) == 0
         assert artifacts() == first
 
+    def test_diagnose_reports_one_profile_whatever_the_format(self, tmp_path):
+        # the fd profile comes from fd_decay_profile with or without the CSV files
+        argv = ["diagnose", "--game", "random", "--actions", "3,2", "--game-seed", "4",
+                "--rounds", "300", "--fd-h-max", "4"]
+        assert cli.main(argv + ["--format", "json", "--out", str(tmp_path / "json")]) == 0
+        assert cli.main(argv + ["--out", str(tmp_path / "both")]) == 0
+        assert ((tmp_path / "json" / "diagnostics.json").read_bytes()
+                == (tmp_path / "both" / "diagnostics.json").read_bytes())
+        summaries = []
+        for sub in ("json", "both"):
+            summary = json.loads((tmp_path / sub / "summary.json").read_text())
+            summary.pop("duration_seconds")
+            assert summary["config"].pop("out_dir") == str(tmp_path / sub)
+            summaries.append(summary)
+        assert (summaries[0]["config"].pop("formats"), summaries[1]["config"].pop("formats")) == (
+            ["json"], ["json", "csv"])
+        assert summaries[0] == summaries[1]
+
+    def test_subnormal_eta_writes_null_entropy_terms(self, tmp_path):
+        # log(3) / 1e-320 is past the double range: strict JSON has null for it
+        out = tmp_path / "out"
+        assert cli.main(["diagnose", "--game", "random", "--actions", "3,3", "--game-seed", "1",
+                         "--rounds", "8", "--eta", "1e-320", "--out", str(out)]) == 0
+
+        def strict(constant):
+            raise AssertionError(f"{constant} in strict JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=strict)
+        report = json.loads((out / "diagnostics.json").read_text(), parse_constant=strict)
+        assert summary["etas"] == [1e-320, 1e-320]
+        for entry in report["bound_terms"]:
+            assert entry["term_log_nats"] is None and entry["term_log_base2"] is None
+            assert entry["c_star"] == 0.0 and entry["holds_at_zero"] is True
+
     def test_diagnostics_json_has_finite_c_star(self, tmp_path):
         cfg = parse_flags(["run", "--game", "random", "--actions", "3,3",
                            "--game-seed", "9", "--rounds", "256",
@@ -623,9 +657,10 @@ class TestMainExitCodes:
         ["--game", "game.json", "--game-seed", "5"],
         ["--config", "named.json", "--game-seed", "5"],
         ["--config", "path.json", "--actions", "2,2"],
+        ["--config", "named.json", "--game", ""],
     ], ids=["fd_h_max_without_fd_profile", "fd_h_max_with_none", "game_seed_named_game",
             "actions_named_game", "game_seed_game_path", "game_seed_config_named_game",
-            "actions_config_game_path"])
+            "actions_config_game_path", "empty_game_beside_config"])
     def test_dropped_flag_exits_before_simulating(self, argv, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("dynamics.run called on a rejected config")
@@ -694,10 +729,17 @@ class TestMainExitCodes:
         ["run", "--game", "matching_pennies", "--learner", "hedge,opt_hedge,hedge"],
         ["run", "--game", "random", "--actions", "3,x"],
         ["run", "--game", "matching_pennies", "--diagnostics", "nope"],
+        ["run", "--game", "matching_pennies", "--learner", ""],
+        ["run", "--game", "matching_pennies", "--learner", ","],
+        ["run", "--game", "matching_pennies", "--format", ""],
+        ["run", "--game", "matching_pennies", "--diagnostics", ""],
+        ["run", "--game", "matching_pennies", "--diagnostics", ","],
+        ["diagnose", "--game", "matching_pennies", "--diagnostics", ""],
     ], ids=["fd_h_max_negative", "one_player", "zero_actions", "diagnose_hedge",
             "gen_game_zero_actions", "run_no_formats", "compare_no_formats", "learner_unknown",
             "format_unknown", "more_learners_than_players", "actions_not_integers_flag",
-            "diagnostic_unknown"])
+            "diagnostic_unknown", "learner_empty", "learner_comma", "format_empty",
+            "diagnostics_empty", "diagnostics_comma", "diagnose_diagnostics_empty"])
     def test_bad_input_exits_before_simulating(self, argv, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("dynamics.run called on a rejected config")
@@ -707,6 +749,19 @@ class TestMainExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "diagnose", "compare"])
+    def test_empty_out_exits_before_simulating(self, command, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("dynamics.run called on a rejected config")
+
+        monkeypatch.setattr(dynamics, "run", no_run)
+        monkeypatch.chdir(tmp_path)
+        learners_flag = ["--learner", "hedge,opt_hedge"] if command == "compare" else []
+        code = cli.main([command, "--game", "matching_pennies", *learners_flag, "--out", ""])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: config.out_dir:")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, body", [
         ("--config", {"game_name": "matching_pennies", "rounds": "10"}),
@@ -726,6 +781,7 @@ class TestMainExitCodes:
         ("--config", {"game_name": "matching_pennies", "seed": "abc"}),
         ("--config", {"game_random": {"actions": [3]}}),
         ("--config", {"game_name": "matching_pennies", "out_dir": 5}),
+        ("--config", {"game_name": "matching_pennies", "out_dir": ""}),
         ("--config", {"game_random": {"actions": [True, 2.9]}}),
         ("--game", {"players": 2, "actions": [2, 2.5], "losses": [[0.5] * 4] * 2}),
         ("--config", {"game_name": "matching_pennies", "emit_trajectory": "no"}),
@@ -747,7 +803,7 @@ class TestMainExitCodes:
             "players_not_integer", "config_array", "game_path_not_string",
             "game_actions_scalar", "game_losses_scalar", "rounds_true", "eta_true",
             "fd_h_max_true", "seed_string", "random_one_player", "out_dir_not_string",
-            "random_actions_bool_and_fraction", "game_actions_fraction",
+            "out_dir_empty", "random_actions_bool_and_fraction", "game_actions_fraction",
             "emit_trajectory_string", "closeness_string", "variance_inequality_mixed_eta",
             "eta_under_practical", "eta_under_theorem", "formats_empty", "formats_string",
             "unknown_key", "eta_policy_unknown", "learner_spec_string_under_eta_flag",

@@ -508,3 +508,4 @@ class TestWriteJson:
     def test_non_finite_float_rejected(self, value, tmp_path):
         with pytest.raises(ValueError):
             write_json({"regret": [0.5, value]}, tmp_path / "a.json")
+        assert not (tmp_path / "a.json").exists()  # rejected before the file is opened

@@ -2,7 +2,7 @@
 
 Usage: python tools/golden.py <rev>
 
-Exports ``src`` at <rev> with ``git archive``, then runs the fourteen golden
+Exports ``src`` at <rev> with ``git archive``, then runs the fifteen golden
 commands below twice, once against that export and once against the working
 tree's ``src``, each side in its own fresh directory with the same ``--out``
 names. Every file written is compared byte for byte, except that
@@ -52,9 +52,12 @@ COMMANDS = (
     # JSON only: summary.json and diagnostics.json, and no CSV file
     ["run", "--game", "matching_pennies", "--rounds", "64", "--format", "json",
      "--diagnostics", "closeness", "--out", "run_json"],
-    # every diagnostic with JSON only: the fd profiles from fd_decay_profile, no CSV file
+    # every diagnostic with JSON only, and with CSV only: the fd profiles come from
+    # fd_decay_profile whatever the format, and fd_values_player*.csv from a second walk
     ["diagnose", "--game", "random", "--actions", "3,3", "--game-seed", "1", "--rounds", "4096",
      "--format", "json", "--out", "diagnose_json"],
+    ["diagnose", "--game", "random", "--actions", "3,3", "--game-seed", "1", "--rounds", "4096",
+     "--format", "csv", "--out", "diagnose_csv"],
     # the variance inequality alone: the bound terms are computed for it but not written
     ["run", "--game", "random", "--actions", "3,3", "--game-seed", "1", "--rounds", "4096",
      "--diagnostics", "variance_inequality", "--format", "json", "--out", "variance_only"],
