@@ -23,6 +23,8 @@ DENSE_SUPPORT_LIMIT = 10**6
 
 # ``batch_run`` plays a shape's waiting games once their loss tensors reach this many bytes.
 BATCH_BYTES = 2 * 2**20
+# ``_play`` records rounds in windows of at most this many (see there).
+WINDOW_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -73,25 +75,29 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
 
     Players that share an action count n, an update kind (Hedge, or the
     optimistic rule of the other modes) and ``LearnerState.shift`` form a
-    group, held as (m_g, B, n) stacks of strategies, of the two latest
-    losses, which swap each round, of -eta and of work arrays made once (the
-    exponent and x * loss), beside one (m_g, B, 1) reduction buffer, so the
-    update allocates nothing and broadcasts only that buffer. An adaptive
-    player whose threshold is below 2T (see ``init_state``) keeps its two (B,)
-    variance sums, extended each round by ``learners.row_variances``, and
-    tests them against ``learners.variance_budget``. A group
-    whose players never use a step size above 1 skips the max shift of the
-    exponent, two of its calls per round, since exp cannot overflow there (see
-    ``learners``). Each round, each cell (every player if one group holds them
-    all, else one player) builds its players' opponent joints as right folds,
-    x_j1 * (x_j2 * (... * x_jk)), and computes their expected losses into
-    their rows of the group's loss stack in one contraction; then each group
-    records and updates at once, repeating ``learners.step`` row by row, bit
-    for bit, so no game depends on its batch nor a player on its group. The
-    record is each player's (T, B, n_i) strategies and losses, views of its
+    group. Its strategies and losses live in two round-major (W + 1, m_g, B, n)
+    windows: the round in slot s reads its strategies and previous losses from
+    row s and writes its losses and next strategies into row s + 1. W is
+    ``WINDOW_ROUNDS``, less for a shorter horizon or where a window of all
+    strategies would pass BATCH_BYTES / 8. Arrays of -eta, the exponent and a
+    (m_g, B, 1) reduction buffer are made once, so the update allocates nothing
+    and broadcasts only that buffer. An adaptive player whose threshold is
+    below 2T (see ``init_state``) extends its two (B,) variance sums each round
+    by ``learners.row_variances`` and tests them against
+    ``learners.variance_budget``. A group whose players never use a step size
+    above 1 skips the max shift of the exponent, two of its calls per round,
+    since exp cannot overflow there (see ``learners``). Each round, each cell
+    (every player if one group holds them all, else one player) builds its
+    players' opponent joints as right folds, x_j1 * (x_j2 * (... * x_jk)), and
+    computes their expected losses into their rows of the group's loss window
+    in one contraction; then each group updates at once, repeating
+    ``learners.step`` row by row, bit for bit, so no game depends on its batch
+    nor a player on its group. Each full window, and the last, is recorded in
+    one step, and its last row copied to row 0, so no round copies a record.
+    The record is each player's (T, B, n_i) strategies and losses, views of its
     group's (m_g, T, B, n) history, with ``full_history``, else its (B,)
-    cumulative losses and (B, n_i) per-action sums. Returns it, the final
-    (B, n_i) strategies and each player's (B,) switch rounds (0: none).
+    cumulative losses and (B, n_i) per-action sums. Returns it, the final (B,
+    n_i) strategies and each player's (B,) switch rounds (0: none).
     """
     batch, counts = len(games), games[0].action_counts
     players = range(len(counts))
@@ -104,25 +110,26 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     place = [(g, members.index(i)) for i in players
              for g, members in enumerate(groups) if i in members]
     shapes = [(len(members), batch, counts[members[0]]) for members in groups]
-    strategies = [np.full(shape, 1.0 / shape[2]) for shape in shapes]
-    loss_stacks = [[np.zeros(shape) for shape in shapes] for _ in range(2)]
+    width = max(1, min(WINDOW_ROUNDS, rounds, BATCH_BYTES // (64 * batch * sum(counts))))
+    strategies = [np.full((width + 1,) + shape, 1.0 / shape[2]) for shape in shapes]
+    # Without full_history, an x * loss row stands beside each loss row (see the record).
+    windows = [np.zeros((width + 1, 1 if full_history else 2) + shape) for shape in shapes]
+    losses = [window[:, -1] for window in windows]
     neg_etas = [np.stack([np.full(shape[1:], -states[i].eta) for i in members])
                 for members, shape in zip(groups, shapes)]
-    rows = [strategies[g][k] for g, k in place]
     switch_rounds = [np.zeros(batch, dtype=int) for _ in players]
     # A cell's players share one group, so their loss matrices share a shape.
     cells = [list(players)] if len(groups) == 1 else [[i] for i in players]
-    # Strategies are updated in place, so views of them stay valid. Each round
-    # a cell of c rows takes its opponents' strategies from its group's stack
-    # in one ``take`` into a (c, m - 1, B, n) buffer (a one-player cell views
-    # them in place, with c = 1, and a cell of two players views its stack
-    # reversed, which holds each one's opponent), folds them from the right
-    # into preallocated buffers, each earlier opponent multiplied in as the
-    # new outer axis of the product so far, as ``expected_loss_vector`` does,
-    # so the inner loop runs over that product and the (c, B, N) joint comes
-    # out in ``loss_matrix``'s row-major opponent order. It ``matmul``s that
-    # column with its (c, B, n_i, N) array of ``loss_matrix`` results into its
-    # rows of a loss stack.
+    # Each round a cell of c rows takes its opponents' strategies from its
+    # group's window row in one ``take`` into a (c, m - 1, B, n) buffer (a
+    # one-player cell views them in their windows, with c = 1, and a cell of two
+    # players views its row reversed, which holds each one's opponent), folds
+    # them from the right into preallocated buffers, each earlier opponent
+    # multiplied in as the new outer axis of the product so far, as
+    # ``expected_loss_vector`` does, so the inner loop runs over that product
+    # and the (c, B, N) joint comes out in ``loss_matrix``'s row-major opponent
+    # order, and ``matmul``s that column with its (c, B, n_i, N) ``loss_matrix``
+    # results into its rows of the loss window. The buffers serve every slot.
     contractions = []
     for cell in cells:
         (g, k), c, n = place[cell[0]], len(cell), counts[cell[0]]
@@ -134,76 +141,87 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
             for a, b in np.ndindex(lead):
                 mat[a, b] = loss_matrix(games[b], cell[a])
         opponents = [[j for j in players if j != i] for i in cell]
+        gathers, sources = None, [strategies[g][:width, ::-1]]  # the cell of two players
         if c == 1:
-            gather, sources = None, [rows[j][None] for j in opponents[0]]
-        elif c == 2:
-            gather, sources = None, [strategies[g][::-1]]
-        else:
+            sources = [strategies[place[j][0]][:width, place[j][1], None] for j in opponents[0]]
+        elif c > 2:
             gathered = np.empty((c, len(counts) - 1) + shapes[g][1:])
-            gather = partial(strategies[g].take, np.array(opponents), 0, gathered, "clip")
-            sources = list(gathered.swapaxes(0, 1))
+            gathers = [partial(x.take, np.array(opponents), 0, gathered, "clip")
+                       for x in strategies[g][:width]]
+            sources = [np.broadcast_to(x, (width,) + x.shape) for x in gathered.swapaxes(0, 1)]
         *factors, joint = sources
         chain = []
         for factor in reversed(factors):
-            product = np.empty(factor.shape + joint.shape[-1:])
-            chain.append((factor[..., :, None], joint[..., None, :], product))
+            product = np.empty(factor.shape[1:] + joint.shape[-1:])
+            chain.append((list(factor[..., :, None]), list(joint[..., None, :]), product))
             joint = product.reshape(lead + (-1,))
-        contractions.append((gather, chain, mat, joint.reshape(lead + (-1, 1)),
-                             [stacks[g][k:k + c].reshape(lead + (-1, 1)) for stacks in loss_stacks]))
-    played, seen = ([np.zeros(shape[:1] + ((rounds,) if full_history else ()) + shape[1:])
-                     for shape in shapes] for _ in range(2))
-    # Per group: strategies, (loss, prev) by parity, -eta, work arrays, kind, shift, record.
-    updates = [(strategies[g], ((l0, l1), (l1, l0)), neg_etas[g], np.empty(shape),
-                np.empty(shape[:2] + (1,)), np.empty(shape), *kinds[members[0]][1:], play, see)
-               for g, (members, shape, l0, l1, play, see)
-               in enumerate(zip(groups, shapes, *loss_stacks, played, seen))]
+            joint = np.broadcast_to(joint, (width,) + joint.shape)
+        contractions.append((gathers, chain, mat, list(joint[..., None]),
+                             list(losses[g][1:, k:k + c, ..., None])))
+    # Per group: its windows as lists of rows, -eta, work arrays, kind and shift.
+    updates = [(list(x), list(loss), neg_eta, np.empty(shape), np.empty(shape[:2] + (1,)),
+                *kinds[members[0]][1:]) for members, shape, x, loss, neg_eta
+               in zip(groups, shapes, strategies, losses, neg_etas)]
+    if full_history:
+        played, seen = ([np.empty(shape[:1] + (rounds,) + shape[1:]) for shape in shapes]
+                        for _ in range(2))
+    else:
+        # Per group: the (x * loss, loss) sums. Put in row 0 of a window, they take its
+        # rows in round order in one add.reduce, as per-round adds would, since each row
+        # holds two or more numbers: rows of one number numpy sums pairwise.
+        running = [np.zeros((2,) + shape) for shape in shapes]
     # Local names for the ufuncs the loop calls T times per group.
     maximum, total, exp = np.maximum.reduce, np.add.reduce, np.exp
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    for t in range(rounds):
-        parity = t & 1
-        for gather, chain, mat, column, outs in contractions:
-            if gather:
-                gather()
-            for factor, joint, product in chain:
-                multiply(factor, joint, product)
-            np.matmul(mat, column, outs[parity])
-        for i, sums in var_sums.items():
-            (g, k), x, fired = place[i], rows[i], switch_rounds[i]
-            loss, prev = loss_stacks[parity][g][k], loss_stacks[1 - parity][g][k]
-            sums[0] += learners.row_variances(x, loss - prev)
-            sums[1] += learners.row_variances(x, prev)
-            if t + 1 >= learners.MIN_SWITCH_ROUND:
-                budget = learners.variance_budget(sums[1], states[i].switch_threshold)
-                fire = (fired == 0) & (sums[0] > budget)
-                fired[fire] = t + 1
-                neg_etas[g][k][fire] = -states[i].eta_post
-        for x, pairs, neg_eta, e, red, product, is_hedge, shift, play, see in updates:
-            loss, prev = pairs[parity]
+    for t0 in range(0, rounds, width):
+        w = min(width, rounds - t0)
+        for s in range(w):
+            for gathers, chain, mat, columns, outs in contractions:
+                if gathers:
+                    gathers[s]()
+                for factors, joints, product in chain:
+                    multiply(factors[s], joints[s], product)
+                np.matmul(mat, columns[s], outs[s])
+            for i, sums in var_sums.items():
+                (g, k), fired = place[i], switch_rounds[i]
+                x, loss, prev = strategies[g][s, k], losses[g][s + 1, k], losses[g][s, k]
+                sums[0] += learners.row_variances(x, loss - prev)
+                sums[1] += learners.row_variances(x, prev)
+                if t0 + s + 1 >= learners.MIN_SWITCH_ROUND:
+                    budget = learners.variance_budget(sums[1], states[i].switch_threshold)
+                    fire = (fired == 0) & (sums[0] > budget)
+                    fired[fire] = t0 + s + 1
+                    neg_etas[g][k][fire] = -states[i].eta_post
+            for xs, ls, neg_eta, e, red, is_hedge, shift in updates:
+                x, loss, prev = xs[s], ls[s + 1], ls[s]
+                if is_hedge:
+                    multiply(loss, neg_eta, e)
+                else:
+                    # loss + loss is 2.0 * loss exactly
+                    add(loss, loss, e)
+                    subtract(e, prev, e)
+                    multiply(e, neg_eta, e)
+                if shift:
+                    maximum(e, -1, None, red, True)
+                    subtract(e, red, e)
+                exp(e, e)
+                multiply(e, x, e)
+                total(e, -1, None, red, True)
+                divide(e, red, xs[s + 1])
+        for g, (x, loss) in enumerate(zip(strategies, losses)):
             if full_history:
-                play[:, t] = x
-                see[:, t] = loss
+                played[g][:, t0:t0 + w] = x[:w].swapaxes(0, 1)
+                seen[g][:, t0:t0 + w] = loss[1:w + 1].swapaxes(0, 1)
             else:
-                multiply(x, loss, product)
-                add(play, product, play)
-                add(see, loss, see)
-            if is_hedge:
-                multiply(loss, neg_eta, e)
-            else:
-                # loss + loss is 2.0 * loss exactly
-                add(loss, loss, e)
-                subtract(e, prev, e)
-                multiply(e, neg_eta, e)
-            if shift:
-                maximum(e, -1, None, red, True)
-                subtract(e, red, e)
-            exp(e, e)
-            multiply(e, x, e)
-            total(e, -1, None, red, True)
-            divide(e, red, x)
+                rows = windows[g][:w + 1]
+                rows[0] = running[g]  # over the spent previous losses of slot 0
+                multiply(x[:w], loss[1:w + 1], rows[1:, 0])
+                total(rows, 0, None, running[g])
+            x[0], loss[0] = x[w], loss[w]
     if not full_history:
-        played = [play.sum(-1) for play in played]
-    return [[arrays[g][k] for g, k in place] for arrays in (played, seen)] + [rows, switch_rounds]
+        played, seen = [sums[0].sum(-1) for sums in running], [sums[1] for sums in running]
+    finals = [x[0] for x in strategies]
+    return [[arrays[g][k] for g, k in place] for arrays in (played, seen, finals)] + [switch_rounds]
 
 
 def _metadata(configs: Sequence[LearnerConfig], switch_rounds) -> RunMetadata:

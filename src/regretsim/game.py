@@ -153,7 +153,8 @@ def loss_matrix(game: Game, player: int) -> np.ndarray:
     opponent profiles flattened in row-major order. It is C-ordered for every
     player: a view of the tensor for player 0, a copy otherwise.
     """
-    matrix = np.moveaxis(game.loss_tensors[player], player, 0)
+    axes = (player, *range(player), *range(player + 1, game.num_players))
+    matrix = game.loss_tensors[player].transpose(axes)
     return np.ascontiguousarray(matrix).reshape(game.action_counts[player], -1)
 
 

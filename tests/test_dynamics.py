@@ -38,6 +38,10 @@ from trajectory_csv import trajectory_from_csv
 # the least step size above 1: the smallest at which a learner shifts its exponent
 ABOVE_ONE = float(np.nextafter(1.0, 2.0))
 
+# record windows of 1, 2, 3 and 7 rounds, whose boundaries fall inside the
+# horizons the properties draw, and the default one, which holds them whole
+WINDOWS = (1, 2, 3, 7, dynamics.WINDOW_ROUNDS)
+
 
 def make_trajectory(strategies, losses, game=None, mode="opt_hedge", eta=0.05):
     """Hand-built trajectory for unit-level regret checks."""
@@ -441,15 +445,58 @@ class TestBatchRun:
         source = lambda s: random_game(m, counts[s % len(counts)], seed=s)
         configs = [LearnerConfig(mode=mode, eta=eta, c_prime=c_prime)
                    for mode, eta in zip(modes, etas[:m])]
-        results = batch_run(source, seeds, configs, rounds)
-        assert [r.seed for r in results] == seeds
-        for r in results:
-            entries = regret_report(run(source(r.seed), configs, rounds))
-            assert r.best_actions == [e.best_action for e in entries]
-            for value, entry in zip(r.total_regrets, entries):
-                assert abs(value - entry.total_regret) <= 1e-12
-            alone = batch_run(source, [r.seed], configs, rounds)[0]
-            assert (alone.total_regrets, alone.best_actions) == (r.total_regrets, r.best_actions)
+        outcomes = []
+        for window in WINDOWS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dynamics, "WINDOW_ROUNDS", window)
+                results = batch_run(source, seeds, configs, rounds)
+                assert [r.seed for r in results] == seeds
+                for r in results:
+                    entries = regret_report(run(source(r.seed), configs, rounds))
+                    assert r.best_actions == [e.best_action for e in entries]
+                    for value, entry in zip(r.total_regrets, entries):
+                        assert abs(value - entry.total_regret) <= 1e-12
+                    alone = batch_run(source, [r.seed], configs, rounds)[0]
+                    assert ((alone.total_regrets, alone.best_actions)
+                            == (r.total_regrets, r.best_actions))
+            outcomes.append([(r.total_regrets, r.best_actions) for r in results])
+        # the record window changes when rounds are recorded, never a bit of the results
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+def traced_peak(call):
+    """The peak of the bytes that tracemalloc traces while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRecordWindow:
+    def test_batch_window_capped_in_bytes(self):
+        # 4096 2x2 games hold 256 KiB of loss tensors and 128 KiB of strategies a
+        # round, so the byte cap holds their window to two rounds, as long at
+        # T = 256 as at T = 4; an uncapped one of 64 rounds would take about 100
+        # times the loss tensors
+        games = [random_game(2, (2, 2), seed=s) for s in range(4096)]
+        tensors = sum(t.nbytes for game in games for t in game.loss_tensors)
+        configs = [LearnerConfig(eta=0.3)] * 2
+        for rounds in (4, 256):
+            peak = traced_peak(lambda: batch_run(games.__getitem__, range(len(games)),
+                                                 configs, rounds))
+            assert peak < 12 * tensors, (rounds, peak, tensors)
+
+    def test_streaming_record_does_not_grow_with_the_horizon(self):
+        # the full history of T = 2^12 rounds would take 768 KiB; the slack is for
+        # Python's scalar objects, such as round numbers past the small-int cache
+        game = random_game(4, (3,) * 4, seed=2)
+        configs = [LearnerConfig(mode="adaptive_opt_hedge", eta=0.1)] * 4
+        run_streaming(game, configs, 2**8)  # first calls allocate lasting caches
+        short, long = (traced_peak(lambda: run_streaming(game, configs, rounds))
+                       for rounds in (2**8, 2**12))
+        assert long <= short + 4096, (long, short)
 
 
 class TestStreaming:
@@ -495,8 +542,12 @@ class TestUnreachableSwitch:
         game = random_game(3, (2, 2, 2), seed=20)
         configs = [LearnerConfig(mode=mode, eta=0.5, c_prime=0.0)
                    for mode in ("adaptive_opt_hedge", "opt_hedge", "hedge")]
-        assert run(game, configs, 48).metadata.switch_rounds == (8, None, None)
-        assert run_streaming(game, configs, 48).metadata.switch_rounds == (8, None, None)
+        # round 8 is the middle of a window of 3 rounds, the first of one of 7
+        for window in (3, 7, dynamics.WINDOW_ROUNDS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dynamics, "WINDOW_ROUNDS", window)
+                assert run(game, configs, 48).metadata.switch_rounds == (8, None, None)
+                assert run_streaming(game, configs, 48).metadata.switch_rounds == (8, None, None)
 
 
 def reference_run(game, configs, rounds):
@@ -583,19 +634,27 @@ class TestEngineMatchesReference:
         configs = [LearnerConfig(mode=mode, eta=eta, c_prime=c_prime)
                    for mode, eta in zip(modes, etas[:len(counts)])]
         strategies, losses, states = reference_run(game, configs, rounds)
-        full = run(game, configs, rounds)
-        for i in range(game.num_players):
-            assert np.array_equal(full.strategies[i], strategies[i])
-            assert np.array_equal(full.losses[i], losses[i])
-        assert full.metadata.switch_rounds == tuple(s.switch_round for s in states)
-        stream = run_streaming(game, configs, rounds)
-        assert stream.metadata.switch_rounds == full.metadata.switch_rounds
-        for i, entry in enumerate(regret_report(full)):
-            assert np.array_equal(stream.final_strategies[i], states[i].strategy)
-            assert abs(stream.cumulative_loss[i] - entry.cumulative_loss) <= 1e-12
-            assert abs(stream.total_regret[i] - entry.total_regret) <= 1e-12
-            np.testing.assert_allclose(stream.action_cumulative[i], full.losses[i].sum(axis=0),
-                                       rtol=0, atol=1e-12)
+        for window in WINDOWS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dynamics, "WINDOW_ROUNDS", window)
+                full = run(game, configs, rounds)
+                stream = run_streaming(game, configs, rounds)
+            for i in range(game.num_players):
+                assert np.array_equal(full.strategies[i], strategies[i])
+                assert np.array_equal(full.losses[i], losses[i])
+            assert full.metadata.switch_rounds == tuple(s.switch_round for s in states)
+            assert stream.metadata.switch_rounds == full.metadata.switch_rounds
+            for i, entry in enumerate(regret_report(full)):
+                assert np.array_equal(stream.final_strategies[i], states[i].strategy)
+                assert abs(stream.cumulative_loss[i] - entry.cumulative_loss) <= 1e-12
+                assert abs(stream.total_regret[i] - entry.total_regret) <= 1e-12
+                np.testing.assert_allclose(stream.action_cumulative[i],
+                                           full.losses[i].sum(axis=0), rtol=0, atol=1e-12)
+                # the running sums add the rounds in order, as cumsum does: bit for bit
+                played = np.cumsum(strategies[i] * losses[i], axis=0)[-1].sum()
+                assert stream.cumulative_loss[i] == played
+                assert np.array_equal(stream.action_cumulative[i],
+                                      np.cumsum(losses[i], axis=0)[-1])
 
 
 class TestCsvExports:

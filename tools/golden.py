@@ -2,7 +2,7 @@
 
 Usage: python tools/golden.py <rev>
 
-Exports ``src`` at <rev> with ``git archive``, then runs the fifteen golden
+Exports ``src`` at <rev> with ``git archive``, then runs the sixteen golden
 commands below twice, once against that export and once against the working
 tree's ``src``, each side in its own fresh directory with the same ``--out``
 names. Every file written is compared byte for byte, except that
@@ -74,6 +74,10 @@ COMMANDS = (
      "--rounds", "4096", "--out", "hedge"],
     ["run", "--game", "random", "--actions", "3,3", "--game-seed", "1", "--learner",
      "hedge,opt_hedge", "--rounds", "4096", "--out", "mixed"],
+    # a horizon off the engine's record window grid, so its last window is partial:
+    # three players, each alone in its group and cell, with a two-opponent fold
+    ["run", "--game", "random", "--actions", "3,3,2", "--game-seed", "5", "--learner",
+     "hedge,opt_hedge,opt_hedge", "--rounds", "1000", "--out", "partial"],
 )
 
 
