@@ -1,31 +1,24 @@
 """Simulate no-regret learning dynamics in normal-form games.
 
 Core pieces: game construction and evaluation (:mod:`regretsim.game`),
-learner update rules (:mod:`regretsim.learners`), self-play dynamics and
-regret scoring (:mod:`regretsim.dynamics`), and the numerical diagnostics
-suite (:mod:`regretsim.diagnostics`). The ``regretsim`` CLI wraps all of it.
+learner update rules and per-round variances (:mod:`regretsim.learners`),
+self-play dynamics and regret scoring (:mod:`regretsim.dynamics`), and the
+trajectory audits (:mod:`regretsim.diagnostics`): the finite-difference decay
+profile, consecutive closeness, and the regret-bound and variance-inequality
+audits. The ``regretsim`` CLI wraps all of it. The sequence identities behind
+the paper's lemmas hold for any sequence and are checked in ``tests/paper_lemmas.py``.
 """
 
 from .diagnostics import (
     BoundTermBreakdown,
     ClosenessReport,
-    DivergenceValues,
     FiniteDifferenceProfile,
-    FreqCauchyReport,
     VarianceInequalityReport,
     regret_bound_terms,
-    check_circular_fourier_identity,
-    check_freq_cauchy,
     check_variance_inequality,
-    circular_finite_difference,
     consecutive_closeness,
-    dft,
-    divergences,
     fd_decay_profile,
     finite_difference,
-    finite_difference_binomial,
-    idft,
-    local_norms,
 )
 from .dynamics import (
     BatchResult,

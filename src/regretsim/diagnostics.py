@@ -1,9 +1,10 @@
-"""Numerical diagnostics for learning-dynamics trajectories.
+"""Numerical audits of learning-dynamics trajectories, as ``diagnose`` runs them.
 
-Divergences, local norms, plain and circular finite differences, discrete
-Fourier identities, the closeness bound, and the regret-bound audits, which
-take Reg_i(T) from the regret report and share one walk's variance sums. All
-of it is pure except the ``fd_profile_*_csv`` writers, which write a file.
+The finite-difference decay profile, consecutive closeness and its bound, and
+the regret-bound and variance-inequality audits, which take Reg_i(T) from the
+regret report and share one walk's variance sums. All of it is pure except the
+``fd_profile_*_csv`` writers, which write a file. The sequence identities behind
+the paper's lemmas hold for any sequence and are checked in ``tests/paper_lemmas.py``.
 """
 
 from __future__ import annotations
@@ -24,61 +25,6 @@ from .learners import (DEFAULT_C_PRIME, OPT_HEDGE, ceil_log2, row_variances, var
 _C_COEFF_EPS = 1e-15
 
 
-# ---------------------------------------------------------------------------
-# Local norms, divergences
-# ---------------------------------------------------------------------------
-
-def local_norms(probs: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """The weighted norm sqrt(sum p v^2) and its dual sqrt(sum v^2 / p).
-
-    The dual norm is undefined when a zero-probability coordinate carries a
-    nonzero value.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if p.shape != v.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {v.shape}")
-    primal = math.sqrt(float(p @ (v * v)))
-    zero = p == 0.0
-    if np.any(zero & (v != 0.0)):
-        raise ZeroDivisionError("dual norm undefined: nonzero value on zero-probability coordinate")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(zero, 0.0, (v * v) / np.where(zero, 1.0, p))
-    dual = math.sqrt(float(terms.sum()))
-    return primal, dual
-
-
-@dataclass(frozen=True)
-class DivergenceValues:
-    """KL divergence (in nats) and chi-squared divergence between two distributions."""
-
-    kl: float
-    chi2: float
-
-
-def divergences(p: np.ndarray, q: np.ndarray) -> DivergenceValues:
-    """KL(p; q) in nats and chi2(p; q), with the 0 log 0 = 0 convention.
-
-    A coordinate with q = 0 but p > 0 makes both divergences infinite; that
-    is signalled by returning inf rather than raising.
-    """
-    pa = np.asarray(p, dtype=np.float64)
-    qa = np.asarray(q, dtype=np.float64)
-    if pa.shape != qa.shape:
-        raise ValueError(f"shape mismatch: {pa.shape} vs {qa.shape}")
-    if np.any((qa == 0.0) & (pa > 0.0)):
-        return DivergenceValues(kl=math.inf, chi2=math.inf)
-    support = pa > 0.0
-    kl = float(np.sum(pa[support] * np.log(pa[support] / qa[support])))
-    qpos = qa > 0.0
-    chi2 = float(np.sum((pa[qpos] - qa[qpos]) ** 2 / qa[qpos]))
-    return DivergenceValues(kl=kl, chi2=chi2)
-
-
-# ---------------------------------------------------------------------------
-# Finite differences
-# ---------------------------------------------------------------------------
-
 def finite_difference(seq: np.ndarray, h: int) -> np.ndarray:
     """Order-h finite difference of a sequence (first axis is time).
 
@@ -91,36 +37,6 @@ def finite_difference(seq: np.ndarray, h: int) -> np.ndarray:
         raise ValueError(f"order h={h} out of range [0, {t - 1}]")
     for _ in range(h):
         out = out[1:] - out[:-1]
-    return out
-
-
-def finite_difference_binomial(seq: np.ndarray, h: int, t: int):
-    """Entry t of the order-h finite difference via the binomial expansion.
-
-    Computes sum_s C(h, s) (-1)^(h-s) seq[t + s]; must agree with the
-    recursive path. ``t`` is a 0-indexed offset in [0, len(seq) - h - 1].
-    """
-    arr = np.asarray(seq, dtype=np.float64)
-    length = arr.shape[0]
-    if not 0 <= h <= length - 1:
-        raise ValueError(f"order h={h} out of range [0, {length - 1}]")
-    if not 0 <= t <= length - h - 1:
-        raise ValueError(f"offset t={t} out of range [0, {length - h - 1}]")
-    total = np.zeros(arr.shape[1:], dtype=np.float64)
-    for s in range(h + 1):
-        sign = -1.0 if (h - s) % 2 else 1.0
-        total = total + sign * math.comb(h, s) * arr[t + s]
-    return float(total) if total.ndim == 0 else total
-
-
-def circular_finite_difference(seq: np.ndarray, h: int) -> np.ndarray:
-    """Level-h circular finite difference: consecutive differences with the
-    last entry wrapping around to the start. Length is preserved."""
-    out = np.asarray(seq, dtype=np.float64)
-    if h < 0:
-        raise ValueError(f"order h must be >= 0, got {h}")
-    for _ in range(h):
-        out = np.roll(out, -1, axis=0) - out
     return out
 
 
@@ -191,105 +107,6 @@ def fd_profile_norms_csv(profile: FiniteDifferenceProfile, path) -> None:
               [(range(len(profile.sup_norms)), profile.sup_norms)])
 
 
-# ---------------------------------------------------------------------------
-# Discrete Fourier transform
-# ---------------------------------------------------------------------------
-
-def dft(seq: np.ndarray) -> np.ndarray:
-    """DFT of a sequence: component s is sum_t seq[t] exp(-2 pi i s t / S)."""
-    w = np.asarray(seq)
-    if w.shape[0] < 1:
-        raise ValueError("sequence must be nonempty")
-    return np.fft.fft(w)
-
-
-def idft(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse DFT; ``idft(dft(w))`` recovers ``w`` up to rounding."""
-    z = np.asarray(spectrum, dtype=np.complex128)
-    if z.shape[0] < 1:
-        raise ValueError("sequence must be nonempty")
-    return np.fft.ifft(z)
-
-
-def check_circular_fourier_identity(seq: np.ndarray, h: int) -> float:
-    """Max deviation in the transform identity for circular differences.
-
-    The DFT of the level-h circular finite difference equals the DFT of the
-    sequence multiplied pointwise by (exp(2 pi i s / S) - 1)^h; returns the
-    largest absolute discrepancy over frequencies.
-    """
-    w = np.asarray(seq, dtype=np.float64)
-    s = w.shape[0]
-    lhs = dft(circular_finite_difference(w, h))
-    factor = (np.exp(2j * np.pi * np.arange(s) / s) - 1.0) ** h
-    rhs = dft(w) * factor
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-@dataclass
-class FreqCauchyReport:
-    """Outcome of the circular-difference energy inequality check.
-
-    premise:    sum (D2 w)^2 <= alpha * sum (D1 w)^2 + mu
-    conclusion: sum (D1 w)^2 <= alpha * sum w^2 + mu / alpha
-    """
-
-    alpha: float | None
-    mu: float
-    sum_d2_sq: float
-    sum_d1_sq: float
-    sum_w_sq: float
-    premise_holds: bool
-    conclusion_holds: bool
-    premise_slack: float
-    conclusion_slack: float
-    degenerate: bool = False
-
-
-def check_freq_cauchy(seq: np.ndarray, alpha: float | None = None,
-                      mu: float = 0.0) -> FreqCauchyReport:
-    """Evaluate the second-vs-first circular-difference energy inequality.
-
-    With ``alpha=None`` the premise ratio sum(D2 w)^2 / sum(D1 w)^2 is used,
-    making the premise tight; the conclusion then must hold (it is implied
-    via Parseval and Cauchy-Schwarz in the frequency domain). A constant-
-    difference sequence makes the ratio 0/0 and is reported as degenerate.
-    """
-    w = np.asarray(seq, dtype=np.float64)
-    d1 = circular_finite_difference(w, 1)
-    d2 = circular_finite_difference(d1, 1)
-    s0 = float(np.sum(w * w))
-    s1 = float(np.sum(d1 * d1))
-    s2 = float(np.sum(d2 * d2))
-    if alpha is None:
-        if s1 == 0.0:
-            return FreqCauchyReport(
-                alpha=None, mu=mu, sum_d2_sq=s2, sum_d1_sq=s1, sum_w_sq=s0,
-                premise_holds=s2 <= mu, conclusion_holds=True,
-                premise_slack=mu - s2, conclusion_slack=math.inf,
-                degenerate=True)
-        alpha = s2 / s1
-    if alpha <= 0.0:
-        if alpha < 0.0 or s2 > 0.0 or s1 > 0.0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
-        # all-zero differences with alpha == 0: trivially satisfied
-        return FreqCauchyReport(
-            alpha=0.0, mu=mu, sum_d2_sq=s2, sum_d1_sq=s1, sum_w_sq=s0,
-            premise_holds=True, conclusion_holds=True,
-            premise_slack=mu, conclusion_slack=math.inf, degenerate=True)
-    premise_slack = alpha * s1 + mu - s2
-    conclusion_slack = alpha * s0 + mu / alpha - s1
-    return FreqCauchyReport(
-        alpha=alpha, mu=mu, sum_d2_sq=s2, sum_d1_sq=s1, sum_w_sq=s0,
-        premise_holds=premise_slack >= 0.0,
-        conclusion_holds=conclusion_slack >= 0.0,
-        premise_slack=premise_slack, conclusion_slack=conclusion_slack)
-
-
-# ---------------------------------------------------------------------------
-# Consecutive closeness
-# ---------------------------------------------------------------------------
-
 @dataclass
 class ClosenessReport:
     """How far consecutive distributions drift, measured by coordinate ratios.
@@ -343,10 +160,6 @@ def closeness_bound(eta: float) -> float | None:
     except OverflowError:  # eta above about 118.3
         return None
 
-
-# ---------------------------------------------------------------------------
-# Trajectory-level bound audits
-# ---------------------------------------------------------------------------
 
 def check_audit_learners(audits: Iterable[str], modes: Sequence[str], etas: Sequence[float]):
     """Raise ``ValueError`` naming the first rule of ``audits`` that the learners break.

@@ -137,9 +137,12 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
         if lead == (1, 1):  # player 0 views its tensor; another keeps loss_matrix's copy
             mat = loss_matrix(games[0], cell[0])[None, None]
         else:
+            # A cell row is its player's tensors stacked over the batch, each laid out as
+            # loss_matrix lays it out: the player's axis first, the opponents' in order.
             mat = np.empty(lead + (n, games[0].profile_count // n))
-            for a, b in np.ndindex(lead):
-                mat[a, b] = loss_matrix(games[b], cell[a])
+            for a, i in enumerate(cell):
+                stack = np.stack([game.loss_tensors[i] for game in games])
+                mat[a] = np.moveaxis(stack, i + 1, 1).reshape(batch, n, -1)
         opponents = [[j for j in players if j != i] for i in cell]
         gathers, sources = None, [strategies[g][:width, ::-1]]  # the cell of two players
         if c == 1:

@@ -30,22 +30,14 @@ from regretsim import (
     adaptive_opt_hedge_step,
     regret_bound_terms,
     cce_gap,
-    check_circular_fourier_identity,
-    check_freq_cauchy,
     check_variance_inequality,
-    circular_finite_difference,
     consecutive_closeness,
-    dft,
-    divergences,
     empirical_joint_distribution,
     fd_decay_profile,
     finite_difference,
-    finite_difference_binomial,
     hedge_step,
-    idft,
     init_state,
     intermediate_iterate,
-    local_norms,
     named_game,
     opt_hedge_step,
     random_game,
@@ -57,6 +49,9 @@ from regretsim import (
 )
 from regretsim.dynamics import EmpiricalPlay
 from regretsim.learners import ADAPTIVE_OPT_HEDGE, HEDGE
+from paper_lemmas import (check_circular_fourier_identity, check_freq_cauchy,
+                          circular_finite_difference, divergences, finite_difference_binomial,
+                          local_norms)
 
 
 def report(number: int, name: str, failures: list[str], elapsed: float | None = None) -> None:
@@ -197,10 +192,10 @@ def test_criterion_01_exact_formula_suite():
           np.all(circular_finite_difference([2.0] * 6, 3) == 0.0),
           "circular difference of constant")
 
-    check(failures, np.allclose(dft([1.0, 0.0, 0.0, 0.0]), np.ones(4), atol=1e-12),
+    check(failures, np.allclose(np.fft.fft([1.0, 0.0, 0.0, 0.0]), np.ones(4), atol=1e-12),
           "impulse spectrum")
     w = rng.normal(size=64)
-    back = idft(dft(w))
+    back = np.fft.ifft(np.fft.fft(w))
     check(failures,
           np.allclose(back.real, w, rtol=1e-10, atol=1e-12)
           and np.max(np.abs(back.imag)) < 1e-10,
@@ -218,7 +213,7 @@ def test_criterion_02_fourier_identities():
     for length in (4, 17, 64, 1024):
         for trial in range(100):
             w = rng.normal(size=length)
-            spectrum = dft(w)
+            spectrum = np.fft.fft(w)
             energy = float(np.sum(w * w))
             parseval = float(np.sum(np.abs(spectrum) ** 2)) / length
             if abs(parseval - energy) > 1e-10 * max(energy, 1e-300):

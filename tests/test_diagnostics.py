@@ -1,5 +1,6 @@
-"""Tests for divergences, finite differences, Fourier identities, and the
-trajectory-level bound audits."""
+"""Tests for the trajectory audits: finite differences and their decay profile,
+consecutive closeness, and the regret-bound and variance-inequality audits; and for
+the sequence identities behind the paper's lemmas, which live in ``paper_lemmas``."""
 
 import math
 import tracemalloc
@@ -13,20 +14,12 @@ from hypothesis.extra.numpy import arrays
 from regretsim import (
     LearnerConfig,
     regret_bound_terms,
-    check_circular_fourier_identity,
-    check_freq_cauchy,
     check_variance_inequality,
-    circular_finite_difference,
     consecutive_closeness,
-    dft,
-    divergences,
     fd_decay_profile,
     finite_difference,
-    finite_difference_binomial,
-    idft,
     init_state,
     intermediate_iterate,
-    local_norms,
     named_game,
     opt_hedge_step,
     random_game,
@@ -45,6 +38,9 @@ from regretsim.diagnostics import (
 from regretsim.dynamics import RunMetadata, Trajectory
 from regretsim.learners import ceil_log2, row_variances
 from regretsim.game import Game, _reduce_rows
+from paper_lemmas import (check_circular_fourier_identity, check_freq_cauchy,
+                          circular_finite_difference, divergences, finite_difference_binomial,
+                          local_norms)
 
 
 def dft_matrix(s):
@@ -272,17 +268,17 @@ class TestCircularFiniteDifference:
 
 class TestDft:
     def test_impulse(self):
-        np.testing.assert_allclose(dft([1.0, 0.0, 0.0, 0.0]), np.ones(4), atol=1e-12)
+        np.testing.assert_allclose(np.fft.fft([1.0, 0.0, 0.0, 0.0]), np.ones(4), atol=1e-12)
 
     def test_constant(self):
-        out = dft(np.full(5, 2.0))
+        out = np.fft.fft(np.full(5, 2.0))
         np.testing.assert_allclose(out[0], 10.0, atol=1e-12)
         np.testing.assert_allclose(out[1:], 0.0, atol=1e-12)
 
     def test_conjugate_symmetry_for_real_input(self):
         rng = np.random.default_rng(10)
         w = rng.normal(size=17)
-        spec = dft(w)
+        spec = np.fft.fft(w)
         for s in range(1, 17):
             assert spec[17 - s] == pytest.approx(np.conjugate(spec[s]), abs=1e-10)
 
@@ -290,7 +286,7 @@ class TestDft:
         rng = np.random.default_rng(11)
         for length in (4, 17, 64, 1024):
             w = rng.normal(size=length)
-            back = idft(dft(w))
+            back = np.fft.ifft(np.fft.fft(w))
             np.testing.assert_allclose(back.real, w, rtol=1e-10, atol=1e-10)
             np.testing.assert_allclose(back.imag, 0.0, atol=1e-10)
 
@@ -302,15 +298,15 @@ class TestDft:
             matrix = dft_matrix(length)
             direct = matrix @ w
             scale = np.abs(direct).max()
-            np.testing.assert_allclose(dft(w), direct, atol=1e-10 * scale)
-            np.testing.assert_allclose(idft(direct), np.conjugate(matrix) @ direct / length,
+            np.testing.assert_allclose(np.fft.fft(w), direct, atol=1e-10 * scale)
+            np.testing.assert_allclose(np.fft.ifft(direct), np.conjugate(matrix) @ direct / length,
                                        atol=1e-10 * scale)
 
     def test_parseval(self):
         rng = np.random.default_rng(13)
         for length in (4, 17, 64, 1024):
             w = rng.normal(size=length)
-            spec = dft(w)
+            spec = np.fft.fft(w)
             lhs = float(np.sum(w * w))
             rhs = float(np.sum(np.abs(spec) ** 2)) / length
             assert rhs == pytest.approx(lhs, rel=1e-10)
@@ -325,7 +321,7 @@ class TestFourierCircularFact:
     def test_random_length_64(self, h):
         rng = np.random.default_rng(15 + h)
         w = rng.normal(size=64)
-        scale = float(np.linalg.norm(dft(w)))
+        scale = float(np.linalg.norm(np.fft.fft(w)))
         assert check_circular_fourier_identity(w, h) <= 1e-10 * scale
 
 

@@ -57,14 +57,12 @@ def test_collector_sees_the_imports():
 # The package's public names. A removal or addition is a deliberate edit of this list.
 PUBLIC = [
     "ADAPTIVE_OPT_HEDGE", "BatchResult", "BoundTermBreakdown", "CceReport", "ClosenessReport",
-    "DivergenceValues", "EmpiricalPlay", "FiniteDifferenceProfile", "FreqCauchyReport", "Game",
-    "HEDGE", "LearnerConfig", "LearnerState", "OPT_HEDGE", "RegretEntry", "Trajectory",
-    "VarianceInequalityReport", "__version__", "adaptive_opt_hedge_step", "batch_run", "cce_gap",
-    "check_circular_fourier_identity", "check_freq_cauchy", "check_variance_inequality",
-    "circular_finite_difference", "consecutive_closeness", "dft", "diagnostics", "divergences",
-    "dynamics", "empirical_joint_distribution", "expected_loss_vector", "fd_decay_profile",
-    "finite_difference", "finite_difference_binomial", "game", "hedge_step", "idft", "init_state",
-    "intermediate_iterate", "joint_action_loss", "learners", "load_game_json", "local_norms",
+    "EmpiricalPlay", "FiniteDifferenceProfile", "Game", "HEDGE", "LearnerConfig", "LearnerState",
+    "OPT_HEDGE", "RegretEntry", "Trajectory", "VarianceInequalityReport", "__version__",
+    "adaptive_opt_hedge_step", "batch_run", "cce_gap", "check_variance_inequality",
+    "consecutive_closeness", "diagnostics", "dynamics", "empirical_joint_distribution",
+    "expected_loss_vector", "fd_decay_profile", "finite_difference", "game", "hedge_step",
+    "init_state", "intermediate_iterate", "joint_action_loss", "learners", "load_game_json",
     "named_game", "opt_hedge_step", "practical_eta", "random_game", "recommended_eta", "regret",
     "regret_bound_terms", "regret_report", "run", "run_streaming", "save_game_json",
     "uniform_strategy", "validate_game", "variance",
@@ -75,3 +73,25 @@ def test_public_surface_is_pinned():
     import regretsim
 
     assert sorted(regretsim.__all__) == PUBLIC
+
+
+# Identities that hold for every sequence, checked in tests/paper_lemmas.py, not the package.
+MOVED = [
+    "DivergenceValues", "FreqCauchyReport", "check_circular_fourier_identity", "check_freq_cauchy",
+    "circular_finite_difference", "dft", "divergences", "finite_difference_binomial", "idft",
+    "local_norms",
+]
+
+
+def test_sequence_identities_left_diagnostics():
+    from regretsim import diagnostics
+
+    assert [name for name in MOVED if hasattr(diagnostics, name)] == []
+
+
+def test_paper_lemmas_imports_no_package_module():
+    tree = ast.parse((Path(__file__).resolve().parent / "paper_lemmas.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and not [m for m in modules if m.split(".")[0] == "regretsim"]
