@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # Dense storage cap for the empirical joint distribution.
 DENSE_SUPPORT_LIMIT = 10**6
 
-# ``batch_run`` plays a shape's waiting games once their loss tensors reach this many bytes.
+# ``batch_run`` plays its waiting games once their loss tensors reach this many bytes.
 BATCH_BYTES = 2 * 2**20
 # ``_play`` records rounds in windows of at most this many (see there).
 WINDOW_ROUNDS = 64
@@ -71,109 +71,133 @@ def _check(game: Game, configs: Sequence[LearnerConfig], rounds: int) -> None:
 
 def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
           full_history: bool):
-    """The self-play loop behind every runner, over B checked games of one shape.
+    """The self-play loop behind every runner, over checked games of one player count.
 
-    Players that share an action count n, an update kind (Hedge, or the
-    optimistic rule of the other modes) and ``LearnerState.shift`` form a
-    group. Its strategies and losses live in two round-major (W + 1, m_g, B, n)
-    windows: the round in slot s reads its strategies and previous losses from
-    row s and writes its losses and next strategies into row s + 1. W is
-    ``WINDOW_ROUNDS``, less for a shorter horizon or where a window of all
-    strategies would pass BATCH_BYTES / 8. Arrays of -eta, the exponent and a
-    (m_g, B, 1) reduction buffer are made once, so the update allocates nothing
-    and broadcasts only that buffer. An adaptive player whose threshold is
-    below 2T (see ``init_state``) extends its two (B,) variance sums each round
-    by ``learners.row_variances`` and tests them against
-    ``learners.variance_budget``. A group whose players never use a step size
-    above 1 skips the max shift of the exponent, two of its calls per round,
-    since exp cannot overflow there (see ``learners``). Each round, each cell
-    (every player if one group holds them all, else one player) builds its
-    players' opponent joints as right folds, x_j1 * (x_j2 * (... * x_jk)), and
-    computes their expected losses into their rows of the group's loss window
-    in one contraction; then each group updates at once, repeating
-    ``learners.step`` row by row, bit for bit, so no game depends on its batch
-    nor a player on its group. Each full window, and the last, is recorded in
-    one step, and its last row copied to row 0, so no round copies a record.
-    The record is each player's (T, B, n_i) strategies and losses, views of its
-    group's (m_g, T, B, n) history, with ``full_history``, else its (B,)
-    cumulative losses and (B, n_i) per-action sums. Returns it, the final (B,
-    n_i) strategies and each player's (B,) switch rounds (0: none).
+    Each (game, player) is a row. Rows that share an action count n, an update
+    kind (Hedge, or the optimistic rule of the other modes) and
+    ``LearnerState.shift`` form a group, which may span shapes; the groups of
+    one kind and shift form a family. A family's strategies and losses live in
+    two round-major (W + 1, L) windows, whose columns hold its groups side by
+    side, each group's shapes in turn, each shape's players in order and each
+    player's (B_s, n) rows. The round in slot s reads row s and writes its
+    losses and next strategies into row s + 1. W is ``WINDOW_ROUNDS``, less for
+    a shorter horizon or where a window of all strategies would pass
+    BATCH_BYTES / 8. Each round, each cell of each shape (every player if one
+    group holds them all, else one player) computes its expected losses into
+    its rows in one contraction. Then each family runs the elementwise part of
+    the update once over its whole row, and each group its max shift (skipped
+    in a family that never uses a step size above 1; see ``learners``), keepdims
+    sum and divide: ``learners.step`` row by row, bit for bit, so no row depends
+    on its batch, group or family. An adaptive player whose threshold is below
+    2T (see ``init_state``) extends its two (B_s,) variance sums each round by
+    ``learners.row_variances`` and tests them against
+    ``learners.variance_budget``. Each full window, and the last, is recorded in
+    one step, and its last row copied to row 0. The record is each player's (T,
+    B_s, n_i) strategies and losses with ``full_history``, else its (B_s,)
+    cumulative losses and (B_s, n_i) per-action sums. Returns per shape, in
+    order of first appearance, the indices of its games, then per player its
+    record, final (B_s, n_i) strategies and (B_s,) switch rounds (0: none).
     """
-    batch, counts = len(games), games[0].action_counts
-    players = range(len(counts))
-    states = [learners.init_state(n, cfg.eta, cfg.mode, horizon=rounds, c_prime=cfg.c_prime)
-              for n, cfg in zip(counts, configs)]
-    var_sums = {i: np.zeros((2, batch)) for i, s in enumerate(states)
-                if s.mode == learners.ADAPTIVE_OPT_HEDGE and s.switch_threshold < 2 * rounds}
-    kinds = [(n, s.mode == learners.HEDGE, s.shift) for n, s in zip(counts, states)]
-    groups = [[i for i in players if kinds[i] == kind] for kind in dict.fromkeys(kinds)]
-    place = [(g, members.index(i)) for i in players
-             for g, members in enumerate(groups) if i in members]
-    shapes = [(len(members), batch, counts[members[0]]) for members in groups]
-    width = max(1, min(WINDOW_ROUNDS, rounds, BATCH_BYTES // (64 * batch * sum(counts))))
-    strategies = [np.full((width + 1,) + shape, 1.0 / shape[2]) for shape in shapes]
+    shapes = list(dict.fromkeys(game.action_counts for game in games))
+    members = [[k for k, game in enumerate(games) if game.action_counts == c] for c in shapes]
+    players = range(len(configs))
+    states = [[learners.init_state(n, cfg.eta, cfg.mode, horizon=rounds, c_prime=cfg.c_prime)
+               for n, cfg in zip(shape, configs)] for shape in shapes]
+    kinds = [[(n, s.mode == learners.HEDGE, s.shift) for n, s in zip(shape, row)]
+             for shape, row in zip(shapes, states)]
+    families = list(dict.fromkeys(kind[1:] for row in kinds for kind in row))
+    # place[h, i]: the family of player i's rows on shape h and their columns in it,
+    # after those of earlier groups, shapes and players; spans: per group, its
+    # family, columns and action count
+    place, spans, ends = {}, [], [0] * len(families)
+    for kind in sorted(dict.fromkeys(kind for row in kinds for kind in row),
+                       key=lambda kind: families.index(kind[1:])):
+        f = families.index(kind[1:])
+        start = ends[f]
+        for h, i in ((h, i) for h in range(len(shapes)) for i in players if kinds[h][i] == kind):
+            place[h, i] = f, ends[f], ends[f] + len(members[h]) * kind[0]
+            ends[f] = place[h, i][2]
+        spans.append((f, start, ends[f], kind[0]))
+    width = max(1, min(WINDOW_ROUNDS, rounds, BATCH_BYTES // (64 * sum(ends))))
+    strategies = [np.empty((width + 1, end)) for end in ends]
     # Without full_history, an x * loss row stands beside each loss row (see the record).
-    windows = [np.zeros((width + 1, 1 if full_history else 2) + shape) for shape in shapes]
+    windows = [np.zeros((width + 1, 1 if full_history else 2, end)) for end in ends]
     losses = [window[:, -1] for window in windows]
-    neg_etas = [np.stack([np.full(shape[1:], -states[i].eta) for i in members])
-                for members, shape in zip(groups, shapes)]
-    switch_rounds = [np.zeros(batch, dtype=int) for _ in players]
-    # A cell's players share one group, so their loss matrices share a shape.
-    cells = [list(players)] if len(groups) == 1 else [[i] for i in players]
-    # Each round a cell of c rows takes its opponents' strategies from its
-    # group's window row in one ``take`` into a (c, m - 1, B, n) buffer (a
-    # one-player cell views them in their windows, with c = 1, and a cell of two
-    # players views its row reversed, which holds each one's opponent), folds
-    # them from the right into preallocated buffers, each earlier opponent
-    # multiplied in as the new outer axis of the product so far, as
-    # ``expected_loss_vector`` does, so the inner loop runs over that product
-    # and the (c, B, N) joint comes out in ``loss_matrix``'s row-major opponent
-    # order, and ``matmul``s that column with its (c, B, n_i, N) ``loss_matrix``
-    # results into its rows of the loss window. The buffers serve every slot.
+    neg_etas = [np.empty(end) for end in ends]
+    for (h, i), (f, a, b) in place.items():
+        strategies[f][:, a:b], neg_etas[f][a:b] = 1.0 / shapes[h][i], -states[h][i].eta
+
+    def rows(arrays, h, i, c=1):
+        """(..., c, B_s, n_i) views of player i's rows on shape h and the next c - 1."""
+        f, a, b = place[h, i]
+        array = arrays[f][..., a:a + c * (b - a)]
+        return array.reshape(array.shape[:-1] + (c, len(members[h]), shapes[h][i]))
+
+    switch_rounds = [[np.zeros(len(ks), dtype=int) for _ in players] for ks in members]
+    switches = [(np.zeros((2, len(members[h]))), rows(strategies, h, i)[:, 0],
+                 rows(losses, h, i)[:, 0], rows(neg_etas, h, i)[0], switch_rounds[h][i], s)
+                for h, row in enumerate(states) for i, s in enumerate(row)
+                if s.mode == learners.ADAPTIVE_OPT_HEDGE and s.switch_threshold < 2 * rounds]
+    # Each round a cell of c rows takes its opponents' strategies from its window
+    # row: in one ``take`` into a (c, m - 1, B, n) buffer, as views of their rows
+    # in a one-player cell, or as its two rows reversed. It folds them from the
+    # right, x_j1 * (x_j2 * (... * x_jk)), into preallocated buffers, each earlier
+    # opponent the new outer axis, as ``expected_loss_vector`` does, so the (c, B,
+    # N) joint comes out in ``loss_matrix``'s opponent order, and ``matmul``s it
+    # with its (c, B, n_i, N) loss matrices into its rows of the loss window.
     contractions = []
-    for cell in cells:
-        (g, k), c, n = place[cell[0]], len(cell), counts[cell[0]]
-        lead = (c, batch)
-        if lead == (1, 1):  # player 0 views its tensor; another keeps loss_matrix's copy
-            mat = loss_matrix(games[0], cell[0])[None, None]
-        else:
-            # A cell row is its player's tensors stacked over the batch, each laid out as
-            # loss_matrix lays it out: the player's axis first, the opponents' in order.
-            mat = np.empty(lead + (n, games[0].profile_count // n))
-            for a, i in enumerate(cell):
-                stack = np.stack([game.loss_tensors[i] for game in games])
-                mat[a] = np.moveaxis(stack, i + 1, 1).reshape(batch, n, -1)
-        opponents = [[j for j in players if j != i] for i in cell]
-        gathers, sources = None, [strategies[g][:width, ::-1]]  # the cell of two players
-        if c == 1:
-            sources = [strategies[place[j][0]][:width, place[j][1], None] for j in opponents[0]]
-        elif c > 2:
-            gathered = np.empty((c, len(counts) - 1) + shapes[g][1:])
-            gathers = [partial(x.take, np.array(opponents), 0, gathered, "clip")
-                       for x in strategies[g][:width]]
-            sources = [np.broadcast_to(x, (width,) + x.shape) for x in gathered.swapaxes(0, 1)]
-        *factors, joint = sources
-        chain = []
-        for factor in reversed(factors):
-            product = np.empty(factor.shape[1:] + joint.shape[-1:])
-            chain.append((list(factor[..., :, None]), list(joint[..., None, :]), product))
-            joint = product.reshape(lead + (-1,))
-            joint = np.broadcast_to(joint, (width,) + joint.shape)
-        contractions.append((gathers, chain, mat, list(joint[..., None]),
-                             list(losses[g][1:, k:k + c, ..., None])))
-    # Per group: its windows as lists of rows, -eta, work arrays, kind and shift.
-    updates = [(list(x), list(loss), neg_eta, np.empty(shape), np.empty(shape[:2] + (1,)),
-                *kinds[members[0]][1:]) for members, shape, x, loss, neg_eta
-               in zip(groups, shapes, strategies, losses, neg_etas)]
+    for h, (counts, ks) in enumerate(zip(shapes, members)):
+        # A cell's players share one group, so their loss matrices share a shape.
+        cells = [list(players)] if len(set(kinds[h])) == 1 else [[i] for i in players]
+        for cell in cells:
+            c, n = len(cell), counts[cell[0]]
+            lead = (c, len(ks))
+            if lead == (1, 1):  # player 0 views its tensor; another keeps loss_matrix's copy
+                mat = loss_matrix(games[ks[0]], cell[0])[None, None]
+            else:
+                # A cell row is its player's tensors stacked over the batch, each laid out as
+                # loss_matrix lays it out: the player's axis first, the opponents' in order.
+                mat = np.empty(lead + (n, games[ks[0]].profile_count // n))
+                for a, i in enumerate(cell):
+                    stack = np.stack([games[k].loss_tensors[i] for k in ks])
+                    mat[a] = np.moveaxis(stack, i + 1, 1).reshape(len(ks), n, -1)
+            opponents = [[j for j in players if j != i] for i in cell]
+            own = rows(strategies, h, cell[0], c)[:width]
+            gathers, sources = None, [own[:, ::-1]]  # the cell of two players
+            if c == 1:
+                sources = [rows(strategies, h, j)[:width] for j in opponents[0]]
+            elif c > 2:
+                gathered = np.empty((c, len(counts) - 1) + own.shape[2:])
+                gathers = [partial(x.take, np.array(opponents), 0, gathered, "clip")
+                           for x in own]
+                sources = [np.broadcast_to(x, (width,) + x.shape) for x in gathered.swapaxes(0, 1)]
+            *factors, joint = sources
+            chain = []
+            for factor in reversed(factors):
+                product = np.empty(factor.shape[1:] + joint.shape[-1:])
+                chain.append((list(factor[..., :, None]), list(joint[..., None, :]), product))
+                joint = product.reshape(lead + (-1,))
+                joint = np.broadcast_to(joint, (width,) + joint.shape)
+            contractions.append((gathers, chain, mat, list(joint[..., None]),
+                                 list(rows(losses, h, cell[0], c)[1:, ..., None])))
+    # Per family: its windows as lists of rows, -eta, the exponent, kind, shift, and per
+    # group its exponent, reduction buffer and next strategies, as (rows, n) views:
+    # made once, so the update allocates nothing and broadcasts only that buffer.
+    updates = []
+    for f, (x, loss, neg_eta, kind) in enumerate(zip(strategies, losses, neg_etas, families)):
+        e = np.empty(len(neg_eta))
+        parts = [(e[a:b].reshape(-1, n), np.empty(((b - a) // n, 1)),
+                  list(x[1:, a:b].reshape(width, -1, n))) for g, a, b, n in spans if g == f]
+        updates.append((list(x), list(loss), neg_eta, e, *kind, parts))
     if full_history:
-        played, seen = ([np.empty(shape[:1] + (rounds,) + shape[1:]) for shape in shapes]
-                        for _ in range(2))
+        played, seen = ({key: np.empty((rounds,) + rows(strategies, *key).shape[2:])
+                         for key in place} for _ in range(2))
     else:
-        # Per group: the (x * loss, loss) sums. Put in row 0 of a window, they take its
+        # Per family: the (x * loss, loss) sums. Put in row 0 of a window, they take its
         # rows in round order in one add.reduce, as per-round adds would, since each row
         # holds two or more numbers: rows of one number numpy sums pairwise.
-        running = [np.zeros((2,) + shape) for shape in shapes]
-    # Local names for the ufuncs the loop calls T times per group.
+        running = [np.zeros((2, end)) for end in ends]
+    # Local names for the ufuncs the loop calls T times per family or group.
     maximum, total, exp = np.maximum.reduce, np.add.reduce, np.exp
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     for t0 in range(0, rounds, width):
@@ -185,18 +209,17 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
                 for factors, joints, product in chain:
                     multiply(factors[s], joints[s], product)
                 np.matmul(mat, columns[s], outs[s])
-            for i, sums in var_sums.items():
-                (g, k), fired = place[i], switch_rounds[i]
-                x, loss, prev = strategies[g][s, k], losses[g][s + 1, k], losses[g][s, k]
+            for sums, xs, ls, neg_eta, fired, state in switches:
+                x, loss, prev = xs[s], ls[s + 1], ls[s]
                 sums[0] += learners.row_variances(x, loss - prev)
                 sums[1] += learners.row_variances(x, prev)
                 if t0 + s + 1 >= learners.MIN_SWITCH_ROUND:
-                    budget = learners.variance_budget(sums[1], states[i].switch_threshold)
+                    budget = learners.variance_budget(sums[1], state.switch_threshold)
                     fire = (fired == 0) & (sums[0] > budget)
                     fired[fire] = t0 + s + 1
-                    neg_etas[g][k][fire] = -states[i].eta_post
-            for xs, ls, neg_eta, e, red, is_hedge, shift in updates:
-                x, loss, prev = xs[s], ls[s + 1], ls[s]
+                    neg_eta[fire] = -state.eta_post
+            for xs, ls, neg_eta, e, is_hedge, shift, parts in updates:
+                loss, prev = ls[s + 1], ls[s]
                 if is_hedge:
                     multiply(loss, neg_eta, e)
                 else:
@@ -205,26 +228,31 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
                     subtract(e, prev, e)
                     multiply(e, neg_eta, e)
                 if shift:
-                    maximum(e, -1, None, red, True)
-                    subtract(e, red, e)
+                    for eg, red, _ in parts:
+                        maximum(eg, -1, None, red, True)
+                        subtract(eg, red, eg)
                 exp(e, e)
-                multiply(e, x, e)
-                total(e, -1, None, red, True)
-                divide(e, red, xs[s + 1])
-        for g, (x, loss) in enumerate(zip(strategies, losses)):
-            if full_history:
-                played[g][:, t0:t0 + w] = x[:w].swapaxes(0, 1)
-                seen[g][:, t0:t0 + w] = loss[1:w + 1].swapaxes(0, 1)
-            else:
-                rows = windows[g][:w + 1]
-                rows[0] = running[g]  # over the spent previous losses of slot 0
-                multiply(x[:w], loss[1:w + 1], rows[1:, 0])
-                total(rows, 0, None, running[g])
+                multiply(e, xs[s], e)
+                for eg, red, nexts in parts:
+                    total(eg, -1, None, red, True)
+                    divide(eg, red, nexts[s])
+        if full_history:
+            for key in place:
+                played[key][t0:t0 + w] = rows(strategies, *key)[:w, 0]
+                seen[key][t0:t0 + w] = rows(losses, *key)[1:w + 1, 0]
+        for f, (x, loss) in enumerate(zip(strategies, losses)):
+            if not full_history:
+                window = windows[f][:w + 1]
+                window[0] = running[f]  # over the spent previous losses of slot 0
+                multiply(x[:w], loss[1:w + 1], window[1:, 0])
+                total(window, 0, None, running[f])
             x[0], loss[0] = x[w], loss[w]
     if not full_history:
-        played, seen = [sums[0].sum(-1) for sums in running], [sums[1] for sums in running]
-    finals = [x[0] for x in strategies]
-    return [[arrays[g][k] for g, k in place] for arrays in (played, seen, finals)] + [switch_rounds]
+        played = {key: rows(running, *key)[0, 0].sum(-1) for key in place}
+        seen = {key: rows(running, *key)[1, 0] for key in place}
+    return [(ks, *([records[h, i] for i in players] for records in (played, seen)),
+             [rows(strategies, h, i)[0, 0] for i in players], switch_rounds[h])
+            for h, ks in enumerate(members)]
 
 
 def _metadata(configs: Sequence[LearnerConfig], switch_rounds) -> RunMetadata:
@@ -243,7 +271,7 @@ def _regrets(cumulative, action_cumulative):
 def run(game: Game, configs: Sequence[LearnerConfig], rounds: int) -> Trajectory:
     """Play ``rounds`` rounds of simultaneous self-play and record everything."""
     _check(game, configs, rounds)
-    strategies, losses, _, switch_rounds = _play([game], configs, rounds, full_history=True)
+    (_, strategies, losses, _, switch_rounds), = _play([game], configs, rounds, full_history=True)
     return Trajectory(game=game, rounds=rounds, strategies=[s[:, 0] for s in strategies],
                       losses=[l[:, 0] for l in losses],
                       metadata=_metadata(configs, switch_rounds))
@@ -265,7 +293,7 @@ class StreamingSummary:
 def run_streaming(game: Game, configs: Sequence[LearnerConfig], rounds: int) -> StreamingSummary:
     """Like ``run`` but stores only regret-relevant running sums (O(sum n_i))."""
     _check(game, configs, rounds)
-    cumulative, action_cumulative, final, switch_rounds = _play(
+    (_, cumulative, action_cumulative, final, switch_rounds), = _play(
         [game], configs, rounds, full_history=False)
     total_regret, best_actions = _regrets(cumulative, action_cumulative)
     return StreamingSummary(
@@ -407,35 +435,36 @@ def batch_run(game_source: Callable[[int], Game], seeds: Sequence[int],
     """One streaming run of ``game_source(seed)`` per seed; results follow ``seeds``.
 
     Self-play is deterministic, so seeds that map to one game give equal
-    results. Each game is checked as it is built, then waits with the games of
-    its ``action_counts``; they are played in one ``_play`` batch, and
-    dropped, once they hold ``BATCH_BYTES`` of loss tensors, or at the end.
-    A game's result does not depend on the other games of its batch. It
-    equals ``regret_report(run(...))`` up to the order in which the
-    cumulative losses are summed.
+    results. Each game is checked as it is built, then joins one pool of
+    waiting games, whatever its ``action_counts``. The pool is played in one
+    ``_play`` batch, and dropped, once its games hold ``BATCH_BYTES`` of loss
+    tensors, or at the end. A game's result does not depend on the other
+    games of its batch. It equals ``regret_report(run(...))`` up to the order
+    in which the cumulative losses are summed.
     """
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
     results = [None] * len(seeds)
 
-    def play(members):
-        cumulative, action_cumulative, _, _ = _play([game for _, game in members], configs,
-                                                    rounds, full_history=False)
-        regrets, best = _regrets(cumulative, action_cumulative)
-        for (k, _), regret_row, best_row in zip(members, regrets, best):
-            results[k] = BatchResult(seed=seeds[k], total_regrets=regret_row.tolist(),
-                                     best_actions=best_row.tolist())
+    def play(pool):
+        for ks, cumulative, action_cumulative, _, _ in _play(
+                [game for _, game in pool], configs, rounds, full_history=False):
+            regrets, best = _regrets(cumulative, action_cumulative)
+            for k, regret_row, best_row in zip([pool[j][0] for j in ks], regrets, best):
+                results[k] = BatchResult(seed=seeds[k], total_regrets=regret_row.tolist(),
+                                         best_actions=best_row.tolist())
 
-    waiting: dict[tuple[int, ...], list[tuple[int, Game]]] = {}
+    pool, held = [], 0
     for k, seed in enumerate(seeds):
         game = game_source(seed)
         _check(game, configs, rounds)
-        members = waiting.setdefault(game.action_counts, [])
-        members.append((k, game))
-        if len(members) * sum(tensor.nbytes for tensor in game.loss_tensors) >= BATCH_BYTES:
-            play(waiting.pop(game.action_counts))
-    for members in waiting.values():
-        play(members)
+        pool.append((k, game))
+        held += sum(tensor.nbytes for tensor in game.loss_tensors)
+        if held >= BATCH_BYTES:
+            play(pool)
+            pool, held = [], 0
+    if pool:
+        play(pool)
     return results
 
 

@@ -382,7 +382,8 @@ class TestBatchRun:
         source = lambda s: random_game(2, (3, 3) if s % 3 == 0 else (2, 2), seed=s)
         seeds, configs = list(range(1, 11)), [LearnerConfig(eta=0.3)] * 2
         whole = batch_run(source, seeds, configs, 32)
-        assert sizes == [7, 3]
+        # games of every shape wait in one pool, which fits in BATCH_BYTES: one batch
+        assert sizes == [10]
         # a 2x2 game holds 64 bytes of loss tensors and a 3x3 game 144, so the
         # 2x2 games play in pairs, the last one alone at the end, and 3x3 games alone
         monkeypatch.setattr(dynamics, "BATCH_BYTES", 128)
@@ -440,6 +441,14 @@ class TestBatchRun:
     # and only the second in that of 2
     @example(counts=[(3, 3), (2, 2)], seeds=[0, 1, 2, 4, 9],
              modes=["adaptive_opt_hedge"] * 3, etas=[2.0] * 3, c_prime=0.0, rounds=48)
+    # the benchmark's mix: 2x2, 3x3 and 8x8 games interleaved in one batch, whose
+    # three groups, one per shape, form one family
+    @example(counts=[(2, 2), (3, 3), (8, 8)], seeds=[0, 1, 2, 3, 4, 5, 6, 7, 8],
+             modes=["opt_hedge"] * 3, etas=[0.1] * 3, c_prime=0.0, rounds=48)
+    # the group of three actions spans both shapes: the first player of the 3x2
+    # games and both players of the 3x3 games
+    @example(counts=[(3, 2), (3, 3)], seeds=[0, 1, 2, 3, 4, 5],
+             modes=["opt_hedge"] * 3, etas=[0.4, 0.4, 0.1], c_prime=0.0, rounds=48)
     def test_matches_per_game_run(self, counts, seeds, modes, etas, c_prime, rounds):
         m = len(counts[0])
         source = lambda s: random_game(m, counts[s % len(counts)], seed=s)
@@ -479,14 +488,16 @@ class TestRecordWindow:
         # 4096 2x2 games hold 256 KiB of loss tensors and 128 KiB of strategies a
         # round, so the byte cap holds their window to two rounds, as long at
         # T = 256 as at T = 4; an uncapped one of 64 rounds would take about 100
-        # times the loss tensors
-        games = [random_game(2, (2, 2), seed=s) for s in range(4096)]
-        tensors = sum(t.nbytes for game in games for t in game.loss_tensors)
+        # times the loss tensors. 2048 2x2 and 2048 3x3 games, in one pool, hold
+        # 416 KiB of loss tensors and 160 KiB of strategies a round: one round.
         configs = [LearnerConfig(eta=0.3)] * 2
-        for rounds in (4, 256):
-            peak = traced_peak(lambda: batch_run(games.__getitem__, range(len(games)),
-                                                 configs, rounds))
-            assert peak < 12 * tensors, (rounds, peak, tensors)
+        for shapes in ([(2, 2)], [(2, 2), (3, 3)]):
+            games = [random_game(2, shapes[s % len(shapes)], seed=s) for s in range(4096)]
+            tensors = sum(t.nbytes for game in games for t in game.loss_tensors)
+            for rounds in (4, 256):
+                peak = traced_peak(lambda: batch_run(games.__getitem__, range(len(games)),
+                                                     configs, rounds))
+                assert peak < 12 * tensors, (shapes, rounds, peak, tensors)
 
     def test_streaming_record_does_not_grow_with_the_horizon(self):
         # the full history of T = 2^12 rounds would take 768 KiB; the slack is for
@@ -628,6 +639,12 @@ class TestEngineMatchesReference:
              etas=[1.0] * 4, c_prime=0.0, rounds=48)
     @example(counts=[2, 2], game_seed=4, modes=["hedge"] * 4,
              etas=[ABOVE_ONE] * 4, c_prime=0.0, rounds=48)
+    # two optimistic groups, of two actions (the first and last players) and of
+    # three, in one family at B = 1; the adaptive first player switches at round
+    # 8, inside a window of 2, 3 or 64 rounds
+    @example(counts=[2, 3, 2], game_seed=41,
+             modes=["adaptive_opt_hedge", "opt_hedge", "opt_hedge", "opt_hedge"],
+             etas=[1.0, 0.6, 0.9, 0.1], c_prime=0.0, rounds=48)
     def test_run_and_streaming_match_step_loop(self, counts, game_seed, modes, etas,
                                                c_prime, rounds):
         game = random_game(len(counts), counts, seed=game_seed)
