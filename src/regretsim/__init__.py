@@ -18,7 +18,6 @@ from .diagnostics import (
     check_variance_inequality,
     consecutive_closeness,
     fd_decay_profile,
-    finite_difference,
 )
 from .dynamics import (
     BatchResult,
@@ -39,12 +38,10 @@ from .dynamics import (
 from .game import (
     Game,
     expected_loss_vector,
-    joint_action_loss,
     load_game_json,
     named_game,
     random_game,
     save_game_json,
-    uniform_strategy,
     validate_game,
 )
 from .learners import (
@@ -55,7 +52,6 @@ from .learners import (
     adaptive_opt_hedge_step,
     hedge_step,
     init_state,
-    intermediate_iterate,
     opt_hedge_step,
     practical_eta,
     recommended_eta,

@@ -25,21 +25,6 @@ from .learners import (DEFAULT_C_PRIME, OPT_HEDGE, ceil_log2, row_variances, var
 _C_COEFF_EPS = 1e-15
 
 
-def finite_difference(seq: np.ndarray, h: int) -> np.ndarray:
-    """Order-h finite difference of a sequence (first axis is time).
-
-    Defined recursively: order 0 is the sequence itself, and each further
-    order takes consecutive differences, shortening the sequence by one.
-    """
-    out = np.asarray(seq, dtype=np.float64)
-    t = out.shape[0]
-    if not 0 <= h <= t - 1:
-        raise ValueError(f"order h={h} out of range [0, {t - 1}]")
-    for _ in range(h):
-        out = out[1:] - out[:-1]
-    return out
-
-
 @dataclass
 class FiniteDifferenceProfile:
     """Sup norms of the finite differences of a loss sequence.
@@ -65,16 +50,17 @@ def _fd_walk(seq: np.ndarray, h_max: int):
     """(order h, first row, |Delta^h seq| on its rows as an (rows, n) block) for each
     ``AUDIT_BLOCK_ROWS`` rows of orders 0..h_max, once the call has checked ``h_max``.
 
-    Each block is ``finite_difference`` of its rows of ``seq`` and the h after
-    them, so every row is computed as the whole-array form computes it, and no
-    full-length order is held. Consumers reduce each block: the profile takes
-    the block's max, and the values CSV each row's, with ``_reduce_rows``.
+    Each block is ``np.diff`` of order h (a[1:] - a[:-1], h times) of its rows
+    of ``seq`` and the h after them, so every row is computed as the
+    whole-array form computes it, and no full-length order is held. Consumers
+    reduce each block: the profile takes the block's max, and the values CSV
+    each row's, with ``_reduce_rows``.
     """
     t = len(seq)
     if not 0 <= h_max <= t - 1:
         raise ValueError(f"h_max={h_max} out of range [0, {t - 1}]")
     base = np.asarray(seq, dtype=np.float64).reshape(t, -1)
-    return ((h, start, np.abs(finite_difference(base[start:start + AUDIT_BLOCK_ROWS + h], h)))
+    return ((h, start, np.abs(np.diff(base[start:start + AUDIT_BLOCK_ROWS + h], n=h, axis=0)))
             for h in range(h_max + 1) for start in range(0, t - h, AUDIT_BLOCK_ROWS))
 
 

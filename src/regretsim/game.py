@@ -83,13 +83,6 @@ def _reduce_rows(ufunc, block: np.ndarray) -> np.ndarray:
     return reduce(lambda out, column: ufunc(out, column, out=out), block.T[1:], block[:, 0].copy())
 
 
-def uniform_strategy(n: int) -> np.ndarray:
-    """Uniform mixed strategy on n actions."""
-    if n < 1:
-        raise ValueError(f"action count must be >= 1, got {n}")
-    return np.full(n, 1.0 / n)
-
-
 def validate_game(game: Game) -> list[str]:
     """Check all game invariants; returns a list of violations (empty = ok).
 
@@ -132,20 +125,6 @@ def validate_game(game: Game) -> list[str]:
     return violations
 
 
-def joint_action_loss(game: Game, player: int, profile: Sequence[int]) -> float:
-    """Loss experienced by ``player`` at the joint action ``profile`` (0-indexed)."""
-    if not 0 <= player < game.num_players:
-        raise IndexError(f"player index {player} out of range for {game.num_players} players")
-    if len(profile) != game.num_players:
-        raise ValueError(
-            f"profile has {len(profile)} actions, expected {game.num_players}"
-        )
-    for j, (a, n) in enumerate(zip(profile, game.action_counts)):
-        if not 0 <= a < n:
-            raise IndexError(f"action {a} out of range [0, {n}) for player {j}")
-    return float(game.loss_tensors[player][tuple(int(a) for a in profile)])
-
-
 def loss_matrix(game: Game, player: int) -> np.ndarray:
     """Player's loss tensor as an (n_i, prod n_{-i}) matrix.
 
@@ -186,9 +165,8 @@ def expected_loss_vector(game: Game, player: int, strategies: Sequence[np.ndarra
     return loss_matrix(game, player) @ joint.reshape(-1)
 
 
-def random_game(m: int, action_counts: Sequence[int], seed: int,
-                name: str | None = None) -> Game:
-    """Game with i.i.d. uniform [0, 1] losses from a seeded generator.
+def random_game(m: int, action_counts: Sequence[int], seed: int) -> Game:
+    """Game named ``random_<seed>`` with i.i.d. uniform [0, 1] losses from a seeded generator.
 
     The same seed yields a bit-identical game.
     """
@@ -205,7 +183,7 @@ def random_game(m: int, action_counts: Sequence[int], seed: int,
     tensors = tuple(rng.random(action_counts) for _ in range(m))
     for tensor in tensors:  # fresh and read-only, so Game keeps them without a copy
         tensor.setflags(write=False)
-    return Game(m, action_counts, tensors, name=name or f"random_{seed}")
+    return Game(m, action_counts, tensors, name=f"random_{seed}")
 
 
 def named_game(name: str) -> Game:

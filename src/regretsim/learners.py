@@ -186,16 +186,6 @@ def opt_hedge_step(state: LearnerState, loss: np.ndarray) -> LearnerState:
     return replace(state, strategy=strategy, prev_loss=arr.copy(), round=state.round + 1)
 
 
-def intermediate_iterate(state: LearnerState, loss: np.ndarray) -> np.ndarray:
-    """Auxiliary iterate using the single-step loss difference in the exponent.
-
-    Purely diagnostic: returns the distribution proportional to
-    strategy * exp(-eta * (loss - prev_loss)) without touching the state.
-    """
-    arr = _checked_loss(state, loss)
-    return _exp_weights(state.strategy, -state.eta * (arr - state.prev_loss), state.shift)
-
-
 def adaptive_opt_hedge_step(state: LearnerState, loss: np.ndarray) -> LearnerState:
     """Optimistic step with the adversarial fallback test.
 

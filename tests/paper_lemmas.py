@@ -1,9 +1,9 @@
 """Sequence identities behind the paper's lemmas, checked on arbitrary sequences.
 
-Divergences and local norms, the binomial form of finite differences, circular
-finite differences, their Fourier transform identity, and the difference-energy
-inequality. Each holds for every sequence, whatever the dynamics, so nothing
-here imports ``regretsim``.
+The auxiliary iterate, divergences and local norms, finite differences and
+their binomial form, circular finite differences, their Fourier transform
+identity, and the difference-energy inequality. Each holds for every
+sequence, whatever the dynamics, so nothing here imports ``regretsim``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def intermediate_iterate(strategy: np.ndarray, prev_loss: np.ndarray, loss: np.ndarray,
+                         eta: float) -> np.ndarray:
+    """The auxiliary iterate x~: ``strategy`` * exp(-eta * (loss - prev_loss)), normalized.
+
+    The exponent is shifted by its max first, which changes the result only by
+    rounding and keeps exp finite for any finite losses. Inputs are not modified.
+    """
+    loss, prev_loss = np.asarray(loss, dtype=np.float64), np.asarray(prev_loss, dtype=np.float64)
+    exponent = -eta * (loss - prev_loss)
+    w = np.asarray(strategy, dtype=np.float64) * np.exp(exponent - exponent.max())
+    return w / w.sum()
 
 
 def local_norms(probs: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -59,6 +72,21 @@ def divergences(p: np.ndarray, q: np.ndarray) -> DivergenceValues:
     qpos = qa > 0.0
     chi2 = float(np.sum((pa[qpos] - qa[qpos]) ** 2 / qa[qpos]))
     return DivergenceValues(kl=kl, chi2=chi2)
+
+
+def finite_difference(seq: np.ndarray, h: int) -> np.ndarray:
+    """Order-h finite difference of a sequence (first axis is time).
+
+    Defined recursively: order 0 is the sequence itself, and each further
+    order takes consecutive differences, shortening the sequence by one.
+    """
+    out = np.asarray(seq, dtype=np.float64)
+    t = out.shape[0]
+    if not 0 <= h <= t - 1:
+        raise ValueError(f"order h={h} out of range [0, {t - 1}]")
+    for _ in range(h):
+        out = out[1:] - out[:-1]
+    return out
 
 
 def finite_difference_binomial(seq: np.ndarray, h: int, t: int):

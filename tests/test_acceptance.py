@@ -34,10 +34,8 @@ from regretsim import (
     consecutive_closeness,
     empirical_joint_distribution,
     fd_decay_profile,
-    finite_difference,
     hedge_step,
     init_state,
-    intermediate_iterate,
     named_game,
     opt_hedge_step,
     random_game,
@@ -50,8 +48,8 @@ from regretsim import (
 from regretsim.dynamics import EmpiricalPlay
 from regretsim.learners import ADAPTIVE_OPT_HEDGE, HEDGE
 from paper_lemmas import (check_circular_fourier_identity, check_freq_cauchy,
-                          circular_finite_difference, divergences, finite_difference_binomial,
-                          local_norms)
+                          circular_finite_difference, divergences, finite_difference,
+                          finite_difference_binomial, intermediate_iterate, local_norms)
 
 
 def report(number: int, name: str, failures: list[str], elapsed: float | None = None) -> None:
@@ -148,13 +146,14 @@ def test_criterion_01_exact_formula_suite():
     check(failures, abs(new.strategy[0] - 0.450166) < 1e-6, "optimistic closed form (decimal)")
 
     state = init_state(2, 0.1, "opt_hedge")
-    tilde = intermediate_iterate(state, np.array([1.0, 0.0]))
+    tilde = intermediate_iterate(state.strategy, state.prev_loss, [1.0, 0.0], state.eta)
     check(failures, abs(tilde[0] - 0.475021) < 1e-6, "intermediate iterate closed form")
     loss = np.array([0.3, 0.8])
     fixed = init_state(2, 0.1, "opt_hedge")
     fixed = opt_hedge_step(fixed, loss)
     check(failures,
-          np.allclose(intermediate_iterate(fixed, loss), fixed.strategy, atol=1e-12),
+          np.allclose(intermediate_iterate(fixed.strategy, fixed.prev_loss, loss, fixed.eta),
+                      fixed.strategy, atol=1e-12),
           "intermediate iterate fixed point at equal losses")
 
     check(failures, abs(variance([0.5, 0.5], [0.0, 1.0]) - 0.25) < 1e-15, "variance symmetric")

@@ -17,9 +17,7 @@ from regretsim import (
     check_variance_inequality,
     consecutive_closeness,
     fd_decay_profile,
-    finite_difference,
     init_state,
-    intermediate_iterate,
     named_game,
     opt_hedge_step,
     random_game,
@@ -39,8 +37,8 @@ from regretsim.dynamics import RunMetadata, Trajectory
 from regretsim.learners import ceil_log2, row_variances
 from regretsim.game import Game, _reduce_rows
 from paper_lemmas import (check_circular_fourier_identity, check_freq_cauchy,
-                          circular_finite_difference, divergences, finite_difference_binomial,
-                          local_norms)
+                          circular_finite_difference, divergences, finite_difference,
+                          finite_difference_binomial, intermediate_iterate, local_norms)
 
 
 def dft_matrix(s):
@@ -135,7 +133,7 @@ class TestLocalNorms:
         state = init_state(5, 0.3, "opt_hedge")
         for _ in range(50):
             loss = rng.random(5)
-            tilde = intermediate_iterate(state, loss)
+            tilde = intermediate_iterate(state.strategy, state.prev_loss, loss, state.eta)
             _, dual = local_norms(state.strategy, state.strategy - tilde)
             chi2 = divergences(tilde, state.strategy).chi2
             assert dual**2 == pytest.approx(chi2, rel=1e-10, abs=1e-15)

@@ -24,7 +24,6 @@ from regretsim import (
     regret_report,
     run,
     run_streaming,
-    uniform_strategy,
 )
 from regretsim.dynamics import (
     AUDIT_BLOCK_ROWS,
@@ -63,7 +62,7 @@ class TestRun:
         game = random_game(3, (2, 3, 2), seed=4)
         traj = run(game, [LearnerConfig(eta=0.1)] * 3, 5)
         for i, n in enumerate(game.action_counts):
-            np.testing.assert_array_equal(traj.strategies[i][0], uniform_strategy(n))
+            np.testing.assert_array_equal(traj.strategies[i][0], np.full(n, 1 / n))
 
     def test_determinism(self):
         game = random_game(2, (2, 2), seed=3)

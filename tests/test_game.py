@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 from regretsim import (
     Game,
     expected_loss_vector,
-    joint_action_loss,
     load_game_json,
     named_game,
     random_game,
     save_game_json,
-    uniform_strategy,
     validate_game,
 )
 from regretsim.game import (AUDIT_BLOCK_ROWS, _profile_count, game_from_dict, game_to_dict,
@@ -125,24 +123,6 @@ class TestValidateGame:
         assert _profile_count((10**10, 10**10)) == 10**20
 
 
-class TestJointActionLoss:
-    def test_matching_pennies_values(self):
-        game = named_game("matching_pennies")
-        assert joint_action_loss(game, 0, (0, 0)) == 1.0
-        assert joint_action_loss(game, 1, (0, 0)) == 0.0
-        assert joint_action_loss(game, 0, (0, 1)) == 0.0
-        assert joint_action_loss(game, 1, (0, 1)) == 1.0
-
-    def test_out_of_range_action(self):
-        game = named_game("matching_pennies")
-        with pytest.raises(IndexError):
-            joint_action_loss(game, 0, (2, 0))
-        with pytest.raises(IndexError):
-            joint_action_loss(game, 0, (-1, 0))
-        with pytest.raises(IndexError):
-            joint_action_loss(game, 2, (0, 0))
-
-
 class TestExpectedLossVector:
     def test_matching_pennies_uniform_opponent(self):
         game = named_game("matching_pennies")
@@ -158,7 +138,7 @@ class TestExpectedLossVector:
         c = 0.375
         tensors = tuple(np.full((2, 3, 2), c) for _ in range(3))
         game = Game(3, (2, 3, 2), tensors)
-        strategies = [uniform_strategy(2), uniform_strategy(3), uniform_strategy(2)]
+        strategies = [np.full(n, 1 / n) for n in (2, 3, 2)]
         for i in range(3):
             ell = expected_loss_vector(game, i, strategies)
             np.testing.assert_allclose(ell, c, atol=1e-15)
@@ -194,7 +174,7 @@ class TestExpectedLossVector:
                         deviated = list(profile)
                         deviated[i] = j
                         assert ell[j] == pytest.approx(
-                            joint_action_loss(game, i, deviated), abs=1e-12)
+                            game.loss_tensors[i][tuple(deviated)], abs=1e-12)
 
     def test_enumeration_and_contraction_agree(self):
         # the explicit sum over opponent profiles and the einsum contraction
@@ -289,8 +269,8 @@ class TestNamedGames:
         for a in range(2):
             for b in range(2):
                 expected = 1.0 if a == b else 0.0
-                assert joint_action_loss(game, 0, (a, b)) == expected
-                assert joint_action_loss(game, 1, (a, b)) == 1.0 - expected
+                assert game.loss_tensors[0][a, b] == expected
+                assert game.loss_tensors[1][a, b] == 1.0 - expected
 
     def test_rock_paper_scissors(self):
         game = named_game("rock_paper_scissors")
@@ -308,7 +288,7 @@ class TestNamedGames:
     def test_prisoners_dilemma_defection_dominates(self):
         game = named_game("prisoners_dilemma_rescaled")
         for b in range(2):
-            assert joint_action_loss(game, 0, (1, b)) < joint_action_loss(game, 0, (0, b))
+            assert game.loss_tensors[0][1, b] < game.loss_tensors[0][0, b]
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 """The package's import layering: each module imports only the layers below it."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "regretsim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "regretsim"
 
 # Package modules each module may import. The CLI and the package root may
 # import any of them.
@@ -61,11 +63,10 @@ PUBLIC = [
     "OPT_HEDGE", "RegretEntry", "Trajectory", "VarianceInequalityReport", "__version__",
     "adaptive_opt_hedge_step", "batch_run", "cce_gap", "check_variance_inequality",
     "consecutive_closeness", "diagnostics", "dynamics", "empirical_joint_distribution",
-    "expected_loss_vector", "fd_decay_profile", "finite_difference", "game", "hedge_step",
-    "init_state", "intermediate_iterate", "joint_action_loss", "learners", "load_game_json",
-    "named_game", "opt_hedge_step", "practical_eta", "random_game", "recommended_eta", "regret",
-    "regret_bound_terms", "regret_report", "run", "run_streaming", "save_game_json",
-    "uniform_strategy", "validate_game", "variance",
+    "expected_loss_vector", "fd_decay_profile", "game", "hedge_step", "init_state", "learners",
+    "load_game_json", "named_game", "opt_hedge_step", "practical_eta", "random_game",
+    "recommended_eta", "regret", "regret_bound_terms", "regret_report", "run", "run_streaming",
+    "save_game_json", "validate_game", "variance",
 ]
 
 
@@ -73,6 +74,19 @@ def test_public_surface_is_pinned():
     import regretsim
 
     assert sorted(regretsim.__all__) == PUBLIC
+
+
+def test_every_public_name_has_a_user_outside_tests():
+    # the package's modules (not the re-exports of __init__), the benchmark, the
+    # tools and the README; a name's own def or class line is not a use
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "benchmarks").rglob("*.py"), *(ROOT / "tools").glob("*.py"),
+              ROOT / "README.md"]
+    lines = [line for path in files for line in path.read_text().splitlines()]
+    unused = [name for name in PUBLIC if not any(
+        re.search(rf"\b{re.escape(name)}\b", line)
+        and not re.match(rf"\s*(def|class) {re.escape(name)}\b", line) for line in lines)]
+    assert unused == []
 
 
 # Identities that hold for every sequence, checked in tests/paper_lemmas.py, not the package.

@@ -12,7 +12,6 @@ from regretsim import (
     adaptive_opt_hedge_step,
     hedge_step,
     init_state,
-    intermediate_iterate,
     named_game,
     opt_hedge_step,
     practical_eta,
@@ -21,6 +20,7 @@ from regretsim import (
 )
 from regretsim.learners import (ADAPTIVE_OPT_HEDGE, DEFAULT_C_PRIME, HEDGE, OPT_HEDGE, step,
                                 variance_budget, variance_threshold)
+from paper_lemmas import intermediate_iterate
 
 
 def two_action_state(eta=0.1, mode=OPT_HEDGE, **kwargs):
@@ -208,8 +208,9 @@ class TestExponentShift:
                 if mode == HEDGE:
                     continue
                 # the next exponents hold the previous loss of +-800
+                tilde = intermediate_iterate(state.strategy, state.prev_loss, loss, state.eta)
                 for exponent, new in ((-(2.0 * loss - big), step(state, loss).strategy),
-                                      (-(loss - big), intermediate_iterate(state, loss))):
+                                      (-(loss - big), tilde)):
                     w = state.strategy * np.exp(exponent - exponent.max())
                     assert np.array_equal(new, w / w.sum()), (mode, big)
                     assert np.all(np.isfinite(new)), (mode, big)
@@ -229,19 +230,19 @@ class TestIntermediateIterate:
         loss = rng.random(3)
         state = replace(init_state(3, 0.1, OPT_HEDGE),
                         strategy=rng.dirichlet(np.ones(3)), prev_loss=loss.copy())
-        np.testing.assert_allclose(intermediate_iterate(state, loss),
-                                   state.strategy, atol=1e-15)
+        tilde = intermediate_iterate(state.strategy, state.prev_loss, loss, state.eta)
+        np.testing.assert_allclose(tilde, state.strategy, atol=1e-15)
 
     def test_closed_form_with_zero_prev(self):
         state = two_action_state(eta=0.1)
-        tilde = intermediate_iterate(state, np.array([1.0, 0.0]))
+        tilde = intermediate_iterate(state.strategy, state.prev_loss, [1.0, 0.0], state.eta)
         assert tilde[0] == pytest.approx(0.475021, abs=1e-6)
         assert tilde[1] == pytest.approx(0.524979, abs=1e-6)
 
     def test_does_not_mutate_state(self):
         state = two_action_state(eta=0.1)
         before = state.strategy.copy()
-        intermediate_iterate(state, np.array([0.3, 0.9]))
+        intermediate_iterate(state.strategy, state.prev_loss, [0.3, 0.9], state.eta)
         np.testing.assert_array_equal(state.strategy, before)
         assert state.round == 1
 
@@ -250,7 +251,7 @@ class TestIntermediateIterate:
         state = init_state(5, 0.8, OPT_HEDGE)
         for _ in range(50):
             loss = rng.random(5)
-            tilde = intermediate_iterate(state, loss)
+            tilde = intermediate_iterate(state.strategy, state.prev_loss, loss, state.eta)
             assert np.all(tilde > 0.0)
             assert tilde.sum() == pytest.approx(1.0, abs=1e-12)
             state = opt_hedge_step(state, loss)
