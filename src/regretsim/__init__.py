@@ -42,7 +42,6 @@ from .game import (
     named_game,
     random_game,
     save_game_json,
-    validate_game,
 )
 from .learners import (
     ADAPTIVE_OPT_HEDGE,

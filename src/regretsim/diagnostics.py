@@ -3,8 +3,10 @@
 The finite-difference decay profile, consecutive closeness and its bound, and
 the regret-bound and variance-inequality audits, which take Reg_i(T) from the
 regret report and share one walk's variance sums. All of it is pure except the
-``fd_profile_*_csv`` writers, which write a file. The sequence identities behind
-the paper's lemmas hold for any sequence and are checked in ``tests/paper_lemmas.py``.
+``fd_profile_*_csv`` writers, which write a file. Each audit reads the (T, n)
+histories ``AUDIT_BLOCK_ROWS`` rounds at a time and makes no (T, n) array of
+its own. The sequence identities behind the paper's lemmas hold for any
+sequence and are checked in ``tests/paper_lemmas.py``.
 """
 
 from __future__ import annotations

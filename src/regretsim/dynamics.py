@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import learners
-from .game import AUDIT_BLOCK_ROWS, Game, _reduce_rows, loss_matrix, validate_game, write_csv
+from .game import AUDIT_BLOCK_ROWS, Game, _reduce_rows, loss_matrix, write_csv
 
 __version__ = "0.1.0"
 
@@ -60,9 +60,6 @@ class Trajectory:
 
 
 def _check(game: Game, configs: Sequence[LearnerConfig], rounds: int) -> None:
-    violations = validate_game(game)
-    if violations:
-        raise ValueError("invalid game: " + "; ".join(violations))
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if len(configs) != game.num_players:
@@ -71,7 +68,7 @@ def _check(game: Game, configs: Sequence[LearnerConfig], rounds: int) -> None:
 
 def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
           full_history: bool):
-    """The self-play loop behind every runner, over checked games of one player count.
+    """The self-play loop behind every runner, over games of one player count.
 
     Each (game, player) is a row. Rows that share an action count n, an update
     kind (Hedge, or the optimistic rule of the other modes) and
@@ -147,20 +144,18 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
     # with its (c, B, n_i, N) loss matrices into its rows of the loss window.
     contractions = []
     for h, (counts, ks) in enumerate(zip(shapes, members)):
+        batch = [games[k] for k in ks]
         # A cell's players share one group, so their loss matrices share a shape.
         cells = [list(players)] if len(set(kinds[h])) == 1 else [[i] for i in players]
         for cell in cells:
             c, n = len(cell), counts[cell[0]]
             lead = (c, len(ks))
-            if lead == (1, 1):  # player 0 views its tensor; another keeps loss_matrix's copy
-                mat = loss_matrix(games[ks[0]], cell[0])[None, None]
+            if c == 1:  # loss_matrix's stack, a view of the tensor for player 0 of one game
+                mat = loss_matrix(batch, cell[0])[None]
             else:
-                # A cell row is its player's tensors stacked over the batch, each laid out as
-                # loss_matrix lays it out: the player's axis first, the opponents' in order.
-                mat = np.empty(lead + (n, games[ks[0]].profile_count // n))
+                mat = np.empty(lead + (n, batch[0].profile_count // n))
                 for a, i in enumerate(cell):
-                    stack = np.stack([games[k].loss_tensors[i] for k in ks])
-                    mat[a] = np.moveaxis(stack, i + 1, 1).reshape(len(ks), n, -1)
+                    mat[a] = loss_matrix(batch, i)
             opponents = [[j for j in players if j != i] for i in cell]
             own = rows(strategies, h, cell[0], c)[:width]
             gathers, sources = None, [own[:, ::-1]]  # the cell of two players
@@ -416,7 +411,7 @@ def cce_gap(game: Game, play: EmpiricalPlay) -> CceReport:
     raw = np.empty(game.num_players)
     best = np.empty(game.num_players, dtype=int)
     for i, tensor in enumerate(game.loss_tensors):
-        deviations = loss_matrix(game, i) @ play.probs.sum(axis=i).reshape(-1)
+        deviations = loss_matrix([game], i)[0] @ play.probs.sum(axis=i).reshape(-1)
         best[i] = int(np.argmin(deviations))
         raw[i] = float((play.probs * tensor).sum()) - float(deviations[best[i]])
     return CceReport(epsilon=float(np.maximum(raw, 0.0).max()), raw_gaps=raw,
@@ -435,12 +430,13 @@ def batch_run(game_source: Callable[[int], Game], seeds: Sequence[int],
     """One streaming run of ``game_source(seed)`` per seed; results follow ``seeds``.
 
     Self-play is deterministic, so seeds that map to one game give equal
-    results. Each game is checked as it is built, then joins one pool of
-    waiting games, whatever its ``action_counts``. The pool is played in one
-    ``_play`` batch, and dropped, once its games hold ``BATCH_BYTES`` of loss
-    tensors, or at the end. A game's result does not depend on the other
-    games of its batch. It equals ``regret_report(run(...))`` up to the order
-    in which the cumulative losses are summed.
+    results. Each game's player count is checked as it is built; then it joins
+    one pool of waiting games, whatever its ``action_counts``. The pool is
+    played in one ``_play`` batch in this thread, and dropped, once its games
+    hold ``BATCH_BYTES`` of loss tensors, or at the end: memory is bounded by
+    that limit, not by the number of seeds. A game's result does not depend on
+    the other games of its batch. It equals ``regret_report(run(...))`` up to
+    the order in which the cumulative losses are summed.
     """
     if len(seeds) < 1:
         raise ValueError("need at least one seed")

@@ -38,9 +38,10 @@ NAMED_GAMES = (
 class Game:
     """An m-player normal-form game.
 
-    ``loss_tensors[i]`` holds player i's loss for every joint action profile;
-    for a well-formed game it has shape ``action_counts`` and values in
-    [0, 1]. Instances are immutable and safe to share across threads: a tensor
+    ``loss_tensors[i]`` holds player i's loss for every joint action profile,
+    with shape ``action_counts`` and values in [0, 1]: construction raises one
+    ValueError that names each ``validate_game`` violation, so every Game is
+    valid. Instances are immutable and safe to share across threads: a tensor
     is copied unless it is a read-only array that owns its buffer, and a -0.0
     loss becomes +0.0, so no history the engine computes holds a -0.0.
     """
@@ -64,6 +65,9 @@ class Game:
             arr.setflags(write=False)
             shaped.append(arr)
         object.__setattr__(self, "loss_tensors", tuple(shaped))
+        violations = validate_game(self)
+        if violations:
+            raise ValueError("; ".join(violations))
 
     @property
     def profile_count(self) -> int:
@@ -84,7 +88,7 @@ def _reduce_rows(ufunc, block: np.ndarray) -> np.ndarray:
 
 
 def validate_game(game: Game) -> list[str]:
-    """Check all game invariants; returns a list of violations (empty = ok).
+    """The invariants that ``Game`` checks as it is built; returns the violations (empty = ok).
 
     Violations name the offending player and profile with 1-indexed labels.
     Only the first out-of-range entry per tensor is reported.
@@ -125,16 +129,16 @@ def validate_game(game: Game) -> list[str]:
     return violations
 
 
-def loss_matrix(game: Game, player: int) -> np.ndarray:
-    """Player's loss tensor as an (n_i, prod n_{-i}) matrix.
+def loss_matrix(games: Sequence[Game], player: int) -> np.ndarray:
+    """Player's loss tensors of ``games``, all of one shape, as a (B, n_i, prod n_{-i}) stack.
 
-    Row j holds the losses of action j against every opponent profile, with
-    opponent profiles flattened in row-major order. It is C-ordered for every
-    player: a view of the tensor for player 0, a copy otherwise.
+    Row j of matrix b holds game b's losses of action j against every opponent
+    profile, with opponent profiles flattened in row-major order. The stack is
+    C-ordered: a view of the tensor for one game and player 0, a copy otherwise.
     """
-    axes = (player, *range(player), *range(player + 1, game.num_players))
-    matrix = game.loss_tensors[player].transpose(axes)
-    return np.ascontiguousarray(matrix).reshape(game.action_counts[player], -1)
+    moved = [np.moveaxis(game.loss_tensors[player], player, 0) for game in games]
+    stack = np.ascontiguousarray(moved[0])[None] if len(moved) == 1 else np.array(moved)
+    return stack.reshape(len(moved), games[0].action_counts[player], -1)
 
 
 def expected_loss_vector(game: Game, player: int, strategies: Sequence[np.ndarray]) -> np.ndarray:
@@ -162,7 +166,7 @@ def expected_loss_vector(game: Game, player: int, strategies: Sequence[np.ndarra
             )
     opponents = [np.asarray(s, dtype=np.float64) for j, s in enumerate(strategies) if j != player]
     joint = reduce(lambda product, x: np.multiply.outer(x, product), opponents[::-1])
-    return loss_matrix(game, player) @ joint.reshape(-1)
+    return loss_matrix([game], player)[0] @ joint.reshape(-1)
 
 
 def random_game(m: int, action_counts: Sequence[int], seed: int) -> Game:
@@ -171,14 +175,6 @@ def random_game(m: int, action_counts: Sequence[int], seed: int) -> Game:
     The same seed yields a bit-identical game.
     """
     action_counts = tuple(int(n) for n in action_counts)
-    if m < 2:
-        raise ValueError(f"need at least 2 players, got {m}")
-    if len(action_counts) != m:
-        raise ValueError(
-            f"action_counts has {len(action_counts)} entries, expected {m}"
-        )
-    if any(n < 1 for n in action_counts):
-        raise ValueError(f"all action counts must be >= 1, got {action_counts}")
     rng = np.random.default_rng(seed)
     tensors = tuple(rng.random(action_counts) for _ in range(m))
     for tensor in tensors:  # fresh and read-only, so Game keeps them without a copy
@@ -237,11 +233,10 @@ def game_from_dict(data: dict, name: str | None = None) -> Game:
                 raise ValueError(f"game JSON: loss {cell!r} is not a number")
     for tensor in tensors:  # fresh and read-only, so Game keeps them without a copy
         tensor.setflags(write=False)
-    game = Game(m, actions, tensors, name=name)
-    violations = validate_game(game)
-    if violations:
-        raise ValueError("game JSON: " + "; ".join(violations))
-    return game
+    try:
+        return Game(m, actions, tensors, name=name)
+    except ValueError as exc:
+        raise ValueError(f"game JSON: {exc}") from exc
 
 
 def json_int(value, field: str) -> int:

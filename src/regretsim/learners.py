@@ -12,9 +12,10 @@ shifted by its max if the learner may use a step size above 1
 (``LearnerState.shift``). With losses in [0, 1], e lies in [-2 eta, eta], so
 for eta <= 1 each unshifted weight is within a factor e^2 of its shifted
 value: exp cannot overflow, and the weights cannot all round to zero. The
-step functions also shift an exponent outside [-2, 1], which only a loss
-outside [0, 1] can produce; the engine plays only validated games and never
-meets one. The step functions are the reference that the self-play engine,
+step functions also shift an exponent whose max leaves [-700, 700], where exp
+alone could overflow or round every weight to zero. Only a loss far outside
+[0, 1] gets there, never one of a valid game, even rounded a few ulps past one.
+The step functions are the reference that the self-play engine,
 ``dynamics._play``, is tested against. The module also holds the variance
 helpers, the step-size constants, and the one home of the variance-sum
 inequality that the switch test and ``diagnostics`` share.
@@ -160,12 +161,11 @@ def _checked_loss(state: LearnerState, loss: np.ndarray) -> np.ndarray:
 
 
 def _exp_weights(strategy: np.ndarray, exponent: np.ndarray, shift: bool) -> np.ndarray:
-    """strategy * exp(exponent), normalized. With ``shift``, or if the exponent
-    leaves [-2, 1], the max exponent is subtracted first, which keeps exp from
-    overflowing and changes the result only by rounding. Unshifted is safe in
-    [-2, 1], where a step size of at most 1 and losses in [0, 1] keep it (see
-    the module docstring); only a loss outside [0, 1] can leave it."""
-    if shift or exponent.min() < -2.0 or exponent.max() > 1.0:
+    """strategy * exp(exponent), normalized. With ``shift``, or if the max
+    exponent leaves [-700, 700], the max exponent is subtracted first, which
+    keeps exp from overflowing and changes the result only by rounding; see the
+    module docstring for why the engine never meets the second trigger."""
+    if shift or not -700.0 <= exponent.max() <= 700.0:
         exponent = exponent - exponent.max()
     w = strategy * np.exp(exponent)
     return w / w.sum()

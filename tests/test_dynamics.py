@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regretsim import dynamics, learners
+from regretsim import game as game_module
 from regretsim import (
     CceReport,
     EmpiricalPlay,
@@ -90,7 +91,9 @@ class TestRun:
 
     def test_rejects_invalid_inputs(self):
         game = named_game("matching_pennies")
-        bad = Game(2, (2, 2), (np.full((2, 2), 1.5), np.zeros((2, 2))))
+        # an invalid game fails as it is built, before any runner sees it
+        with pytest.raises(ValueError, match=r"player 1, profile \(1, 1\): 1\.5"):
+            Game(2, (2, 2), (np.full((2, 2), 1.5), np.zeros((2, 2))))
         for runner in (run, run_streaming):
             with pytest.raises(ValueError):
                 runner(game, [LearnerConfig()] * 2, 0)
@@ -98,8 +101,6 @@ class TestRun:
                 runner(game, [LearnerConfig()], 4)
             with pytest.raises(ValueError, match="4 learner configs for 3 players"):
                 runner(random_game(3, (2, 2, 2), seed=1), [LearnerConfig()] * 4, 4)
-            with pytest.raises(ValueError, match="invalid game"):
-                runner(bad, [LearnerConfig()] * 2, 4)
 
     def test_permuting_action_labels_permutes_trajectory(self):
         game = random_game(2, (3, 3), seed=12)
@@ -364,9 +365,12 @@ class TestBatchRun:
             batch_run(lambda s: named_game("matching_pennies"), [], [LearnerConfig()] * 2, 4)
 
     def test_invalid_game_rejected(self):
-        bad = Game(2, (2, 2), (np.full((2, 2), 1.5), np.zeros((2, 2))))
-        source = lambda s: bad if s == 3 else random_game(2, (2, 2), seed=s)
-        with pytest.raises(ValueError, match="invalid game"):
+        def source(s):
+            if s == 3:
+                return Game(2, (2, 2), (np.full((2, 2), 1.5), np.zeros((2, 2))))
+            return random_game(2, (2, 2), seed=s)
+
+        with pytest.raises(ValueError, match=r"player 1, profile \(1, 1\): 1\.5"):
             batch_run(source, [1, 2, 3], [LearnerConfig()] * 2, 4)
 
     def test_split_batches_match_one_batch(self, monkeypatch):
@@ -494,8 +498,9 @@ class TestRecordWindow:
             games = [random_game(2, shapes[s % len(shapes)], seed=s) for s in range(4096)]
             tensors = sum(t.nbytes for game in games for t in game.loss_tensors)
             for rounds in (4, 256):
-                peak = traced_peak(lambda: batch_run(games.__getitem__, range(len(games)),
-                                                     configs, rounds))
+                play = lambda: batch_run(games.__getitem__, range(len(games)), configs, rounds)
+                play()  # first calls allocate lasting caches
+                peak = traced_peak(play)
                 assert peak < 12 * tensors, (shapes, rounds, peak, tensors)
 
     def test_streaming_record_does_not_grow_with_the_horizon(self):
@@ -507,6 +512,21 @@ class TestRecordWindow:
         short, long = (traced_peak(lambda: run_streaming(game, configs, rounds))
                        for rounds in (2**8, 2**12))
         assert long <= short + 4096, (long, short)
+
+
+class TestValidatedOnce:
+    def test_a_game_is_validated_once(self, monkeypatch):
+        calls = []
+        check = game_module.validate_game
+        monkeypatch.setattr(game_module, "validate_game", lambda g: calls.append(g) or check(g))
+        games = [random_game(2, (2, 3), seed=s) for s in range(3)]
+        assert calls == games  # each as it is built
+        calls.clear()
+        configs = [LearnerConfig(eta=0.1)] * 2
+        run(games[0], configs, 8)
+        run_streaming(games[0], configs, 8)
+        batch_run(games.__getitem__, range(3), configs, 8)
+        assert calls == []
 
 
 class TestStreaming:
@@ -671,6 +691,23 @@ class TestEngineMatchesReference:
                 assert stream.cumulative_loss[i] == played
                 assert np.array_equal(stream.action_cumulative[i],
                                       np.cumsum(losses[i], axis=0)[-1])
+
+    def test_rounded_loss_above_one_at_eta_one(self):
+        # player 1's row of ones has the expected loss 1.0000000000000002 under uniform
+        # play, so at eta = 1 the first optimistic exponent is -2 - 4.4e-16: the engine
+        # leaves it unshifted, as its flag says, and so must the reference steps
+        base = random_game(2, (3, 18), seed=0)
+        ones = base.loss_tensors[0].copy()
+        ones[0] = 1.0
+        game = Game(2, (3, 18), (ones, base.loss_tensors[1]))
+        for mode in learners.MODES:
+            configs = [LearnerConfig(mode=mode, eta=1.0)] * 2
+            strategies, losses, states = reference_run(game, configs, 48)
+            assert losses[0][0, 0] > 1.0
+            full, stream = run(game, configs, 48), run_streaming(game, configs, 48)
+            for i in range(2):
+                assert np.array_equal(full.strategies[i], strategies[i]), (mode, i)
+                assert np.array_equal(stream.final_strategies[i], states[i].strategy), (mode, i)
 
 
 class TestCsvExports:

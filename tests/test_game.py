@@ -16,10 +16,9 @@ from regretsim import (
     named_game,
     random_game,
     save_game_json,
-    validate_game,
 )
 from regretsim.game import (AUDIT_BLOCK_ROWS, _profile_count, game_from_dict, game_to_dict,
-                            loss_matrix, write_csv, write_json)
+                            loss_matrix, validate_game, write_csv, write_json)
 
 
 def small_random_games():
@@ -57,28 +56,41 @@ class TestValidateGame:
     def test_loss_out_of_range(self):
         l1 = np.array([[1.0, 0.0], [0.0, 1.0]])
         l2 = np.array([[0.0, 1.5], [1.0, 0.0]])
-        violations = validate_game(Game(2, (2, 2), (l1, l2)))
+        with pytest.raises(ValueError) as info:
+            Game(2, (2, 2), (l1, l2))
+        violations = str(info.value).split("; ")
         assert len(violations) == 1
         assert "player 2" in violations[0]
         assert "(1, 2)" in violations[0]
 
     def test_tensor_size_mismatch(self):
         l1 = np.zeros(3)  # one entry short of 2x2
-        violations = validate_game(Game(2, (2, 2), (l1, np.zeros((2, 2)))))
-        assert any("size mismatch" in v for v in violations)
+        with pytest.raises(ValueError, match="size mismatch"):
+            Game(2, (2, 2), (l1, np.zeros((2, 2))))
 
     def test_too_few_players(self):
-        violations = validate_game(Game(1, (2,), (np.zeros(2),)))
-        assert any("at least 2 players" in v for v in violations)
+        with pytest.raises(ValueError, match="at least 2 players"):
+            Game(1, (2,), (np.zeros(2),))
 
     def test_non_finite_reported(self):
         for value in (math.nan, math.inf, -math.inf):
             l2 = np.full((2, 3, 2), 0.5)
             l2[1, 0, 1] = value
             l2[1, 2, 0] = -value  # only the first offending profile is reported
-            game = Game(3, (2, 3, 2), (np.zeros((2, 3, 2)), l2, np.ones((2, 3, 2))))
-            assert validate_game(game) == [
-                f"loss outside [0, 1] at player 2, profile (2, 1, 2): {value!r}"]
+            with pytest.raises(ValueError) as info:
+                Game(3, (2, 3, 2), (np.zeros((2, 3, 2)), l2, np.ones((2, 3, 2))))
+            assert str(info.value) == (
+                f"loss outside [0, 1] at player 2, profile (2, 1, 2): {value!r}")
+
+    def test_construction_names_every_violation(self):
+        with pytest.raises(ValueError) as info:
+            Game(1, (2, 0), (np.full(3, 2.0),))
+        assert str(info.value).split("; ") == [
+            "game must have at least 2 players, got 1",
+            "action_counts has 2 entries, expected 1",
+            "player 2 action count must be >= 1, got 0",
+            "tensor size mismatch for player 1: 3 entries, expected 0",
+        ]
 
     def test_game_keeps_no_view_of_the_callers_losses(self):
         a, b = np.full((3, 3), 0.5), np.full((3, 3), 0.5)
@@ -210,7 +222,7 @@ class TestExpectedLossVector:
             for x in reversed(factors):
                 joint = np.multiply.outer(x, joint)
             assert np.array_equal(expected_loss_vector(game, i, strategies),
-                                  loss_matrix(game, i) @ joint.reshape(-1))
+                                  loss_matrix([game], i)[0] @ joint.reshape(-1))
 
 
 class TestLossMatrix:
@@ -219,11 +231,20 @@ class TestLossMatrix:
         game = random_game(len(counts), counts, seed=len(counts))
         for i, tensor in enumerate(game.loss_tensors):
             expected = np.moveaxis(tensor, i, 0).reshape(counts[i], -1)
-            matrix = loss_matrix(game, i)
+            matrix = loss_matrix([game], i)[0]
             assert np.array_equal(matrix, expected)
             # one layout for every player: a view only for player 0, a C copy otherwise
             assert matrix.flags.c_contiguous
             assert np.shares_memory(matrix, tensor) == (i == 0)
+
+    @pytest.mark.parametrize("counts", [(2, 3), (3, 2, 4)])
+    def test_stack_of_games(self, counts):
+        games = [random_game(len(counts), counts, seed=s) for s in range(3)]
+        for i, n in enumerate(counts):
+            stack = loss_matrix(games, i)
+            assert stack.flags.c_contiguous
+            assert np.array_equal(stack, [np.moveaxis(game.loss_tensors[i], i, 0).reshape(n, -1)
+                                          for game in games])
 
 
 class TestRandomGame:
@@ -250,6 +271,8 @@ class TestRandomGame:
             random_game(2, (2, 0), seed=0)
         with pytest.raises(ValueError):
             random_game(3, (2, 2), seed=0)
+        with pytest.raises(ValueError, match="negative dimensions"):
+            random_game(2, (2, -1), seed=0)
 
     def test_random_game_tensors_are_not_copied_again(self):
         tracemalloc.start()

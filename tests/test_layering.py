@@ -66,7 +66,7 @@ PUBLIC = [
     "expected_loss_vector", "fd_decay_profile", "game", "hedge_step", "init_state", "learners",
     "load_game_json", "named_game", "opt_hedge_step", "practical_eta", "random_game",
     "recommended_eta", "regret", "regret_bound_terms", "regret_report", "run", "run_streaming",
-    "save_game_json", "validate_game", "variance",
+    "save_game_json", "variance",
 ]
 
 
