@@ -1,12 +1,13 @@
 """Simulate no-regret learning dynamics in normal-form games.
 
-Core pieces: game construction and evaluation (:mod:`regretsim.game`),
-learner update rules and per-round variances (:mod:`regretsim.learners`),
-self-play dynamics and regret scoring (:mod:`regretsim.dynamics`), and the
-trajectory audits (:mod:`regretsim.diagnostics`): the finite-difference decay
-profile, consecutive closeness, and the regret-bound and variance-inequality
-audits. The ``regretsim`` CLI wraps all of it. The sequence identities behind
-the paper's lemmas hold for any sequence and are checked in ``tests/paper_lemmas.py``.
+Core pieces: the game model (:mod:`regretsim.game`), learner update rules
+and per-round variances (:mod:`regretsim.learners`), self-play dynamics and
+regret scoring (:mod:`regretsim.dynamics`), the trajectory audits
+(:mod:`regretsim.diagnostics`), and the file formats (:mod:`regretsim.export`).
+The audits are the finite-difference decay profile, consecutive closeness,
+and the regret-bound and variance-inequality audits. The ``regretsim`` CLI
+wraps all of it. The sequence identities behind the paper's lemmas hold for
+any sequence and are checked in ``tests/paper_lemmas.py``.
 """
 
 from .diagnostics import (
@@ -35,14 +36,8 @@ from .dynamics import (
     run,
     run_streaming,
 )
-from .game import (
-    Game,
-    expected_loss_vector,
-    load_game_json,
-    named_game,
-    random_game,
-    save_game_json,
-)
+from .export import load_game_json, save_game_json
+from .game import Game, named_game, random_game
 from .learners import (
     ADAPTIVE_OPT_HEDGE,
     HEDGE,

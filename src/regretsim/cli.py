@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, dynamics, learners
-from .game import (Game, json_int, load_game_json, named_game, random_game, save_game_json,
-                   write_csv, write_json, NAMED_GAMES)
+from .export import load_game_json, save_game_json, write_csv, write_json
+from .game import Game, json_int, named_game, random_game, NAMED_GAMES
 
 ETA_POLICIES = ("practical", "theorem", "explicit")
 FORMATS = ("json", "csv")

@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import RegretEntry, Trajectory
-from .game import AUDIT_BLOCK_ROWS, _reduce_rows, write_csv
+from .dynamics import AUDIT_BLOCK_ROWS, RegretEntry, Trajectory, _reduce_rows
+from .export import write_csv
 from .learners import (DEFAULT_C_PRIME, OPT_HEDGE, ceil_log2, row_variances, variance_budget,
                        variance_threshold)
 

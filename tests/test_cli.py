@@ -22,8 +22,8 @@ from regretsim.cli import (
     run_experiment,
 )
 from regretsim.dynamics import EmpiricalPlay, cce_gap
-from regretsim.game import (game_from_dict, game_to_dict, load_game_json, named_game,
-                            random_game)
+from regretsim.export import load_game_json
+from regretsim.game import game_from_dict, game_to_dict, named_game, random_game
 from trajectory_csv import trajectory_from_csv
 
 

@@ -33,9 +33,9 @@ from regretsim.diagnostics import (
     fd_profile_values_csv,
     _variance_sums,
 )
-from regretsim.dynamics import RunMetadata, Trajectory
+from regretsim.dynamics import RunMetadata, Trajectory, _reduce_rows
 from regretsim.learners import ceil_log2, row_variances
-from regretsim.game import Game, _reduce_rows
+from regretsim.game import Game
 from paper_lemmas import (check_circular_fourier_identity, check_freq_cauchy,
                           circular_finite_difference, divergences, finite_difference,
                           finite_difference_binomial, intermediate_iterate, local_norms)

@@ -18,7 +18,6 @@ from regretsim import (
     batch_run,
     cce_gap,
     empirical_joint_distribution,
-    expected_loss_vector,
     named_game,
     random_game,
     regret,
@@ -33,6 +32,7 @@ from regretsim.dynamics import (
     trajectory_to_csv,
 )
 from regretsim.game import Game
+from expected_loss import expected_loss_vector
 from trajectory_csv import trajectory_from_csv
 
 # the least step size above 1: the smallest at which a learner shifts its exponent

@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 
 from regretsim import (
     Game,
-    expected_loss_vector,
     load_game_json,
     named_game,
     random_game,
     save_game_json,
 )
-from regretsim.game import (AUDIT_BLOCK_ROWS, _profile_count, game_from_dict, game_to_dict,
-                            loss_matrix, validate_game, write_csv, write_json)
+from regretsim.dynamics import AUDIT_BLOCK_ROWS
+from regretsim.export import write_csv, write_json
+from regretsim.game import (_profile_count, game_from_dict, game_to_dict, loss_matrix,
+                            validate_game)
+from expected_loss import expected_loss_vector
 
 
 def small_random_games():
@@ -428,7 +430,7 @@ class TestWriteCsv:
             raise AssertionError(f"{value!r} went to the fallback")
 
         values = np.random.default_rng(20).random(10**5)
-        monkeypatch.setattr("regretsim.game._format_float", fallback)
+        monkeypatch.setattr("regretsim.export._format_float", fallback)
         write_csv(tmp_path / "u.csv", ("value",), [(values,)])
         assert (tmp_path / "u.csv").read_bytes() == per_row_csv(("value",), (values,)).encode()
 

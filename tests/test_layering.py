@@ -14,8 +14,9 @@ SRC = ROOT / "src" / "regretsim"
 ALLOWED = {
     "game": set(),
     "learners": set(),
-    "dynamics": {"game", "learners"},
-    "diagnostics": {"game", "learners", "dynamics"},
+    "export": {"game"},
+    "dynamics": {"game", "learners", "export"},
+    "diagnostics": {"game", "learners", "dynamics", "export"},
 }
 
 
@@ -52,8 +53,17 @@ def test_module_imports_only_lower_layers(module):
 
 
 def test_collector_sees_the_imports():
-    assert package_imports("diagnostics") == {"game", "learners", "dynamics"}
-    assert package_imports("cli") == {"diagnostics", "dynamics", "learners", "game"}
+    assert package_imports("diagnostics") == {"learners", "dynamics", "export"}
+    assert package_imports("cli") == {"diagnostics", "dynamics", "learners", "game", "export"}
+
+
+@pytest.mark.parametrize("module", ["game", "learners", "dynamics", "diagnostics"])
+def test_module_opens_no_file(module):
+    # files are opened by ``export`` and ``cli`` alone
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls == [], f"{module} calls open() at lines {calls}"
 
 
 # The package's public names. A removal or addition is a deliberate edit of this list.
@@ -62,8 +72,8 @@ PUBLIC = [
     "EmpiricalPlay", "FiniteDifferenceProfile", "Game", "HEDGE", "LearnerConfig", "LearnerState",
     "OPT_HEDGE", "RegretEntry", "Trajectory", "VarianceInequalityReport", "__version__",
     "adaptive_opt_hedge_step", "batch_run", "cce_gap", "check_variance_inequality",
-    "consecutive_closeness", "diagnostics", "dynamics", "empirical_joint_distribution",
-    "expected_loss_vector", "fd_decay_profile", "game", "hedge_step", "init_state", "learners",
+    "consecutive_closeness", "diagnostics", "dynamics", "empirical_joint_distribution", "export",
+    "fd_decay_profile", "game", "hedge_step", "init_state", "learners",
     "load_game_json", "named_game", "opt_hedge_step", "practical_eta", "random_game",
     "recommended_eta", "regret", "regret_bound_terms", "regret_report", "run", "run_streaming",
     "save_game_json", "variance",
@@ -76,17 +86,34 @@ def test_public_surface_is_pinned():
     assert sorted(regretsim.__all__) == PUBLIC
 
 
+def code_names(path: Path) -> set[str]:
+    """The names that ``path``'s code reads: names, attributes, imported names and modules."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(part for alias in node.names for part in alias.name.split("."))
+            found.update((getattr(node, "module", None) or "").split("."))
+    return found
+
+
 def test_every_public_name_has_a_user_outside_tests():
-    # the package's modules (not the re-exports of __init__), the benchmark, the
-    # tools and the README; a name's own def or class line is not a use
+    # code in the package's modules (not the re-exports of __init__), the benchmark
+    # and the tools, the words of the README's code blocks, and the attributes that
+    # pyproject.toml's build reads; a string, a comment, README prose, an assignment
+    # or a name's own def or class is not a use
     files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    files += [*(ROOT / "benchmarks").rglob("*.py"), *(ROOT / "tools").glob("*.py"),
-              ROOT / "README.md"]
-    lines = [line for path in files for line in path.read_text().splitlines()]
-    unused = [name for name in PUBLIC if not any(
-        re.search(rf"\b{re.escape(name)}\b", line)
-        and not re.match(rf"\s*(def|class) {re.escape(name)}\b", line) for line in lines)]
-    assert unused == []
+    files += [*(ROOT / "benchmarks").rglob("*.py"), *(ROOT / "tools").glob("*.py")]
+    used = set().union(*map(code_names, files))
+    readme = "".join(re.findall(r"^```\w*\n(.*?)^```", (ROOT / "README.md").read_text(),
+                                re.MULTILINE | re.DOTALL))
+    used.update(re.findall(r"\w+", readme))
+    for attr in re.findall(r'\battr = "([\w.]+)"', (ROOT / "pyproject.toml").read_text()):
+        used.update(attr.split("."))
+    assert [name for name in PUBLIC if name not in used] == []
 
 
 # Identities that hold for every sequence, checked in tests/paper_lemmas.py, not the package.

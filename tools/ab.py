@@ -14,8 +14,9 @@ benchmark's three workloads, built by their own classes at seed SEED, and a
 sweep of two-player games of n = 2 ... 16 actions. For each case the tool
 prints the median over pairs of the ratio working tree / revision of the
 corrected times (below 1 is faster), the number of pairs in which the working
-tree was faster, and each side's median raw seconds. Needs only the stdlib and
-the numpy that ``regretsim`` itself imports.
+tree was faster, and each side's median raw seconds. Ratios within about ±6 % of
+1 are noise on a shared 2-core host. Needs only the stdlib and the numpy that
+``regretsim`` itself imports.
 """
 
 from __future__ import annotations
