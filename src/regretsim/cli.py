@@ -27,6 +27,8 @@ DIAGNOSTIC_NAMES = ("bound_terms", "variance_inequality", "fd_profile", "closene
 
 # Skip writing the full trajectory when it would exceed this many rows.
 TRAJECTORY_ROW_LIMIT = 10**7
+# Refuse a random game whose loss tensors would take more than this many bytes.
+RANDOM_GAME_BYTES = 2**30
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,8 +143,13 @@ def load_config_game(cfg: ExperimentConfig) -> Game:
             return load_game_json(cfg.game_path)
         r = cfg.game_random
         actions = [json_int(n, "game_random.actions") for n in r["actions"]]
-        return random_game(json_int(r.get("players", len(actions)), "game_random.players"),
-                           actions, json_int(r.get("seed", 0), "game_random.seed"))
+        players = json_int(r.get("players", len(actions)), "game_random.players")
+        size = 8 * players * math.prod(actions)
+        if min(actions, default=0) > 0 and size > RANDOM_GAME_BYTES:
+            raise ValueError(f"a random game of {players} players on {actions} actions needs "
+                             f"{size} bytes of loss tensors, above the limit of "
+                             f"{RANDOM_GAME_BYTES}")
+        return random_game(players, actions, json_int(r.get("seed", 0), "game_random.seed"))
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"config.game: {exc}") from exc
 

@@ -1,8 +1,8 @@
 """Self-play dynamics: run T rounds, record trajectories, score regret.
 
-All round-t loss vectors are computed from round-t strategies before any
-learner advances, so updates are synchronous. Runs are deterministic given
-(game, configs, T).
+All round-t loss vectors are computed from round-t strategies before any learner advances, so
+updates are synchronous. Runs are deterministic given (game, configs, T). The engine, ``_play``,
+lays out rows by ``_Layout`` and buffers by ``_cells``, then plays and records the rounds.
 """
 
 from __future__ import annotations
@@ -70,88 +70,64 @@ def _check(game: Game, configs: Sequence[LearnerConfig], rounds: int) -> None:
         raise ValueError(f"{len(configs)} learner configs for {game.num_players} players")
 
 
-def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
-          full_history: bool):
-    """The self-play loop behind every runner, over games of one player count.
+class _Layout:
+    """Where ``_play`` keeps the rows of games of one player count.
 
-    Each (game, player) is a row. Rows that share an action count n, an update
-    kind (Hedge, or the optimistic rule of the other modes) and
-    ``LearnerState.shift`` form a group, which may span shapes; the groups of
-    one kind and shift form a family. A family's strategies and losses live in
-    two round-major (W + 1, L) windows, whose columns hold its groups side by
-    side, each group's shapes in turn, each shape's players in order and each
-    player's (B_s, n) rows. The round in slot s reads row s and writes its
-    losses and next strategies into row s + 1. W is ``WINDOW_ROUNDS``, less for
-    a shorter horizon or where a window of all strategies would pass
-    BATCH_BYTES / 8. Each round, each cell of each shape (every player if one
-    group holds them all, else one player) computes its expected losses into
-    its rows in one contraction. Then each family runs the elementwise part of
-    the update once over its whole row, and each group its max shift (skipped
-    in a family that never uses a step size above 1; see ``learners``), keepdims
-    sum and divide: ``learners.step`` row by row, bit for bit, so no row depends
-    on its batch, group or family. An adaptive player whose threshold is below
-    2T (see ``init_state``) extends its two (B_s,) variance sums each round by
-    ``learners.row_variances`` and tests them against
-    ``learners.variance_budget``. Each full window, and the last, is recorded in
-    one step, and its last row copied to row 0. The record is each player's (T,
-    B_s, n_i) strategies and losses with ``full_history``, else its (B_s,)
-    cumulative losses and (B_s, n_i) per-action sums. Returns per shape, in
-    order of first appearance, the indices of its games, then per player its
-    record, final (B_s, n_i) strategies and (B_s,) switch rounds (0: none).
+    ``shapes`` lists the games' action counts in order of first appearance, ``members[h]`` the
+    indices of shape h's games and ``states[h][i]`` player i's initial ``LearnerState`` on them.
+    Each (game, player) is a row. Rows that share an action count n, an update kind (Hedge, or
+    the optimistic rule of the other modes) and ``LearnerState.shift`` form group (f, n), which
+    may span shapes, of family f, whose (is Hedge, shift) is ``families[f]``. A family's
+    strategies and losses live in two round-major (W + 1, ``ends[f]``) windows. Their columns
+    hold its groups by n, at ``groups[f, n] = (a, b)``, each group's shapes in turn, each
+    shape's players in order and each player's (B_s, n) rows, at ``place[h, i] = (f, a, b)``.
+    The round in slot s reads row s and writes its losses and next strategies into row s + 1.
+    W, ``width``, is ``WINDOW_ROUNDS``, less for a shorter horizon or where a window of all
+    strategies would pass BATCH_BYTES / 8.
     """
-    shapes = list(dict.fromkeys(game.action_counts for game in games))
-    members = [[k for k, game in enumerate(games) if game.action_counts == c] for c in shapes]
-    players = range(len(configs))
-    states = [[learners.init_state(n, cfg.eta, cfg.mode, horizon=rounds, c_prime=cfg.c_prime)
-               for n, cfg in zip(shape, configs)] for shape in shapes]
-    kinds = [[(n, s.mode == learners.HEDGE, s.shift) for n, s in zip(shape, row)]
-             for shape, row in zip(shapes, states)]
-    families = list(dict.fromkeys(kind[1:] for row in kinds for kind in row))
-    # place[h, i]: the family of player i's rows on shape h and their columns in it,
-    # after those of earlier groups, shapes and players; spans: per group, its
-    # family, columns and action count
-    place, spans, ends = {}, [], [0] * len(families)
-    for kind in sorted(dict.fromkeys(kind for row in kinds for kind in row),
-                       key=lambda kind: families.index(kind[1:])):
-        f = families.index(kind[1:])
-        start = ends[f]
-        for h, i in ((h, i) for h in range(len(shapes)) for i in players if kinds[h][i] == kind):
-            place[h, i] = f, ends[f], ends[f] + len(members[h]) * kind[0]
-            ends[f] = place[h, i][2]
-        spans.append((f, start, ends[f], kind[0]))
-    width = max(1, min(WINDOW_ROUNDS, rounds, BATCH_BYTES // (64 * sum(ends))))
-    strategies = [np.empty((width + 1, end)) for end in ends]
-    # Without full_history, an x * loss row stands beside each loss row (see the record).
-    windows = [np.zeros((width + 1, 1 if full_history else 2, end)) for end in ends]
-    losses = [window[:, -1] for window in windows]
-    neg_etas = [np.empty(end) for end in ends]
-    for (h, i), (f, a, b) in place.items():
-        strategies[f][:, a:b], neg_etas[f][a:b] = 1.0 / shapes[h][i], -states[h][i].eta
 
-    def rows(arrays, h, i, c=1):
+    def __init__(self, games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int):
+        self.shapes = list(dict.fromkeys(game.action_counts for game in games))
+        self.members = [[k for k, game in enumerate(games) if game.action_counts == shape]
+                        for shape in self.shapes]
+        self.states = [[learners.init_state(n, c.eta, c.mode, horizon=rounds, c_prime=c.c_prime)
+                        for n, c in zip(shape, configs)] for shape in self.shapes]
+        kinds = {(h, i): (s.mode == learners.HEDGE, s.shift)
+                 for h, row in enumerate(self.states) for i, s in enumerate(row)}
+        self.families = list(dict.fromkeys(kinds.values()))
+        self.place, self.groups, self.ends = {}, {}, [0] * len(self.families)
+        # one sort puts each group's blocks side by side, in (shape, player) order
+        for f, n, h, i in sorted((self.families.index(kind), self.shapes[h][i], h, i)
+                                 for (h, i), kind in kinds.items()):
+            a, self.ends[f] = self.ends[f], self.ends[f] + len(self.members[h]) * n
+            self.place[h, i] = f, a, self.ends[f]
+            self.groups[f, n] = self.groups.get((f, n), (a,))[0], self.ends[f]
+        self.width = max(1, min(WINDOW_ROUNDS, rounds, BATCH_BYTES // (64 * sum(self.ends))))
+
+    def rows(self, arrays, h, i, c=1):
         """(..., c, B_s, n_i) views of player i's rows on shape h and the next c - 1."""
-        f, a, b = place[h, i]
+        f, a, b = self.place[h, i]
         array = arrays[f][..., a:a + c * (b - a)]
-        return array.reshape(array.shape[:-1] + (c, len(members[h]), shapes[h][i]))
+        return array.reshape(array.shape[:-1] + (c, len(self.members[h]), self.shapes[h][i]))
 
-    switch_rounds = [[np.zeros(len(ks), dtype=int) for _ in players] for ks in members]
-    switches = [(np.zeros((2, len(members[h]))), rows(strategies, h, i)[:, 0],
-                 rows(losses, h, i)[:, 0], rows(neg_etas, h, i)[0], switch_rounds[h][i], s)
-                for h, row in enumerate(states) for i, s in enumerate(row)
-                if s.mode == learners.ADAPTIVE_OPT_HEDGE and s.switch_threshold < 2 * rounds]
-    # Each round a cell of c rows takes its opponents' strategies from its window
-    # row: in one ``take`` into a (c, m - 1, B, n) buffer, as views of their rows
-    # in a one-player cell, or as its two rows reversed. It folds them from the
-    # right, x_j1 * (x_j2 * (... * x_jk)) over the opponents j1 < j2 < ... < jk,
-    # into preallocated buffers, each earlier opponent the new outer axis, so the (c,
-    # B, N) joint comes out in ``loss_matrix``'s opponent order, and ``matmul``s it
-    # with its (c, B, n_i, N) loss matrices into its rows of the loss window.
+
+def _cells(layout: _Layout, games: Sequence[Game], strategies, losses):
+    """Per cell, made once, the buffers that compute its expected losses each round.
+
+    A cell is a shape's players if one group holds them all, so that their loss matrices share a
+    shape, else one player. Each round a cell of c rows takes its opponents' strategies from its
+    window row: in one ``take`` into a (c, m - 1, B, n) buffer, as views of their rows in a
+    one-player cell, or as its two rows reversed. It folds them from the right, x_j1 * (x_j2 *
+    (... * x_jk)) over the opponents j1 < j2 < ... < jk, into preallocated buffers, each earlier
+    opponent the new outer axis, so the (c, B, N) joint comes out in ``loss_matrix``'s opponent
+    order, and ``matmul``s it with its (c, B, n_i, N) loss matrices into its loss rows.
+    """
+    width, rows = layout.width, layout.rows
     contractions = []
-    for h, (counts, ks) in enumerate(zip(shapes, members)):
-        batch = [games[k] for k in ks]
-        # A cell's players share one group, so their loss matrices share a shape.
-        cells = [list(players)] if len(set(kinds[h])) == 1 else [[i] for i in players]
-        for cell in cells:
+    for h, (counts, ks) in enumerate(zip(layout.shapes, layout.members)):
+        batch, players = [games[k] for k in ks], range(len(counts))
+        one_group = len({(layout.place[h, i][0], n) for i, n in enumerate(counts)}) == 1
+        for cell in [list(players)] if one_group else [[i] for i in players]:
             c, n = len(cell), counts[cell[0]]
             lead = (c, len(ks))
             if c == 1:  # loss_matrix's stack, a view of the tensor for player 0 of one game
@@ -179,79 +155,118 @@ def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
                 joint = np.broadcast_to(joint, (width,) + joint.shape)
             contractions.append((gathers, chain, mat, list(joint[..., None]),
                                  list(rows(losses, h, cell[0], c)[1:, ..., None])))
-    # Per family: its windows as lists of rows, -eta, the exponent, kind, shift, and per
-    # group its exponent, reduction buffer and next strategies, as (rows, n) views:
-    # made once, so the update allocates nothing and broadcasts only that buffer.
+    return contractions
+
+
+def _rounds(t0: int, w: int, contractions, switches, updates) -> None:
+    """Play rounds t0 + 1 ... t0 + w in window slots 0 ... w - 1, as ``_play`` describes."""
+    # Local names for the ufuncs the loop calls T times per family or group.
+    maximum, total, exp = np.maximum.reduce, np.add.reduce, np.exp
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    for s in range(w):
+        for gathers, chain, mat, columns, outs in contractions:
+            if gathers:
+                gathers[s]()
+            for factors, joints, product in chain:
+                multiply(factors[s], joints[s], product)
+            np.matmul(mat, columns[s], outs[s])
+        for sums, xs, ls, neg_eta, fired, state in switches:
+            sums[0] += learners.row_variances(xs[s], ls[s + 1] - ls[s])
+            sums[1] += learners.row_variances(xs[s], ls[s])
+            if t0 + s + 1 >= learners.MIN_SWITCH_ROUND:
+                budget = learners.variance_budget(sums[1], state.switch_threshold)
+                fire = (fired == 0) & (sums[0] > budget)
+                fired[fire] = t0 + s + 1
+                neg_eta[fire] = -state.eta_post
+        for xs, ls, neg_eta, e, is_hedge, shift, parts in updates:
+            loss, prev = ls[s + 1], ls[s]
+            if is_hedge:
+                multiply(loss, neg_eta, e)
+            else:
+                # loss + loss is 2.0 * loss exactly
+                add(loss, loss, e)
+                subtract(e, prev, e)
+                multiply(e, neg_eta, e)
+            if shift:
+                for eg, red, _ in parts:
+                    maximum(eg, -1, None, red, True)
+                    subtract(eg, red, eg)
+            exp(e, e)
+            multiply(e, xs[s], e)
+            for eg, red, nexts in parts:
+                total(eg, -1, None, red, True)
+                divide(eg, red, nexts[s])
+
+
+def _play(games: Sequence[Game], configs: Sequence[LearnerConfig], rounds: int,
+          full_history: bool):
+    """The self-play loop behind every runner, over games of one player count.
+
+    Rows, groups, families and windows are ``_Layout``'s, and ``_rounds`` plays each window.
+    Each round, each cell computes its expected losses (see ``_cells``), and an adaptive player
+    whose threshold is below 2T (see ``init_state``) adds ``learners.row_variances`` to its two
+    (B_s,) variance sums and tests them against ``learners.variance_budget``. Then each family
+    runs the elementwise update once over its whole row, and each group its max shift (skipped
+    in a family whose step sizes stay at most 1; see ``learners``), keepdims sum and divide:
+    ``learners.step`` row by row, bit for bit, so no row depends on its batch, group or family.
+    Each window is recorded in one step, and its last row copied to row 0: with ``full_history``
+    each player's (T, B_s, n_i) strategies and losses, else its (B_s,) cumulative losses and
+    (B_s, n_i) per-action sums. Returns per shape of ``_Layout.shapes`` its games' indices, then
+    per player its record, final (B_s, n_i) strategies and (B_s,) switch rounds (0: none).
+    """
+    layout = _Layout(games, configs, rounds)
+    width, ends, rows, players = layout.width, layout.ends, layout.rows, range(len(configs))
+    strategies = [np.empty((width + 1, end)) for end in ends]
+    # Without full_history, an x * loss row stands beside each loss row (see the record).
+    windows = [np.zeros((width + 1, 1 if full_history else 2, end)) for end in ends]
+    losses = [window[:, -1] for window in windows]
+    neg_etas = [np.empty(end) for end in ends]
+    switch_rounds = [[np.zeros(len(ks), dtype=int) for _ in players] for ks in layout.members]
+    for h, i in layout.place:
+        rows(strategies, h, i)[...] = 1.0 / layout.shapes[h][i]
+        rows(neg_etas, h, i)[...] = -layout.states[h][i].eta
+    switches = [(np.zeros((2, len(layout.members[h]))), rows(strategies, h, i)[:, 0],
+                 rows(losses, h, i)[:, 0], rows(neg_etas, h, i)[0], switch_rounds[h][i], s)
+                for h, row in enumerate(layout.states) for i, s in enumerate(row)
+                if s.mode == learners.ADAPTIVE_OPT_HEDGE and s.switch_threshold < 2 * rounds]
+    contractions = _cells(layout, games, strategies, losses)
+    # Per family: its window rows, -eta, exponent, kind and shift, and per group (rows, n) views
+    # of its exponent, a reduction buffer and its next strategies: the update allocates nothing.
     updates = []
-    for f, (x, loss, neg_eta, kind) in enumerate(zip(strategies, losses, neg_etas, families)):
+    for f, (x, loss, neg_eta) in enumerate(zip(strategies, losses, neg_etas)):
         e = np.empty(len(neg_eta))
         parts = [(e[a:b].reshape(-1, n), np.empty(((b - a) // n, 1)),
-                  list(x[1:, a:b].reshape(width, -1, n))) for g, a, b, n in spans if g == f]
-        updates.append((list(x), list(loss), neg_eta, e, *kind, parts))
+                  list(x[1:, a:b].reshape(width, -1, n)))
+                 for (g, n), (a, b) in layout.groups.items() if g == f]
+        updates.append((list(x), list(loss), neg_eta, e, *layout.families[f], parts))
     if full_history:
         played, seen = ({key: np.empty((rounds,) + rows(strategies, *key).shape[2:])
-                         for key in place} for _ in range(2))
+                         for key in layout.place} for _ in range(2))
     else:
         # Per family: the (x * loss, loss) sums. Put in row 0 of a window, they take its
         # rows in round order in one add.reduce, as per-round adds would, since each row
         # holds two or more numbers: rows of one number numpy sums pairwise.
         running = [np.zeros((2, end)) for end in ends]
-    # Local names for the ufuncs the loop calls T times per family or group.
-    maximum, total, exp = np.maximum.reduce, np.add.reduce, np.exp
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     for t0 in range(0, rounds, width):
         w = min(width, rounds - t0)
-        for s in range(w):
-            for gathers, chain, mat, columns, outs in contractions:
-                if gathers:
-                    gathers[s]()
-                for factors, joints, product in chain:
-                    multiply(factors[s], joints[s], product)
-                np.matmul(mat, columns[s], outs[s])
-            for sums, xs, ls, neg_eta, fired, state in switches:
-                x, loss, prev = xs[s], ls[s + 1], ls[s]
-                sums[0] += learners.row_variances(x, loss - prev)
-                sums[1] += learners.row_variances(x, prev)
-                if t0 + s + 1 >= learners.MIN_SWITCH_ROUND:
-                    budget = learners.variance_budget(sums[1], state.switch_threshold)
-                    fire = (fired == 0) & (sums[0] > budget)
-                    fired[fire] = t0 + s + 1
-                    neg_eta[fire] = -state.eta_post
-            for xs, ls, neg_eta, e, is_hedge, shift, parts in updates:
-                loss, prev = ls[s + 1], ls[s]
-                if is_hedge:
-                    multiply(loss, neg_eta, e)
-                else:
-                    # loss + loss is 2.0 * loss exactly
-                    add(loss, loss, e)
-                    subtract(e, prev, e)
-                    multiply(e, neg_eta, e)
-                if shift:
-                    for eg, red, _ in parts:
-                        maximum(eg, -1, None, red, True)
-                        subtract(eg, red, eg)
-                exp(e, e)
-                multiply(e, xs[s], e)
-                for eg, red, nexts in parts:
-                    total(eg, -1, None, red, True)
-                    divide(eg, red, nexts[s])
+        _rounds(t0, w, contractions, switches, updates)
         if full_history:
-            for key in place:
+            for key in layout.place:
                 played[key][t0:t0 + w] = rows(strategies, *key)[:w, 0]
                 seen[key][t0:t0 + w] = rows(losses, *key)[1:w + 1, 0]
         for f, (x, loss) in enumerate(zip(strategies, losses)):
             if not full_history:
                 window = windows[f][:w + 1]
                 window[0] = running[f]  # over the spent previous losses of slot 0
-                multiply(x[:w], loss[1:w + 1], window[1:, 0])
-                total(window, 0, None, running[f])
+                np.multiply(x[:w], loss[1:w + 1], window[1:, 0])
+                np.add.reduce(window, 0, None, running[f])
             x[0], loss[0] = x[w], loss[w]
     if not full_history:
-        played = {key: rows(running, *key)[0, 0].sum(-1) for key in place}
-        seen = {key: rows(running, *key)[1, 0] for key in place}
+        played = {key: rows(running, *key)[0, 0].sum(-1) for key in layout.place}
+        seen = {key: rows(running, *key)[1, 0] for key in layout.place}
     return [(ks, *([records[h, i] for i in players] for records in (played, seen)),
              [rows(strategies, h, i)[0, 0] for i in players], switch_rounds[h])
-            for h, ks in enumerate(members)]
+            for h, ks in enumerate(layout.members)]
 
 
 def _metadata(configs: Sequence[LearnerConfig], switch_rounds) -> RunMetadata:

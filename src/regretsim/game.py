@@ -45,7 +45,10 @@ class Game:
         expected = _profile_count(self.action_counts)
         for raw in self.loss_tensors:
             arr = np.asarray(raw, dtype=np.float64)
-            if arr.flags.writeable or arr.base is not None or np.signbit(arr).any():
+            if isinstance(raw, (list, tuple)) or (isinstance(raw, np.ndarray)
+                                                  and raw.dtype != np.float64):
+                np.add(arr, 0.0, out=arr)  # arr is a new array: clear -0.0 in place
+            elif arr.flags.writeable or arr.base is not None or np.signbit(arr).any():
                 arr = arr + 0.0  # a copy, in which -0.0 + 0.0 is +0.0
             if arr.size == expected and min(self.action_counts, default=0) > 0:
                 arr = arr.reshape(self.action_counts)
@@ -96,10 +99,10 @@ def validate_game(game: Game) -> list[str]:
             )
             continue
         flat = tensor.reshape(-1)
-        # NaN and +-inf fail one of the two comparisons
-        bad = ~((flat >= 0.0) & (flat <= 1.0))
-        if bad.any():
-            k = int(np.argmax(bad))
+        # NaN and +-inf fail one of the two comparisons; min and max carry a NaN, so
+        # only a tensor that fails makes the elementwise masks
+        if flat.size and not (flat.min() >= 0.0 and flat.max() <= 1.0):
+            k = int(np.argmax(~((flat >= 0.0) & (flat <= 1.0))))
             profile = np.unravel_index(k, game.action_counts)
             label = tuple(int(a) + 1 for a in profile)
             violations.append(

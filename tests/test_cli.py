@@ -702,6 +702,27 @@ class TestMainExitCodes:
         assert cli.main(["gen-game", "--actions", "2,2", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["run", "compare", "diagnose", "gen-game"])
+    def test_oversized_random_game_is_refused_before_allocation(self, command, tmp_path, capsys,
+                                                                 monkeypatch):
+        # two 10^5 x 10^5 tensors would take 149 GiB; the stand-in allocates nothing
+        calls = []
+
+        def sentinel(*args):
+            calls.append(args)
+            raise MemoryError("random_game called for an oversized game")
+
+        monkeypatch.setattr(cli, "random_game", sentinel)
+        out = tmp_path / "out"
+        game = [] if command == "gen-game" else ["--game", "random"]
+        learners_flag = ["--learner", "hedge,opt_hedge"] if command == "compare" else []
+        code = cli.main([command, *game, "--actions", "100000,100000", *learners_flag,
+                         "--out", str(out)])
+        assert (code, calls) == (2, [])
+        err = capsys.readouterr().err
+        assert "160000000000 bytes" in err and f"limit of {cli.RANDOM_GAME_BYTES}" in err, err
+        assert not out.exists()
+
     def test_diagnose_enables_everything(self, tmp_path):
         code = cli.main(["diagnose", "--game", "random", "--actions", "2,2",
                          "--game-seed", "1", "--rounds", "32",

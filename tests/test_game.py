@@ -133,6 +133,25 @@ class TestValidateGame:
             assert not np.signbit(tensor).any() and not tensor.flags.writeable, name
             assert validate_game(game) == [], name
 
+    def test_converted_tensors_are_copied_once(self):
+        # np.asarray builds a new array from a list or a float32 array; Game clears
+        # -0.0 in that array instead of copying it again
+        base = np.random.default_rng(0).random((256, 256))
+        base[0, 0] = -0.0
+        for name, make in (("float32", lambda: base.astype(np.float32)), ("list", base.tolist)):
+            raws = (make(), make())
+            tracemalloc.start()
+            try:
+                game = Game(2, (256, 256), raws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            tensors = sum(t.nbytes for t in game.loss_tensors)
+            assert peak < 1.2 * tensors, (name, peak, tensors)
+            for tensor in game.loss_tensors:
+                assert tensor[0, 0] == 0.0 and not np.signbit(tensor[0, 0]), name
+                assert not tensor.flags.writeable, name
+
     def test_profile_count_exact_past_int64(self):
         assert _profile_count((10**10, 10**10)) == 10**20
 

@@ -136,3 +136,12 @@ def test_paper_lemmas_imports_no_package_module():
                for alias in node.names]
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert modules and not [m for m in modules if m.split(".")[0] == "regretsim"]
+
+
+def test_dynamics_functions_fit_a_screen():
+    # the engine's layout, cell builder and round loop stay short enough to read whole
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    long = {node.name: node.end_lineno - node.lineno + 1 for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.end_lineno - node.lineno + 1 > 70}
+    assert long == {}

@@ -10,8 +10,12 @@ warm-up call, and reports each case's median seconds, raw and divided by the
 benchmark's reference computation (``benchmarks/workload.py``'s
 ``reference_seconds``) timed just before and after each call, as the benchmark
 does, since the host's speed drifts. The cases are the engine calls of the
-benchmark's three workloads, built by their own classes at seed SEED, and a
-sweep of two-player games of n = 2 ... 16 actions. For each case the tool
+benchmark's three workloads, built by their own classes at seed SEED; a sweep
+of two-player games of n = 2 ... 16 actions, at eta = 0.1 and at eta = 2, where
+every family shifts its exponent; and a batch of three-player games whose
+players run Hedge, Optimistic Hedge and the adaptive variant with c' = 0, so
+the engine keeps two families and tests switch rows each round, paths that no
+benchmark workload runs. For each case the tool
 prints the median over pairs of the ratio working tree / revision of the
 corrected times (below 1 is faster), the number of pairs in which the working
 tree was faster, and each side's median raw seconds. Ratios within about ±6 % of
@@ -51,6 +55,11 @@ def cases(work: Path):
     # a sweep over n = 2 ... 16 at m = 2: eight random games per n, T = 1024
     sweep = {8 * (n - 2) + k: random_game(2, (n, n), seed=k) for n in range(2, 17)
              for k in range(8)}
+    # 16 three-player games, 2x3x2 and 3x3x3 in turn: the optimistic family holds a group of
+    # two actions and one of three
+    mixed = {k: random_game(3, (3, 3, 3) if k % 2 else (2, 3, 2), seed=k) for k in range(16)}
+    modes = [dynamics.LearnerConfig(mode, 0.5, c_prime=0.0)
+             for mode in ("hedge", "opt_hedge", "adaptive_opt_hedge")]
     return {
         "cli_diagnose run": lambda: dynamics.run(
             diagnose_game, [dynamics.LearnerConfig("opt_hedge", diagnose.eta)] * 2,
@@ -64,6 +73,11 @@ def cases(work: Path):
         "sweep n=2..16, 8 games each, T=1024": lambda: dynamics.batch_run(
             sweep.__getitem__, range(len(sweep)), [dynamics.LearnerConfig("opt_hedge", 0.1)] * 2,
             1024),
+        "sweep n=2..16 at eta=2, shifted": lambda: dynamics.batch_run(
+            sweep.__getitem__, range(len(sweep)), [dynamics.LearnerConfig("opt_hedge", 2.0)] * 2,
+            1024),
+        "mixed modes, 16 3-player games, T=1024": lambda: dynamics.batch_run(
+            mixed.__getitem__, range(len(mixed)), modes, 1024),
     }
 
 
