@@ -117,10 +117,14 @@ def _cells(layout: _Layout, games: Sequence[Game], strategies, losses):
     A cell is a shape's players if one group holds them all, so that their loss matrices share a
     shape, else one player. Each round a cell of c rows takes its opponents' strategies from its
     window row: in one ``take`` into a (c, m - 1, B, n) buffer, as views of their rows in a
-    one-player cell, or as its two rows reversed. It folds them from the right, x_j1 * (x_j2 *
-    (... * x_jk)) over the opponents j1 < j2 < ... < jk, into preallocated buffers, each earlier
-    opponent the new outer axis, so the (c, B, N) joint comes out in ``loss_matrix``'s opponent
-    order, and ``matmul``s it with its (c, B, n_i, N) loss matrices into its loss rows.
+    one-player cell, or as its two rows reversed. Of its opponents j1 < j2 < ... < jk it folds
+    all but j1 from the right, x_j2 * (x_j3 * (... * x_jk)), into preallocated buffers, each
+    earlier opponent the new outer axis, so the (c, B, N / n_j1) joint comes out in
+    ``loss_matrix``'s opponent order. Two ``matmul``s follow: the (c, B, n_i n_j1, N / n_j1) view
+    of its loss matrices times that joint, then the (c, B, n_i, n_j1) result times x_j1, into its
+    loss rows. j1, the outer axis of the matrices' columns, is contracted last: folding it too
+    would write the (c, B, N) joint for the one matmul to read back, in as many numpy calls. A
+    cell of one opponent runs one ``matmul`` with it.
     """
     width, rows = layout.width, layout.rows
     contractions = []
@@ -146,15 +150,20 @@ def _cells(layout: _Layout, games: Sequence[Game], strategies, losses):
                 gathers = [partial(x.take, np.array(opponents), 0, gathered, "clip")
                            for x in own]
                 sources = [np.broadcast_to(x, (width,) + x.shape) for x in gathered.swapaxes(0, 1)]
-            *factors, joint = sources
-            chain = []
-            for factor in reversed(factors):
+            chain, joint = [], sources[-1]
+            for factor in reversed(sources[1:-1]):
                 product = np.empty(factor.shape[1:] + joint.shape[-1:])
                 chain.append((list(factor[..., :, None]), list(joint[..., None, :]), product))
                 joint = product.reshape(lead + (-1,))
                 joint = np.broadcast_to(joint, (width,) + joint.shape)
-            contractions.append((gathers, chain, mat, list(joint[..., None]),
-                                 list(rows(losses, h, cell[0], c)[1:, ..., None])))
+            # each matmul's left operand, and its right operands and outputs per slot
+            rights, outs = list(joint[..., None]), list(rows(losses, h, cell[0], c)[1:, ..., None])
+            stages = [(mat, rights, outs)]
+            if len(sources) > 1:
+                middle = np.empty(lead + (n * sources[0].shape[-1], 1))
+                stages = [(mat.reshape(middle.shape[:-1] + (-1,)), rights, [middle] * width),
+                          (middle.reshape(lead + (n, -1)), list(sources[0][..., None]), outs)]
+            contractions.append((gathers, chain, stages))
     return contractions
 
 
@@ -164,12 +173,13 @@ def _rounds(t0: int, w: int, contractions, switches, updates) -> None:
     maximum, total, exp = np.maximum.reduce, np.add.reduce, np.exp
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     for s in range(w):
-        for gathers, chain, mat, columns, outs in contractions:
+        for gathers, chain, stages in contractions:
             if gathers:
                 gathers[s]()
             for factors, joints, product in chain:
                 multiply(factors[s], joints[s], product)
-            np.matmul(mat, columns[s], outs[s])
+            for left, rights, outs in stages:
+                np.matmul(left, rights[s], outs[s])
         for sums, xs, ls, neg_eta, fired, state in switches:
             sums[0] += learners.row_variances(xs[s], ls[s + 1] - ls[s])
             sums[1] += learners.row_variances(xs[s], ls[s])

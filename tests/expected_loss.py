@@ -13,11 +13,13 @@ def expected_loss_vector(game: Game, player: int, strategies: Sequence[np.ndarra
 
     ``strategies`` is the full strategy profile (length m); entry ``player``
     is ignored. Component j equals the expectation of the player's loss when
-    playing j while every opponent i' draws from ``strategies[i']``. The
-    opponents' joint is folded from the right, x_j1 * (x_j2 * (... * x_jk))
-    over the opponents j1 < j2 < ... < jk, in ``loss_matrix``'s row-major
-    profile order; the engine forms the same products, so it matches this
-    function bit for bit.
+    playing j while every opponent i' draws from ``strategies[i']``. Of the
+    opponents j1 < j2 < ... < jk, all but the first are folded from the right,
+    x_j2 * (x_j3 * (... * x_jk)), in ``loss_matrix``'s row-major profile order.
+    The (n_i n_j1, N / n_j1) view of the loss matrix times that joint gives an
+    (n_i, n_j1) matrix, which times x_j1 gives the losses; one opponent is
+    contracted in one product. The engine forms the same products in the same
+    order, so it matches this function bit for bit.
     """
     if not 0 <= player < game.num_players:
         raise IndexError(f"player index {player} out of range")
@@ -31,6 +33,11 @@ def expected_loss_vector(game: Game, player: int, strategies: Sequence[np.ndarra
                 f"strategy for player {j} has length {len(strategies[j])}, "
                 f"expected {game.action_counts[j]}"
             )
-    opponents = [np.asarray(s, dtype=np.float64) for j, s in enumerate(strategies) if j != player]
-    joint = reduce(lambda product, x: np.multiply.outer(x, product), opponents[::-1])
-    return loss_matrix([game], player)[0] @ joint.reshape(-1)
+    first, *rest = [np.asarray(s, dtype=np.float64) for j, s in enumerate(strategies)
+                    if j != player]
+    matrix = loss_matrix([game], player)[0]
+    if not rest:
+        return matrix @ first
+    joint = reduce(lambda product, x: np.multiply.outer(x, product), rest[::-1])
+    n = game.action_counts[player]
+    return (matrix.reshape(n * len(first), -1) @ joint.reshape(-1)).reshape(n, -1) @ first

@@ -710,6 +710,37 @@ class TestEngineMatchesReference:
                 assert np.array_equal(stream.final_strategies[i], states[i].strategy), (mode, i)
 
 
+def extended_expected_loss(game, player, profile):
+    """``expected_loss_vector`` in ``np.longdouble``, one opponent at a time from the last."""
+    tensor = game.loss_tensors[player].astype(np.longdouble)
+    for j in reversed(range(game.num_players)):
+        if j != player:
+            tensor = np.tensordot(tensor, profile[j].astype(np.longdouble), axes=([j], [0]))
+    return tensor
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64 here")
+class TestContractionAccuracy:
+    # one-player cells with a fold of two and of three opponents, and one cell of five players.
+    # The whole right-folded joint times the loss matrix read up to 1.7e-15 on the 6^5 game.
+    @pytest.mark.parametrize("counts, modes", [
+        ((4, 3, 5, 6), ["opt_hedge"] * 4),
+        ((4,) * 5, ["hedge"] + ["opt_hedge"] * 4),
+        ((6,) * 5, ["opt_hedge"] * 5),
+    ])
+    def test_losses_near_extended_precision(self, counts, modes):
+        game = random_game(len(counts), counts, seed=1)
+        traj = run(game, [LearnerConfig(mode=mode, eta=0.5) for mode in modes], 32)
+        worst = 0.0
+        for t in range(traj.rounds):
+            profile = [x[t] for x in traj.strategies]
+            for i in range(game.num_players):
+                exact = extended_expected_loss(game, i, profile)
+                worst = max(worst, float(np.max(abs(traj.losses[i][t] - exact) / exact)))
+        assert worst < 1e-15
+
+
 class TestCsvExports:
     def test_trajectory_round_trip(self, tmp_path):
         game = random_game(2, (2, 3), seed=17)

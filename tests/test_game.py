@@ -232,18 +232,24 @@ class TestExpectedLossVector:
                 expected_loss_vector(game, i, strategies),
                 _einsum_oracle(game, i, strategies), rtol=0, atol=1e-12)
 
-    # on these seeds a left fold, ((x_j1 * x_j2) * ...) * x_jk, differs in the last bits
-    @pytest.mark.parametrize("counts, seed", [((3, 2, 4, 3), 0), ((2, 3, 2, 3, 2), 3)])
+    # The trailing opponents folded from the right, one matmul with the loss matrix's
+    # (n_i n_j1, N / n_j1) view, then one with the first opponent j1. The single product of
+    # the loss matrix with the whole right-folded joint differs in the last bits on these
+    # games and seeds: (3, 2, 4, 3) seed 0 for every player, (2, 3, 2, 3, 2) seed 3 for
+    # players 0-3 and (3, 4, 5) seed 0, where nothing is folded, for every player.
+    @pytest.mark.parametrize("counts, seed",
+                             [((3, 2, 4, 3), 0), ((2, 3, 2, 3, 2), 3), ((3, 4, 5), 0)])
     def test_opponents_folded_from_the_right(self, counts, seed):
         game = random_game(len(counts), counts, seed=seed)
         rng = np.random.default_rng(seed)
         strategies = [rng.dirichlet(np.ones(n)) for n in counts]
-        for i in range(game.num_players):
-            *factors, joint = [x for j, x in enumerate(strategies) if j != i]
+        for i, n in enumerate(counts):
+            first, *factors, joint = [x for j, x in enumerate(strategies) if j != i]
             for x in reversed(factors):
                 joint = np.multiply.outer(x, joint)
+            middle = loss_matrix([game], i)[0].reshape(n * len(first), -1) @ joint.reshape(-1)
             assert np.array_equal(expected_loss_vector(game, i, strategies),
-                                  loss_matrix([game], i)[0] @ joint.reshape(-1))
+                                  middle.reshape(n, len(first)) @ first)
 
 
 class TestLossMatrix:

@@ -2,7 +2,7 @@
 
 Usage: python tools/golden.py <rev>
 
-Exports ``src`` at <rev> with ``git archive``, then runs the sixteen golden
+Exports ``src`` at <rev> with ``git archive``, then runs the seventeen golden
 commands below twice, once against that export and once against the working
 tree's ``src``, each side in its own fresh directory with the same ``--out``
 names. Every file written is compared byte for byte, except that
@@ -75,9 +75,14 @@ COMMANDS = (
     ["run", "--game", "random", "--actions", "3,3", "--game-seed", "1", "--learner",
      "hedge,opt_hedge", "--rounds", "4096", "--out", "mixed"],
     # a horizon off the engine's record window grid, so its last window is partial:
-    # three players, each alone in its group and cell, with a two-opponent fold
+    # three players, each alone in its group and cell, which folds nothing and runs two
+    # matmuls, over the second opponent's strategy and then the first's
     ["run", "--game", "random", "--actions", "3,3,2", "--game-seed", "5", "--learner",
      "hedge,opt_hedge,opt_hedge", "--rounds", "1000", "--out", "partial"],
+    # four players in three groups, so one cell each: a fold of the last two opponents,
+    # then the two matmuls
+    ["run", "--game", "random", "--actions", "3,2,3,2", "--game-seed", "6", "--learner",
+     "hedge,opt_hedge,opt_hedge,opt_hedge", "--rounds", "2048", "--out", "cells4"],
 )
 
 
