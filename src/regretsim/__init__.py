@@ -3,7 +3,7 @@
 Core pieces: the game model (:mod:`regretsim.game`), learner update rules
 and per-round variances (:mod:`regretsim.learners`), self-play dynamics and
 regret scoring (:mod:`regretsim.dynamics`), the trajectory audits
-(:mod:`regretsim.diagnostics`), and the file formats (:mod:`regretsim.export`).
+(:mod:`regretsim.diagnostics`), and every file writer (:mod:`regretsim.export`).
 The audits are the finite-difference decay profile, consecutive closeness,
 and the regret-bound and variance-inequality audits. The ``regretsim`` CLI
 wraps all of it. The sequence identities behind the paper's lemmas hold for

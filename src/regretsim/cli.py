@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, dynamics, learners
+from . import diagnostics, dynamics, export, learners
 from .export import load_game_json, save_game_json, write_csv, write_json
 from .game import Game, json_int, named_game, random_game, NAMED_GAMES
 
@@ -402,14 +402,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     if "csv" in cfg.formats:
         for i, (losses, profile) in enumerate(zip(trajectory.losses, profiles), 1):
-            diagnostics.fd_profile_values_csv(losses, profile.h_max,
-                                              out / f"fd_values_player{i}.csv")
-            diagnostics.fd_profile_norms_csv(profile, out / f"fd_norms_player{i}.csv")
-        dynamics.regret_curves_to_csv(entries, out / "regret_curve.csv")
+            export.fd_profile_values_csv(losses, profile.h_max, out / f"fd_values_player{i}.csv")
+            export.fd_profile_norms_csv(profile, out / f"fd_norms_player{i}.csv")
+        export.regret_curves_to_csv(entries, out / "regret_curve.csv")
         rows = 2 * cfg.rounds * sum(game.action_counts)  # strategy and loss per (round, action)
         if cfg.emit_trajectory:
             if rows <= TRAJECTORY_ROW_LIMIT or cfg.force_trajectory:
-                dynamics.trajectory_to_csv(trajectory, out / "trajectory.csv")
+                export.trajectory_to_csv(trajectory, out / "trajectory.csv")
             else:
                 print("warning: skipping trajectory.csv "
                       f"({rows} rows > {TRAJECTORY_ROW_LIMIT}); "

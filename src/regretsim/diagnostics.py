@@ -2,11 +2,11 @@
 
 The finite-difference decay profile, consecutive closeness and its bound, and
 the regret-bound and variance-inequality audits, which take Reg_i(T) from the
-regret report and share one walk's variance sums. All of it is pure except the
-``fd_profile_*_csv`` writers, which write a file. Each audit reads the (T, n)
-histories ``AUDIT_BLOCK_ROWS`` rounds at a time and makes no (T, n) array of
-its own. The sequence identities behind the paper's lemmas hold for any
-sequence and are checked in ``tests/paper_lemmas.py``.
+regret report and share one walk's variance sums. All of it is pure: ``export``
+writes the profile's CSV files. Each audit reads the (T, n) histories
+``AUDIT_BLOCK_ROWS`` rounds at a time and makes no (T, n) array of its own. The
+sequence identities behind the paper's lemmas hold for any sequence and are
+checked in ``tests/paper_lemmas.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dynamics import AUDIT_BLOCK_ROWS, RegretEntry, Trajectory, _reduce_rows
-from .export import write_csv
 from .learners import (DEFAULT_C_PRIME, OPT_HEDGE, ceil_log2, row_variances, variance_budget,
                        variance_threshold)
 
@@ -75,24 +74,6 @@ def fd_decay_profile(seq: np.ndarray, h_max: int) -> FiniteDifferenceProfile:
     norms = np.array([np.max([s for k, s in block_sups if k == h]) for h in range(h_max + 1)])
     ratios = np.divide(norms[1:], norms[:-1], out=np.full(h_max, np.nan), where=norms[:-1] > 0.0)
     return FiniteDifferenceProfile(sup_norms=norms, ratios=ratios, h_max=h_max, length=len(seq))
-
-
-def fd_profile_values_csv(seq: np.ndarray, h_max: int, path) -> None:
-    """CSV rows (order, t, value) for orders 0..h_max of ``seq``; value is the sup
-    over actions of the order's entry at round t.
-
-    The rows are written a block of ``AUDIT_BLOCK_ROWS`` rounds at a time, straight from
-    ``seq``, so no full-length order is held.
-    """
-    write_csv(path, ("order", "t", "value"), (
-        (np.broadcast_to(h, len(block)), np.arange(start + 1, start + len(block) + 1),
-         _reduce_rows(np.maximum, block)) for h, start, block in _fd_walk(seq, h_max)))
-
-
-def fd_profile_norms_csv(profile: FiniteDifferenceProfile, path) -> None:
-    """CSV rows (order, sup_norm)."""
-    write_csv(path, ("order", "sup_norm"),
-              [(range(len(profile.sup_norms)), profile.sup_norms)])
 
 
 @dataclass

@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import learners
-from .export import write_csv
 from .game import Game, loss_matrix
 
 __version__ = "0.1.0"
@@ -500,31 +499,3 @@ def batch_run(game_source: Callable[[int], Game], seeds: Sequence[int],
     if pool:
         play(pool)
     return results
-
-
-# ---------------------------------------------------------------------------
-# Exports
-# ---------------------------------------------------------------------------
-
-def trajectory_to_csv(trajectory: Trajectory, path) -> None:
-    """Write rows (round, player, kind, action, value), 1-indexed, LF-terminated."""
-    histories = [h for pair in zip(trajectory.strategies, trajectory.losses) for h in pair]
-    labels = [(k // 2 + 1, ("strategy", "loss")[k % 2], j + 1)
-              for k, h in enumerate(histories) for j in range(h.shape[1])]
-    write_csv(path, ("round", "player", "kind", "action", "value"),
-              _round_blocks(histories), labels)
-
-
-def regret_curves_to_csv(entries: Sequence[RegretEntry], path) -> None:
-    """Write rows (round, player, regret), 1-indexed, LF-terminated."""
-    write_csv(path, ("round", "player", "regret"),
-              _round_blocks([entry.curve[:, None] for entry in entries]),
-              [(entry.player + 1,) for entry in entries])
-
-
-def _round_blocks(histories):
-    """``write_csv`` blocks of whole rounds: each round, then its values in ``histories``."""
-    step = max(1, AUDIT_BLOCK_ROWS // sum(h.shape[1] for h in histories))
-    for start in range(0, len(histories[0]), step):
-        values = np.concatenate([h[start:start + step] for h in histories], axis=1)
-        yield np.arange(start + 1, start + len(values) + 1), values.reshape(-1)

@@ -1,8 +1,10 @@
-"""Every file format the package writes, and a game's JSON file.
+"""Every file the package writes: a run's artifacts, their formats, and a game's JSON file.
 
-``write_csv`` and ``write_json`` fix the format of every file the package
-writes. ``save_game_json`` and ``load_game_json`` write and read a game in
-``game_to_dict``'s layout.
+``trajectory_to_csv``, ``regret_curves_to_csv`` and the ``fd_profile_*_csv``
+writers lay out a run's CSV artifacts; ``write_csv`` and ``write_json`` fix the
+format of every file the package writes. ``save_game_json`` and
+``load_game_json`` write and read a game in ``game_to_dict``'s layout. This
+module sits above ``dynamics`` and ``diagnostics``, beside ``cli``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .diagnostics import FiniteDifferenceProfile, _fd_walk
+from .dynamics import AUDIT_BLOCK_ROWS, RegretEntry, Trajectory, _reduce_rows
 from .game import Game, game_from_dict, game_to_dict
 
 # ``_format_float`` is the exact formatter write_csv falls back on.
@@ -31,6 +35,48 @@ def load_game_json(path) -> Game:
         data = json.load(fh)
     stem = os.path.splitext(os.path.basename(str(path)))[0]
     return game_from_dict(data, name=stem)
+
+
+def trajectory_to_csv(trajectory: Trajectory, path) -> None:
+    """Write rows (round, player, kind, action, value), 1-indexed, LF-terminated."""
+    histories = [h for pair in zip(trajectory.strategies, trajectory.losses) for h in pair]
+    labels = [(k // 2 + 1, ("strategy", "loss")[k % 2], j + 1)
+              for k, h in enumerate(histories) for j in range(h.shape[1])]
+    write_csv(path, ("round", "player", "kind", "action", "value"),
+              _round_blocks(histories), labels)
+
+
+def regret_curves_to_csv(entries: Sequence[RegretEntry], path) -> None:
+    """Write rows (round, player, regret), 1-indexed, LF-terminated."""
+    write_csv(path, ("round", "player", "regret"),
+              _round_blocks([entry.curve[:, None] for entry in entries]),
+              [(entry.player + 1,) for entry in entries])
+
+
+def _round_blocks(histories):
+    """``write_csv`` blocks of whole rounds: each round, then its values in ``histories``."""
+    step = max(1, AUDIT_BLOCK_ROWS // sum(h.shape[1] for h in histories))
+    for start in range(0, len(histories[0]), step):
+        values = np.concatenate([h[start:start + step] for h in histories], axis=1)
+        yield np.arange(start + 1, start + len(values) + 1), values.reshape(-1)
+
+
+def fd_profile_values_csv(seq: np.ndarray, h_max: int, path) -> None:
+    """CSV rows (order, t, value) for orders 0..h_max of ``seq``; value is the sup
+    over actions of the order's entry at round t.
+
+    The rows are written a block of ``AUDIT_BLOCK_ROWS`` rounds at a time, straight from
+    ``seq``, so no full-length order is held.
+    """
+    write_csv(path, ("order", "t", "value"), (
+        (np.broadcast_to(h, len(block)), np.arange(start + 1, start + len(block) + 1),
+         _reduce_rows(np.maximum, block)) for h, start, block in _fd_walk(seq, h_max)))
+
+
+def fd_profile_norms_csv(profile: FiniteDifferenceProfile, path) -> None:
+    """CSV rows (order, sup_norm)."""
+    write_csv(path, ("order", "sup_norm"),
+              [(range(len(profile.sup_norms)), profile.sup_norms)])
 
 
 def write_csv(path, header: Sequence[str], blocks: Iterable[tuple],

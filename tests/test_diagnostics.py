@@ -29,11 +29,10 @@ from regretsim.diagnostics import (
     AUDIT_BLOCK_ROWS,
     check_audit_learners,
     closeness_bound,
-    fd_profile_norms_csv,
-    fd_profile_values_csv,
     _variance_sums,
 )
 from regretsim.dynamics import RunMetadata, Trajectory, _reduce_rows
+from regretsim.export import fd_profile_norms_csv, fd_profile_values_csv
 from regretsim.learners import ceil_log2, row_variances
 from regretsim.game import Game
 from paper_lemmas import (check_circular_fourier_identity, check_freq_cauchy,

@@ -25,12 +25,8 @@ from regretsim import (
     run,
     run_streaming,
 )
-from regretsim.dynamics import (
-    AUDIT_BLOCK_ROWS,
-    RunMetadata,
-    regret_curves_to_csv,
-    trajectory_to_csv,
-)
+from regretsim.dynamics import AUDIT_BLOCK_ROWS, RunMetadata
+from regretsim.export import regret_curves_to_csv, trajectory_to_csv
 from regretsim.game import Game
 from expected_loss import expected_loss_vector
 from trajectory_csv import trajectory_from_csv

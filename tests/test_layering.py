@@ -14,9 +14,9 @@ SRC = ROOT / "src" / "regretsim"
 ALLOWED = {
     "game": set(),
     "learners": set(),
-    "export": {"game"},
-    "dynamics": {"game", "learners", "export"},
-    "diagnostics": {"game", "learners", "dynamics", "export"},
+    "dynamics": {"game", "learners"},
+    "diagnostics": {"game", "learners", "dynamics"},
+    "export": {"game", "dynamics", "diagnostics"},
 }
 
 
@@ -53,7 +53,8 @@ def test_module_imports_only_lower_layers(module):
 
 
 def test_collector_sees_the_imports():
-    assert package_imports("diagnostics") == {"learners", "dynamics", "export"}
+    assert package_imports("diagnostics") == {"learners", "dynamics"}
+    assert package_imports("export") == {"game", "dynamics", "diagnostics"}
     assert package_imports("cli") == {"diagnostics", "dynamics", "learners", "game", "export"}
 
 
@@ -64,6 +65,12 @@ def test_module_opens_no_file(module):
     calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
              and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert calls == [], f"{module} calls open() at lines {calls}"
+
+
+def test_only_export_and_cli_write_artifacts():
+    # every artifact writer lives in ``export``; the layers below it compute and write nothing
+    writers = {p.stem: code_names(p) & {"write_csv", "write_json"} for p in SRC.glob("*.py")}
+    assert {m for m, names in writers.items() if names} == {"export", "cli"}
 
 
 # The package's public names. A removal or addition is a deliberate edit of this list.

@@ -392,6 +392,12 @@ class TestVarianceInequality:
         assert variance_threshold(0.0, 2**10) == 0.0
         assert variance_threshold(math.inf, 2**10) == math.inf
 
+    def test_default_threshold_outgrows_every_cli_horizon(self):
+        # Each round adds at most 1 to the loss-difference sum, so the default c' keeps
+        # the adaptive switch from firing while c' * ceil(log2 T)^5 >= 2T: up to T = 2^43.
+        assert all(variance_threshold(DEFAULT_C_PRIME, 2**k) >= 2 * 2**k for k in range(1, 44))
+        assert variance_threshold(DEFAULT_C_PRIME, 2**44) < 2 * 2**44
+
     def test_budget_hand_values(self):
         assert variance_budget(0.5, 2.0) == 2.25
         assert variance_budget(0.0, 0.0) == 0.0
